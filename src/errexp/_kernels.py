@@ -1,26 +1,13 @@
-"""Hot numeric kernels with numba and pure-NumPy twins.
-
-Each kernel exists twice: ``*_nb`` (numba ``@njit``) and ``*_np`` (vectorized
-NumPy). The module-level names dispatch to one of them according to
-``errexp._backend.USING_NUMBA``; both twins are importable directly for the
-backend benchmark. The twins are exact equivalents, including summation
-order, so results do not depend on the selected backend.
-"""
+"""Hot numeric kernels, vectorized with NumPy."""
 
 import math
 
 import numpy as np
 
-from ._backend import USING_NUMBA, njit
-
 _LN2 = math.log(2.0)
 
 
-# ---------------------------------------------------------------------------
-# log2 probability of each type class under an i.i.d. source
-# ---------------------------------------------------------------------------
-
-def type_log_probs_np(counts, log2q, log_fact):
+def type_log_probs(counts, log2q, log_fact):
     """log2 Q^n(T(P)) for each row of ``counts``.
 
     ``log2q`` carries -inf at zero-probability symbols; a positive count
@@ -30,54 +17,19 @@ def type_log_probs_np(counts, log2q, log_fact):
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.sum(axis=1)
     log2_mult = (log_fact[n] - log_fact[counts].sum(axis=1)) / _LN2
-    terms = np.where(counts > 0, counts * log2q, 0.0)
-    return log2_mult + terms.sum(axis=1)
-
-
-@njit(cache=True)
-def type_log_probs_nb(counts, log2q, log_fact):
-    rows, cols = counts.shape
-    out = np.empty(rows, dtype=np.float64)
-    for i in range(rows):
-        n = 0
-        lf_sum = 0.0
-        for j in range(cols):
-            n += counts[i, j]
-            lf_sum += log_fact[counts[i, j]]
-        acc = (log_fact[n] - lf_sum) / _LN2
-        for j in range(cols):
-            if counts[i, j] > 0:
-                acc += counts[i, j] * log2q[j]
-        out[i] = acc
+    # zero-probability symbols enter the product as 0 (no 0 * -inf); the
+    # rows that put mass on them are set to -inf afterwards
+    impossible = np.isneginf(log2q)
+    out = log2_mult + (counts * np.where(impossible, 0.0, log2q)).sum(axis=1)
+    if impossible.any():
+        out[(counts[:, impossible] > 0).any(axis=1)] = -np.inf
     return out
 
 
-# ---------------------------------------------------------------------------
-# minimum-distance decision errors in the Gaussian detection experiment
-# ---------------------------------------------------------------------------
-
-def count_detection_errors_np(stat, hyp, threshold):
+def count_detection_errors(stat, hyp, threshold):
     """Number of trials where thresholding ``stat`` disagrees with ``hyp``.
 
     Decision rule: hypothesis 1 (signal present) iff stat > threshold.
     """
     decided_one = stat > threshold
     return int(np.count_nonzero(decided_one != (hyp == 1)))
-
-
-@njit(cache=True)
-def count_detection_errors_nb(stat, hyp, threshold):
-    errors = 0
-    for i in range(stat.shape[0]):
-        decision = 1 if stat[i] > threshold else 2
-        if decision != hyp[i]:
-            errors += 1
-    return errors
-
-
-if USING_NUMBA:
-    type_log_probs = type_log_probs_nb
-    count_detection_errors = count_detection_errors_nb
-else:
-    type_log_probs = type_log_probs_np
-    count_detection_errors = count_detection_errors_np

@@ -74,9 +74,9 @@ def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
     nan but such types have probability zero under either hypothesis, so the
     value is forced to -inf (outside every region, never accepted first).
     """
-    diff = _log2q(h.p1) - _log2q(h.p2)
     n = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
+        diff = _log2q(h.p1) - _log2q(h.p2)
         terms = np.where(counts > 0, counts * diff, 0.0)
         llr = terms.sum(axis=1) / n
     return np.nan_to_num(llr, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
@@ -135,24 +135,24 @@ def neyman_pearson_min_beta(
     lp1 = type_log_probs(counts, _log2q(h.p1), table)
     lp2 = type_log_probs(counts, _log2q(h.p2), table)
 
-    # descending LLR; lexicographic counts make ties deterministic
-    order = sorted(range(counts.shape[0]), key=lambda i: (-llr[i], tuple(counts[i])))
+    # descending LLR; the rows are in ascending lexicographic order, so a
+    # stable sort breaks ties by the count vector
+    order = np.argsort(-llr, kind="stable")
+    # scalar pow, not np.exp2: the array routine can differ by 1 ulp
+    mass1 = np.array([2.0**x for x in lp1[order].tolist()])
+    # sequential running sum, the same additions as a loop over the order
+    accepted = np.cumsum(mass1)
 
     target = 1.0 - epsilon
-    accepted_p1 = 0.0
-    log2_beta_terms = []
-    for i in order:
-        mass1 = 2.0 ** lp1[i] if np.isfinite(lp1[i]) else 0.0
-        if accepted_p1 + mass1 < target:
-            accepted_p1 += mass1
-            log2_beta_terms.append(lp2[i])
-            continue
-        if mass1 > 0.0:
-            gamma = min(1.0, (target - accepted_p1) / mass1)
-            if gamma > 0.0 and np.isfinite(lp2[i]):
-                log2_beta_terms.append(math.log2(gamma) + lp2[i])
-        break
-    log2_beta = _log2_sum_exp2(np.asarray(log2_beta_terms))
+    boundary = int(np.searchsorted(accepted, target, side="left"))
+    log2_beta_terms = lp2[order[:boundary]]
+    if boundary < len(order) and mass1[boundary] > 0.0:
+        accepted_p1 = float(accepted[boundary - 1]) if boundary else 0.0
+        gamma = min(1.0, (target - accepted_p1) / mass1[boundary])
+        lp2_boundary = lp2[order[boundary]]
+        if gamma > 0.0 and np.isfinite(lp2_boundary):
+            log2_beta_terms = np.append(log2_beta_terms, math.log2(gamma) + lp2_boundary)
+    log2_beta = _log2_sum_exp2(log2_beta_terms)
     return min(1.0, 2.0**log2_beta)
 
 

@@ -111,21 +111,23 @@ def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
             f"{total} types exceeds the enumeration cap of {cap}"
         )
     out = np.empty((total, alphabet_size), dtype=np.int64)
-    row = [0] * alphabet_size
-    idx = 0
-
-    def fill(pos: int, remaining: int):
-        nonlocal idx
-        if pos == alphabet_size - 1:
-            row[pos] = remaining
-            out[idx] = row
-            idx += 1
-            return
-        for c in range(remaining + 1):
-            row[pos] = c
-            fill(pos + 1, remaining - c)
-
-    fill(0, n)
+    # rem[i] is what the i-th distinct prefix of length j leaves for the
+    # remaining columns; each prefix spawns the children c = 0..rem[i]
+    rem = np.array([n], dtype=np.int64)
+    for j in range(alphabet_size - 1):
+        width = rem + 1
+        children = np.arange(int(width.sum()), dtype=np.int64)
+        children -= np.repeat(np.cumsum(width) - width, width)
+        rem = np.repeat(rem, width)
+        rem -= children
+        # a child leaving r owns C(r + m, m) output rows, m = columns after
+        # j + 1; at the last free column (m = 0) each child is one row
+        m = alphabet_size - 2 - j
+        if m:
+            block = np.array([math.comb(r + m, m) for r in range(n + 1)], dtype=np.int64)
+            children = np.repeat(children, block[rem])
+        out[:, j] = children
+    out[:, -1] = rem
     return out
 
 

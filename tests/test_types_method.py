@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from errexp import (
     type_class_size,
     type_class_size_bounds,
 )
+from errexp.types_method import _enumerate_counts
 
 
 class TestEmpiricalType:
@@ -72,6 +75,18 @@ class TestCountAndEnumerate:
         with pytest.raises(ResourceCapError):
             enumerate_types(100, 6, cap=1000)
 
+    def test_matrix_freed_without_gc(self):
+        # the counts matrix must not sit in a reference cycle: with the
+        # cycle collector off, dropping the last reference frees it
+        gc.disable()
+        try:
+            counts = _enumerate_counts(20, 4, cap=10**6)
+            ref = weakref.ref(counts)
+            del counts
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestTypeClassSize:
     def test_choose_4_2(self):
@@ -112,6 +127,7 @@ class TestTypeClassLogProb:
         q = make_distribution([1, 1])
         assert type_class_log_prob(EmpiricalType((1, 1), 2), q) == pytest.approx(-1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_deterministic_source(self):
         q = make_distribution([1, 0])
         assert type_class_log_prob(EmpiricalType((2, 0), 2), q) == pytest.approx(0.0)
