@@ -7,16 +7,27 @@ import numpy as np
 _LN2 = math.log(2.0)
 
 
-def type_log_probs(counts, log2q, log_fact):
+def log2_multinomial(counts, log_fact):
+    """log2 of the multinomial coefficient n! / prod_j c_j! of each row.
+
+    ``log_fact`` is a table of ln k! for k = 0..n.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    return (log_fact[counts.sum(axis=1)] - log_fact[counts].sum(axis=1)) / _LN2
+
+
+def type_log_probs(counts, log2q, log_fact, log2_mult=None):
     """log2 Q^n(T(P)) for each row of ``counts``.
 
     ``log2q`` carries -inf at zero-probability symbols; a positive count
     there makes the row -inf. ``log_fact`` is a table of ln k! for
-    k = 0..n.
+    k = 0..n. ``log2_mult``, when given, is ``log2_multinomial(counts,
+    log_fact)``, so a caller scoring the same rows under two distributions
+    computes it once.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n = counts.sum(axis=1)
-    log2_mult = (log_fact[n] - log_fact[counts].sum(axis=1)) / _LN2
+    if log2_mult is None:
+        log2_mult = log2_multinomial(counts, log_fact)
     # zero-probability symbols enter the product as 0 (no 0 * -inf); the
     # rows that put mass on them are set to -inf afterwards
     impossible = np.isneginf(log2q)

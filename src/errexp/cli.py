@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import math
 import sys
 
 import numpy as np
@@ -139,6 +141,16 @@ def _run_stein(args):
     h = BinaryHypothesis(parse_distribution(args.p1), parse_distribution(args.p2))
     report = stein_errors(h, args.n, args.delta, cap=args.cap)
     np_beta = neyman_pearson_min_beta(h, args.n, args.epsilon, cap=args.cap)
+    if np_beta > 0.0:
+        np_exponent = -np.log2(np_beta) / args.n
+    else:
+        # p1 << p2 keeps the exact beta positive, so 0 is an underflow
+        print(
+            "errexp: warning: np_min_beta underflowed to 0 (below 2^-1074); "
+            "np_exponent_bits is not meaningful",
+            file=sys.stderr,
+        )
+        np_exponent = math.inf
     header = [
         "n",
         "delta",
@@ -158,7 +170,7 @@ def _run_stein(args):
             report.beta_n,
             report.exponent,
             np_beta,
-            -np.log2(np_beta) / args.n,
+            np_exponent,
         ]
     ]
     return header, rows
@@ -285,6 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# building this argparse tree costs more than most subcommands' own work,
+# and parsing does not mutate it, so main() builds it once and reuses it
+_shared_parser = functools.cache(build_parser)
+
+
 def _write_csv(header, rows, output_path):
     if output_path:
         with open(output_path, "w", newline="") as fh:
@@ -300,8 +317,7 @@ def _write_csv(header, rows, output_path):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         header, rows = args.func(args)
     except ResourceCapError as exc:

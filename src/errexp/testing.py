@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import type_log_probs
+from ._kernels import log2_multinomial, type_log_probs
 from .dist import DiscreteDistribution, TiltedFamily, kl_divergence, log_factorial_table, tilted
 from .errors import ConvergenceError, DegenerateHypothesisError, ValidationError
 from .types_method import (
@@ -108,8 +108,10 @@ def stein_errors(
     member = (llr >= d - delta) & (llr <= d + delta)
 
     table = log_factorial_table(n)
-    lp1 = type_log_probs(counts[member], _log2q(h.p1), table)
-    lp2 = type_log_probs(counts[member], _log2q(h.p2), table)
+    counts = counts[member]
+    log2_mult = log2_multinomial(counts, table)
+    lp1 = type_log_probs(counts, _log2q(h.p1), table, log2_mult)
+    lp2 = type_log_probs(counts, _log2q(h.p2), table, log2_mult)
     alpha = 1.0 - float(np.exp2(lp1[np.isfinite(lp1)]).sum())
     alpha = min(1.0, max(0.0, alpha))
     log2_beta = _log2_sum_exp2(lp2)
@@ -132,8 +134,9 @@ def neyman_pearson_min_beta(
     counts = _enumerate_counts(n, h.p1.alphabet_size, cap)
     llr = _avg_llr_rows(counts, h)
     table = log_factorial_table(n)
-    lp1 = type_log_probs(counts, _log2q(h.p1), table)
-    lp2 = type_log_probs(counts, _log2q(h.p2), table)
+    log2_mult = log2_multinomial(counts, table)
+    lp1 = type_log_probs(counts, _log2q(h.p1), table, log2_mult)
+    lp2 = type_log_probs(counts, _log2q(h.p2), table, log2_mult)
 
     # descending LLR; the rows are in ascending lexicographic order, so a
     # stable sort breaks ties by the count vector

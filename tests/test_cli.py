@@ -1,11 +1,15 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from errexp import ValidationError
+from errexp import cli
 from errexp.cli import main, parse_distribution
 
 
@@ -183,7 +187,63 @@ class TestExitCodes:
         assert status == 4
         assert err.strip() != ""
 
+    def test_np_beta_underflow_is_reported(self):
+        # beta < 2^-1074 at n = 8000 still prints 0 (a known defect), but
+        # says so on stderr instead of raising numpy's log2(0) warning
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1,3", "--n", "8000", "--delta", "0.1"]
+        )
+        assert status == 0
+        assert "np_min_beta underflowed" in err
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["kl", "--p", "1,1"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    # one process, one parser: every call must print what a fresh process,
+    # with a freshly built parser, prints, whatever the calls before it parsed
+    SEQUENCE = [
+        ["kl", "--p", "1,1"],
+        ["kl", "--p", "0.5,0.5", "--q", "0.25,0.75"],
+        ["boltzmann", "--levels", "0,1,2", "--beta", "0.5"],
+        ["boltzmann", "--levels", "0,1,2", "--mean", "0.8"],
+        ["detect", "--dims", "1,4", "--amplitudes", "1", "--trials", "2000", "--seed", "3"],
+        ["detect", "--dims", "1", "--amplitudes", "1", "--trials", "2000"],
+        ["kl", "--p", "0,0", "--q", "1,1"],
+        ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"],
+        ["chernoff", "--p1", "1,1", "--p2", "1,3", "--tol", "1e-6"],
+        ["types", "--n", "3", "--alphabet", "2", "--seed", "9"],
+        ["boltzmann", "--levels", "0,1,2", "--beta", "1.5", "--tol", "1e-3"],
+    ]
+
+    @staticmethod
+    def run_in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        return status, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def run_fresh(argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "errexp.cli", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        # bytes, so the CSV's \r\n line ends are compared as written
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    def test_reused_parser_matches_fresh_process(self):
+        cli._shared_parser.cache_clear()
+        reused = [self.run_in_process(argv) for argv in self.SEQUENCE]
+        assert cli._shared_parser.cache_info().misses == 1
+        assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+        for argv, got in zip(self.SEQUENCE, reused):
+            assert got == self.run_fresh(argv), argv

@@ -14,6 +14,9 @@ from errexp import (
     simulate_detection,
     sweep,
 )
+from errexp import detection
+from errexp._kernels import count_detection_errors
+from errexp.detection import _CHUNK
 
 
 def q_oracle(x):
@@ -114,11 +117,34 @@ class TestSimulation:
         s = DetectionScenario(3, 1.5, 200_000, 123)
         assert simulate_detection(s) == simulate_detection(s)
 
-    def test_chunking_invisible(self):
-        # trial counts straddling the chunk size agree on the shared prefix
-        base = DetectionScenario(1, 1.0, (1 << 17) + 1000, 5)
-        pe = simulate_detection(base)
-        assert 0.0 <= pe <= 1.0
+    def test_chunking_invisible(self, monkeypatch):
+        # a run one partial chunk longer repeats the whole first chunk, so
+        # its error count exceeds the shorter run's by at most the extra trials
+        chunks = []
+
+        def recording(stat, hyp, threshold):
+            chunks.append((stat.copy(), hyp.copy()))
+            return count_detection_errors(stat, hyp, threshold)
+
+        monkeypatch.setattr(detection, "count_detection_errors", recording)
+        short = DetectionScenario(1, 1.0, _CHUNK, 5)
+        longer = DetectionScenario(1, 1.0, _CHUNK + 1000, 5)
+        errors_short = round(simulate_detection(short) * short.trials)
+        errors_longer = round(simulate_detection(longer) * longer.trials)
+        assert 0 <= errors_longer - errors_short <= 1000
+        # the statistic and hypotheses of the shared chunk, bit for bit
+        assert [len(stat) for stat, _ in chunks] == [_CHUNK, _CHUNK, 1000]
+        assert np.array_equal(chunks[0][0], chunks[1][0])
+        assert np.array_equal(chunks[0][1], chunks[1][1])
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_matches_analytic_at_high_dim(self, dim):
+        # the statistic's noise is one N(0, dim) draw per trial; a wrong
+        # scale would move these cells by many standard errors
+        trials = 1_000_000
+        for row in sweep([dim], [0.25, 0.5, 1.0], trials=trials, seed=dim):
+            p = analytic_error(dim, row.amplitude)
+            assert abs(row.empirical_pe - p) <= 4 * math.sqrt(p * (1 - p) / trials)
 
 
 class TestSweep:
@@ -139,6 +165,31 @@ class TestSweep:
     def test_n1_m2_analytic(self):
         row = sweep([1], [2], trials=1000, seed=0)[0]
         assert row.analytic_pe == pytest.approx(q_function(1.0), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "dims, amplitudes, trials, seed, expected",
+        [
+            (
+                [1],
+                [0.5, 1, 2, 3],
+                200_000,
+                42,
+                [
+                    "0x1.9a57a786c2268p-2",
+                    "0x1.3c779a6b50b0fp-2",
+                    "0x1.477c45cbbc2b9p-3",
+                    "0x1.1187e7c06e19cp-4",
+                ],
+            ),
+            ([1], [1, 2], (1 << 17) + 1000, 7, ["0x1.3a8ba73d5c280p-2", "0x1.489242566f2eep-3"]),
+            ([1, 1], [1.5], 1000, 3, ["0x1.db22d0e560419p-3", "0x1.ccccccccccccdp-3"]),
+        ],
+    )
+    def test_dim1_values_pinned(self, dims, amplitudes, trials, seed, expected):
+        # recorded with the (trials x dim) draw; one scalar per trial must
+        # reproduce them bit for bit at dim 1
+        rows = sweep(dims, amplitudes, trials=trials, seed=seed)
+        assert [r.empirical_pe.hex() for r in rows] == expected
 
     def test_appending_rows_preserves_earlier_seeds(self):
         short = sweep([1], [1, 2], trials=50_000, seed=9)
