@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution, log_factorial
+from .dist import DiscreteDistribution, _solve_tilt, _tilt_mean, log_factorial
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-
-_SOLVE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -91,14 +89,13 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
 
     Mean energy decreases strictly in beta from the arithmetic mean of the
     levels (beta = 0) toward the ground level, so the target must lie in
-    (min level, arithmetic mean]. The upper bracket grows geometrically from
-    1 until the mean undershoots, then plain bisection finishes.
+    (min level, arithmetic mean]. A target within ``tol`` of that mean gives
+    beta = 0; any other is solved by the tilt solver that Chernoff's lam* uses.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     levels = np.asarray(levels, dtype=np.float64)
-    sys0 = EnergySystem(levels, 0.0)
-    uniform_mean = mean_energy(sys0)
+    uniform_mean = mean_energy(EnergySystem(levels, 0.0))
     lo_energy = float(levels.min())
     if not lo_energy < target_mean <= uniform_mean:
         raise InfeasibleError(
@@ -111,41 +108,11 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
     shifted = levels - lo_energy
     shifted_target = target_mean - lo_energy
 
-    def mean_at(beta: float) -> float:
-        w = np.exp(-beta * shifted)
-        return float((shifted * w).sum() / w.sum())
-
-    target_mean = shifted_target
-
-    if abs(mean_at(0.0) - target_mean) <= tol:
+    # this shortcut stays out of the shared solver: a Chernoff tilt between
+    # nearly equal laws starts within tol of its target, yet its root is near 1/2
+    if abs(_tilt_mean(0.0, shifted, 0.0) - shifted_target) <= tol:
         return 0.0
-
-    hi = 1.0
-    for _ in range(_SOLVE_MAX_ITER):
-        if mean_at(hi) <= target_mean:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the target mean energy")
-
-    # bisect the bracket all the way down: the mean curve flattens at large
-    # beta, so stopping at the mean tolerance alone would leave beta coarse
-    lo = 0.0
-    for _ in range(_SOLVE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mean_at(mid) > target_mean:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    if abs(mean_at(beta) - target_mean) > tol:
-        raise ConvergenceError(
-            f"bisection landed {abs(mean_at(beta) - target_mean)} away from the "
-            f"target mean, beyond tolerance {tol}"
-        )
-    return beta
+    return _solve_tilt(0.0, shifted, shifted_target, tol)
 
 
 def log_multiplicity_exact(occ: Occupancy) -> float:

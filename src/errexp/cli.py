@@ -7,12 +7,14 @@ and infinite relative entropy appears as the literal token ``inf``. A single
 deterministic ones, so scripted sweeps can pass it uniformly.
 
 Exit codes: 0 success, 2 usage/validation, 3 infeasible constraint,
-4 enumeration cap exceeded.
+4 enumeration cap exceeded, 5 solver tolerance missed (the message gives the
+residual in the subcommand's units: bits for chernoff, energy for boltzmann).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -23,7 +25,7 @@ import numpy as np
 from .boltzmann import EnergySystem, boltzmann_distribution, mean_energy, solve_beta
 from .detection import sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
-from .errors import InfeasibleError, ResourceCapError, ValidationError
+from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
 from .testing import (
     BinaryHypothesis,
     chernoff_lambda_star,
@@ -43,6 +45,7 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_INFEASIBLE = 3
 _EXIT_RESOURCE = 4
+_EXIT_CONVERGENCE = 5
 
 
 def _fmt(value) -> str:
@@ -304,13 +307,11 @@ _shared_parser = functools.cache(build_parser)
 
 def _write_csv(header, rows, output_path):
     if output_path:
-        with open(output_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        target = open(output_path, "w", newline="")
     else:
-        writer = csv.writer(sys.stdout)
+        target = contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"errexp: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"errexp: {exc}", file=sys.stderr)
+        return _EXIT_CONVERGENCE
     except (ValidationError, ValueError) as exc:
         print(f"errexp: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSupportError, ValidationError
+from .errors import ConvergenceError, DegenerateSupportError, ValidationError
 
 LN2 = math.log(2.0)
 
@@ -22,6 +22,9 @@ PROB_ATOL = 1e-12
 
 # below this k, ln k! is a compensated running sum; above, math.lgamma
 _LOG_FACT_CUTOFF = 256
+
+# iteration cap of the tilt solver's bracket growth and of its bisection
+_TILT_MAX_ITER = 200
 
 
 def _validate_probs(probs: np.ndarray) -> None:
@@ -143,6 +146,49 @@ def _tilt_weights(p1: np.ndarray, p2: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0.0:
         return p2.copy()
     return p1**lam * p2 ** (1.0 - lam)
+
+
+def _tilt_mean(log_base, energy: np.ndarray, beta: float) -> float:
+    # mean energy under exp(log_base - beta * energy), max-shifted so the
+    # largest weight is exactly 1
+    log_w = log_base - beta * energy
+    w = np.exp(log_w - log_w.max())
+    return float((energy * w).sum() / w.sum())
+
+
+def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float) -> float:
+    """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
+
+    The mean falls in beta, so the target must lie below the beta = 0 mean.
+    The upper bracket grows geometrically from 1 until the mean undershoots;
+    bisection then runs until the bracket collapses, since the mean curve
+    flattens at large beta and a stop at ``tol`` would leave beta coarse.
+    ``tol`` bounds the final residual, in the energy's units.
+    """
+    hi = 1.0
+    for _ in range(_TILT_MAX_ITER):
+        if _tilt_mean(log_base, energy, hi) <= target:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError("failed to bracket the target mean energy")
+
+    lo = 0.0
+    for _ in range(_TILT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _tilt_mean(log_base, energy, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    residual = abs(_tilt_mean(log_base, energy, beta) - target)
+    if residual > tol:
+        raise ConvergenceError(
+            f"bisection landed {residual} away from the target mean, beyond tolerance {tol}"
+        )
+    return beta
 
 
 def log_factorial(k: int) -> float:

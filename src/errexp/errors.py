@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: validation problems exit 2,
-infeasible constraints exit 3, resource caps exit 4.
+infeasible constraints exit 3, resource caps exit 4, solver convergence
+failures exit 5.
 """
 
 
@@ -26,4 +27,4 @@ class ResourceCapError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach tolerance within its iteration cap."""
+    """An iterative solve missed its tolerance or its iteration cap."""

@@ -1,9 +1,9 @@
 """Asymptotic binary hypothesis testing.
 
 Exact Stein-region error probabilities, the exact randomized Neyman-Pearson
-optimum, and Chernoff information via bisection on the tilted family. All
-error probabilities are computed exactly over type classes: the log
-likelihood ratio is type-measurable, so no Monte Carlo is involved.
+optimum, and Chernoff information by the Boltzmann tilt solver. All error
+probabilities are computed exactly over type classes: the log likelihood
+ratio is type-measurable, so no Monte Carlo is involved.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import log2_multinomial, type_log_probs
-from .dist import DiscreteDistribution, TiltedFamily, kl_divergence, log_factorial_table, tilted
-from .errors import ConvergenceError, DegenerateHypothesisError, ValidationError
+from .dist import LN2, DiscreteDistribution, TiltedFamily, _solve_tilt, kl_divergence
+from .dist import log_factorial_table
+from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
     EmpiricalType,
@@ -23,8 +24,6 @@ from .types_method import (
     _log2_sum_exp2,
     _log2q,
 )
-
-_BISECTION_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,11 @@ def neyman_pearson_min_beta(
 
 
 def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffReport:
-    """Equalize D(P_lam||p1) = D(P_lam||p2) by bisection.
+    """Equalize D(P_lam||p1) = D(P_lam||p2) with the tilt solver of ``solve_beta``.
 
-    g(lam) = D(P_lam||p1) - D(P_lam||p2) starts at D(p2||p1) > 0 and ends at
-    -D(p1||p2) < 0, so the bracket [0, 1] always carries a sign change.
+    g(lam) = D(P_lam||p1) - D(P_lam||p2) is the mean energy log2(p2/p1) under
+    P_lam = p1^lam p2^(1-lam) / Z = p2 exp(-lam ln2 * energy) / Z. It falls from
+    D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0 with ``tol`` in bits.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -172,30 +172,14 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     if math.isinf(kl_divergence(h.p2, h.p1)):
         raise ValidationError("D(p2||p1) must be finite for the tilted family")
 
-    family = TiltedFamily(h.p1, h.p2)
+    # both divergences are finite, so p1 and p2 share this support; log1p
+    # keeps the energy at full relative precision where p1 and p2 nearly agree
+    support = h.p2.probs > 0
+    p1, p2 = h.p1.probs[support], h.p2.probs[support]
+    energy = np.log1p((p2 - p1) / p1) / LN2
+    lam = _solve_tilt(np.log(p2), energy, 0.0, tol) / LN2
 
-    def g(lam: float) -> float:
-        p_lam = tilted(family, lam)
-        return kl_divergence(p_lam, h.p1) - kl_divergence(p_lam, h.p2)
-
-    lo, hi = 0.0, 1.0
-    if not (g(lo) > 0.0 and g(hi) < 0.0):
-        raise ConvergenceError("no sign change on [0, 1]: support pathology")
-    lam = 0.5
-    for _ in range(_BISECTION_MAX_ITER):
-        lam = 0.5 * (lo + hi)
-        val = g(lam)
-        if abs(val) <= tol:
-            break
-        if val > 0.0:
-            lo = lam
-        else:
-            hi = lam
-    else:
-        raise ConvergenceError(
-            f"bisection did not reach |g| <= {tol} in {_BISECTION_MAX_ITER} iterations"
-        )
-    p_star = tilted(family, lam)
+    p_star = TiltedFamily(h.p1, h.p2).at(lam)
     d1 = kl_divergence(p_star, h.p1)
     d2 = kl_divergence(p_star, h.p2)
     return ChernoffReport(lambda_star=lam, c_info=max(d1, d2), d1=d1, d2=d2)

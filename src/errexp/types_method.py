@@ -245,13 +245,8 @@ def sanov_exact_prob(
     n: int,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """Exact P(P_hat_n in Pi) via type-class probability sums."""
-    counts = _enumerate_counts(n, p.alphabet_size, cap)
-    member = pi.mask(counts, n)
-    if not member.any():
-        return 0.0
-    lp = type_log_probs(counts[member], _log2q(p), log_factorial_table(n))
-    return min(1.0, 2.0 ** _log2_sum_exp2(lp))
+    """Exact P(P_hat_n in Pi): 2 to the :func:`sanov_exact_log2_prob`."""
+    return min(1.0, 2.0 ** sanov_exact_log2_prob(pi, p, n, cap))
 
 
 def sanov_exact_log2_prob(
@@ -260,7 +255,7 @@ def sanov_exact_log2_prob(
     n: int,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """log2 of :func:`sanov_exact_prob`, safe for probabilities below 2**-1000."""
+    """Exact log2 P(P_hat_n in Pi), safe below 2**-1000; -inf if Pi is empty."""
     counts = _enumerate_counts(n, p.alphabet_size, cap)
     member = pi.mask(counts, n)
     if not member.any():

@@ -164,6 +164,13 @@ class TestContract:
         header, rows = parse_csv(path.read_text())
         assert header[0] == "entropy_p_bits"
 
+    def test_output_file_matches_stdout_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        argv = ["boltzmann", "--levels", "0,1,2,3", "--mean", "1.2"]
+        _, out, _ = run_cli(argv)
+        assert run_cli(argv + ["--output", str(path)])[0] == 0
+        assert path.read_bytes() == out.encode()
+
     def test_seed_accepted_by_deterministic_subcommand(self):
         status, _, _ = run_cli(["kl", "--p", "1,1", "--q", "1,2", "--seed", "99"])
         assert status == 0
@@ -186,6 +193,21 @@ class TestExitCodes:
         )
         assert status == 4
         assert err.strip() != ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chernoff", "--p1", "3,7", "--p2", "9,2", "--tol", "1e-300"],
+            ["boltzmann", "--levels", "0,1.3,2.7,4", "--mean", "0.77", "--tol", "1e-300"],
+        ],
+    )
+    def test_convergence_error_is_5(self, argv):
+        # the residual of a collapsed bisection is ~1e-16, above any tolerance
+        # of 1e-300; the message quotes the tolerance in the caller's units
+        status, out, err = run_cli(argv)
+        assert status == 5
+        assert out == ""
+        assert err.startswith("errexp: ") and "tolerance 1e-300" in err
 
     def test_np_beta_underflow_is_reported(self):
         # beta < 2^-1074 at n = 8000 still prints 0 (a known defect), but

@@ -7,6 +7,10 @@ ordering must reproduce them bit for bit. The grid spans alphabets of 1 to 5
 symbols and n up to 2000, and includes zero-probability symbols (on one side
 and on both), hypotheses that agree on some symbols (heavy LLR ties) and
 identical hypotheses (every type tied).
+
+The ``solve_beta`` pins are the inverse temperatures the Boltzmann module's
+own bracket-and-bisect loop returned on the same platform; the shared tilt
+solver must reproduce them, and raise the same errors, bit for bit.
 """
 
 import itertools
@@ -18,10 +22,13 @@ import pytest
 from errexp import (
     BinaryHypothesis,
     ConstraintSet,
+    ConvergenceError,
+    InfeasibleError,
     deviation_probability_exact,
     make_distribution,
     neyman_pearson_min_beta,
     sanov_exponent,
+    solve_beta,
     stein_errors,
 )
 from errexp._kernels import type_log_probs
@@ -141,6 +148,43 @@ DEVIATION_GOLDEN = {
 }
 
 
+# (levels, target mean, tol)
+BETA_CASES = {
+    "beta0_uniform_mean": ([0, 1], 0.5, 1e-10),
+    "beta0_within_tol": ([0, 1, 2, 3], 1.5 - 5e-11, 1e-10),
+    "warm": ([0, 1, 2, 3], 1.2, 1e-10),
+    "cold_bracket_growth": ([0, 1, 2, 3], 1e-3, 1e-10),
+    "frozen": ([0, 0.5, 4], 1e-9, 1e-12),
+    "deep_cold": ([0, 1, 2, 3], 1e-320, 1e-10),
+    "negative_levels": ([-2.5, -1, 0.75, 3], -1.2, 1e-10),
+    "negative_degenerate": ([-3, -3, -1, 2, 2], -1.75, 1e-12),
+    "near_uniform": ([0.25, 1.5, 2.0, 4.75], 2.125 - 1e-7, 1e-14),
+    "unsorted": ([1.234, 4.567, 0.321, 2.5, 3.75], 1.5, 1e-10),
+}
+
+BETA_GOLDEN = {
+    "beta0_uniform_mean": "0x0.0p+0",
+    "beta0_within_tol": "0x0.0p+0",
+    "warm": "0x1.f3c3b975fc566p-3",
+    "cold_bracket_growth": "0x1.ba2909ca097e6p+2",
+    "frozen": "0x1.407b5db2b96e2p+5",
+    "deep_cold": "0x1.7069daef86fc6p+9",
+    "negative_levels": "0x1.70f553451a524p-2",
+    "negative_degenerate": "0x1.094f2e795d496p-2",
+    "near_uniform": "0x1.3dc7269d00000p-25",
+    "unsorted": "0x1.c1fe016b78504p-2",
+}
+
+# (levels, target mean, tol, error): targets outside (ground, mean] and
+# tolerances below the rounding of the mean
+BETA_ERROR_CASES = {
+    "above_uniform_mean": ([0, 1], 0.9, 1e-10, InfeasibleError),
+    "at_ground": ([0, 1], 0.0, 1e-10, InfeasibleError),
+    "tol_below_rounding": ([0, 1.3, 2.7, 4], 0.77, 1e-300, ConvergenceError),
+    "cold_tol_below_rounding": ([0, 1, 2, 3], 1e-3, 1e-300, ConvergenceError),
+}
+
+
 def _hypothesis(w1, w2):
     return BinaryHypothesis(make_distribution(w1), make_distribution(w2))
 
@@ -179,6 +223,19 @@ def test_deviation_probability_exact(case):
     w, n, delta = DEVIATION_CASES[case]
     p = deviation_probability_exact(n, make_distribution(w), delta)
     assert p.hex() == DEVIATION_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(BETA_CASES))
+def test_solve_beta(case):
+    levels, target, tol = BETA_CASES[case]
+    assert solve_beta(levels, target, tol=tol).hex() == BETA_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(BETA_ERROR_CASES))
+def test_solve_beta_errors(case):
+    levels, target, tol, error = BETA_ERROR_CASES[case]
+    with pytest.raises(error):
+        solve_beta(levels, target, tol=tol)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,43 @@ from errexp import (
 from np_oracle import np_log2_beta_binomial, stein_moments, strassen_gap
 
 D_HALF_QUARTER = 0.2075187496394219
+
+
+def chernoff_oracle(h):
+    """lambda* and C(p1, p2) in bits at 50 digits, on the same doubles.
+
+    Bisects g(lam) = E_{P_lam}[ln(p2/p1)], P_lam = p1^lam p2^(1-lam) / Z, to a
+    bracket of 2^-200, far below the double resolution of lambda*.
+    """
+    with mpmath.workdps(50):
+        pairs = [
+            (mpmath.mpf(float(a)), mpmath.mpf(float(b)))
+            for a, b in zip(h.p1.probs, h.p2.probs)
+            if b > 0
+        ]
+
+        def tilt(lam):
+            w = [a**lam * b ** (1 - lam) for a, b in pairs]
+            z = mpmath.fsum(w)
+            return [x / z for x in w]
+
+        def g(lam):
+            return mpmath.fsum(
+                q * mpmath.log(b / a) for q, (a, b) in zip(tilt(lam), pairs)
+            )
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if g(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        lam = (lo + hi) / 2
+        c_info = mpmath.fsum(
+            q * mpmath.log(q / a, 2) for q, (a, _) in zip(tilt(lam), pairs)
+        )
+        return float(lam), float(c_info)
 
 
 @pytest.fixture
@@ -194,6 +232,35 @@ class TestChernoff:
             assert report.c_info < min(
                 kl_divergence(p1, p2), kl_divergence(p2, p1)
             )
+
+    def test_lambda_star_matches_mpmath_root(self):
+        rng = np.random.default_rng(2016)
+        checked = 0
+        while checked < 40:
+            k = int(rng.integers(2, 7))
+            w1, w2 = rng.integers(1, 21, k), rng.integers(1, 21, k)
+            if np.array_equal(w1 * w2.sum(), w2 * w1.sum()):
+                continue
+            h = BinaryHypothesis(make_distribution(w1), make_distribution(w2))
+            lam, c_info = chernoff_oracle(h)
+            report = chernoff_lambda_star(h)
+            assert abs(report.lambda_star - lam) <= 1e-10, (w1, w2)
+            assert report.c_info == pytest.approx(c_info, rel=1e-12, abs=1e-15)
+            checked += 1
+
+    def test_near_identical_pair_keeps_interior_tilt(self):
+        # D(p2||p1) is ~3e-12 bits, inside the default tolerance already at
+        # lam = 0; the solve must still find the interior root. The energy
+        # log2(p2/p1) is ~3e-6 here, so a difference of two rounded logs
+        # would move lambda* by ~1e-5
+        p1 = make_distribution([0.5 + 1e-6, 0.5 - 1e-6])
+        p2 = make_distribution([0.5, 0.5])
+        h = BinaryHypothesis(p1, p2)
+        lam, c_info = chernoff_oracle(h)
+        report = chernoff_lambda_star(h)
+        assert 0.0 < report.lambda_star < 1.0
+        assert abs(report.lambda_star - lam) <= 1e-9
+        assert report.c_info == pytest.approx(c_info, rel=1e-3)
 
     def test_identical_pair_degenerate(self):
         d = make_distribution([1, 1])
