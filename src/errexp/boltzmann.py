@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiscreteDistribution, _solve_tilt, _tilt_mean, log_factorial
+from .dist import DiscreteDistribution, _solve_tilt, log_factorial
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 
 
@@ -110,7 +110,7 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
 
     # this shortcut stays out of the shared solver: a Chernoff tilt between
     # nearly equal laws starts within tol of its target, yet its root is near 1/2
-    if abs(_tilt_mean(0.0, shifted, 0.0) - shifted_target) <= tol:
+    if abs(shifted.mean() - shifted_target) <= tol:
         return 0.0
     return _solve_tilt(0.0, shifted, shifted_target, tol)
 

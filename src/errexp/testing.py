@@ -172,12 +172,14 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     if math.isinf(kl_divergence(h.p2, h.p1)):
         raise ValidationError("D(p2||p1) must be finite for the tilted family")
 
-    # both divergences are finite, so p1 and p2 share this support; log1p
-    # keeps the energy at full relative precision where p1 and p2 nearly agree
+    # p1, p2 share this support; log1p is accurate where they nearly agree,
+    # but (p2 - p1)/p1 rounds toward -1 as p2/p1 -> 0, so ln p2 - ln p1 there
     support = h.p2.probs > 0
     p1, p2 = h.p1.probs[support], h.p2.probs[support]
-    energy = np.log1p((p2 - p1) / p1) / LN2
-    lam = _solve_tilt(np.log(p2), energy, 0.0, tol) / LN2
+    near = np.abs(p2 - p1) < 0.5 * p1
+    energy = np.log(p2) - np.log(p1)
+    energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
+    lam = _solve_tilt(np.log(p2), energy / LN2, 0.0, tol) / LN2
 
     p_star = TiltedFamily(h.p1, h.p2).at(lam)
     d1 = kl_divergence(p_star, h.p1)

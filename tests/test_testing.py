@@ -262,6 +262,25 @@ class TestChernoff:
         assert abs(report.lambda_star - lam) <= 1e-9
         assert report.c_info == pytest.approx(c_info, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "w1, w2",
+        [
+            ((1, 1), (1e-17, 1)),
+            ((1, 1), (1e-12, 1)),
+            ((1e-17, 1), (1, 1)),
+            ((0.3, 0.7), (1e-300, 1)),
+            ((1, 1, 1), (1e-17, 1, 1e-9)),
+        ],
+    )
+    def test_extreme_ratio_matches_mpmath_root(self, w1, w2):
+        # (p2 - p1)/p1 rounds to -1 once p2/p1 < 2^-54; the energy must stay
+        # finite and accurate there
+        h = BinaryHypothesis(make_distribution(w1), make_distribution(w2))
+        lam, c_info = chernoff_oracle(h)
+        report = chernoff_lambda_star(h)
+        assert abs(report.lambda_star - lam) <= 1e-10
+        assert report.c_info == pytest.approx(c_info, rel=1e-12)
+
     def test_identical_pair_degenerate(self):
         d = make_distribution([1, 1])
         with pytest.raises(DegenerateHypothesisError):
