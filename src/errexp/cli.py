@@ -26,12 +26,7 @@ from .boltzmann import EnergySystem, boltzmann_distribution, mean_energy, solve_
 from .detection import sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
-from .testing import (
-    BinaryHypothesis,
-    chernoff_lambda_star,
-    neyman_pearson_min_beta,
-    stein_errors,
-)
+from .testing import BinaryHypothesis, _stein_and_np, chernoff_lambda_star
 from .types_method import (
     ConstraintSet,
     enumerate_types,
@@ -142,8 +137,7 @@ def _run_sanov(args):
 
 def _run_stein(args):
     h = BinaryHypothesis(parse_distribution(args.p1), parse_distribution(args.p2))
-    report = stein_errors(h, args.n, args.delta, cap=args.cap)
-    np_beta = neyman_pearson_min_beta(h, args.n, args.epsilon, cap=args.cap)
+    report, np_beta = _stein_and_np(h, args.n, args.delta, args.epsilon, args.cap)
     if np_beta > 0.0:
         np_exponent = -np.log2(np_beta) / args.n
     else:

@@ -99,9 +99,19 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
         raise ValidationError("distributions must share an alphabet")
     pp, qq = p.probs, q.probs
     mask = pp > 0
-    if np.any(qq[mask] == 0):
+    pp, qq = pp[mask], qq[mask]
+    if np.any(qq == 0):
         return math.inf
-    return float((pp[mask] * np.log2(pp[mask] / qq[mask])).sum())
+    with np.errstate(over="ignore"):
+        log_ratio = np.log2(pp / qq)
+    d = float((pp * log_ratio).sum())
+    if math.isinf(d):
+        # p/q overflowed where q is below about p * 5.6e-309; the difference
+        # of the logs is finite there
+        big = np.isinf(log_ratio)
+        log_ratio[big] = np.log2(pp[big]) - np.log2(qq[big])
+        d = float((pp * log_ratio).sum())
+    return d
 
 
 @dataclass(frozen=True)

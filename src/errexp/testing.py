@@ -8,6 +8,7 @@ ratio is type-measurable, so no Monte Carlo is involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ from .types_method import (
     _log2_sum_exp2,
     _log2q,
 )
+
+# types gathered per block by the Neyman-Pearson mass loop
+_NP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,21 @@ def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
     return np.nan_to_num(llr, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
 
 
+def _check_delta(delta: float) -> None:
+    if delta <= 0:
+        raise ValidationError("delta must be positive")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.5:
+        raise ValidationError("epsilon must lie in (0, 1/2)")
+
+
 def stein_region_membership(
     t: EmpiricalType, h: BinaryHypothesis, delta: float
 ) -> bool:
     """Whether the type lies in the band |avg LLR - D(p1||p2)| <= delta."""
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _check_delta(delta)
     if t.alphabet_size != h.p1.alphabet_size:
         raise ValidationError("type and hypothesis must share an alphabet")
     counts = np.asarray(t.counts, dtype=np.int64)[None, :]
@@ -95,28 +108,74 @@ def stein_region_membership(
     return d - delta <= llr <= d + delta
 
 
-def stein_errors(
-    h: BinaryHypothesis, n: int, delta: float, cap: int = ENUMERATION_CAP
-) -> SteinReport:
-    """Exact alpha_n and beta_n of the Stein acceptance region."""
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+def _type_scores(h: BinaryHypothesis, n: int, cap: int):
+    """(avg LLR, log2 P1, log2 P2) of every n-type, in enumeration order.
+
+    One enumeration and one log2 multinomial coefficient serve both
+    hypotheses. Every value depends on its own row only, so selecting rows
+    of the scores gives the same bits as scoring the selected rows.
+    """
     counts = _enumerate_counts(n, h.p1.alphabet_size, cap)
     llr = _avg_llr_rows(counts, h)
-    d = kl_divergence(h.p1, h.p2)
-    member = (llr >= d - delta) & (llr <= d + delta)
-
     table = log_factorial_table(n)
-    counts = counts[member]
     log2_mult = log2_multinomial(counts, table)
     lp1 = type_log_probs(counts, _log2q(h.p1), table, log2_mult)
     lp2 = type_log_probs(counts, _log2q(h.p2), table, log2_mult)
+    return llr, lp1, lp2
+
+
+def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinReport:
+    llr, lp1, lp2 = scores
+    d = kl_divergence(h.p1, h.p2)
+    member = (llr >= d - delta) & (llr <= d + delta)
+    lp1, lp2 = lp1[member], lp2[member]
     alpha = 1.0 - float(np.exp2(lp1[np.isfinite(lp1)]).sum())
     alpha = min(1.0, max(0.0, alpha))
     log2_beta = _log2_sum_exp2(lp2)
     beta = min(1.0, 2.0**log2_beta)
     exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
     return SteinReport(n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent)
+
+
+def _np_min_beta(epsilon: float, scores) -> float:
+    llr, lp1, lp2 = scores
+    # descending LLR; the rows are in ascending lexicographic order, so a
+    # stable sort breaks ties by the count vector
+    order = np.argsort(-llr, kind="stable")
+    target = 1.0 - epsilon
+    # running p1 mass, stopped at the first type that reaches the target:
+    # scalar pow, not np.exp2 (the array routine can differ by 1 ulp), and
+    # the same sequential additions as a cumsum over the whole order; the
+    # log-probabilities are gathered in blocks, so the types past the
+    # boundary are never converted
+    blocks = (
+        lp1[order[s : s + _NP_BLOCK]].tolist() for s in range(0, len(order), _NP_BLOCK)
+    )
+    boundary = len(order)
+    accepted = mass1 = 0.0
+    for i, x in enumerate(itertools.chain.from_iterable(blocks)):
+        mass1 = 2.0**x
+        if accepted + mass1 >= target:
+            boundary = i
+            break
+        accepted += mass1
+
+    log2_beta_terms = lp2[order[:boundary]]
+    if boundary < len(order) and mass1 > 0.0:
+        gamma = min(1.0, (target - accepted) / mass1)
+        lp2_boundary = lp2[order[boundary]]
+        if gamma > 0.0 and np.isfinite(lp2_boundary):
+            log2_beta_terms = np.append(log2_beta_terms, math.log2(gamma) + lp2_boundary)
+    log2_beta = _log2_sum_exp2(log2_beta_terms)
+    return min(1.0, 2.0**log2_beta)
+
+
+def stein_errors(
+    h: BinaryHypothesis, n: int, delta: float, cap: int = ENUMERATION_CAP
+) -> SteinReport:
+    """Exact alpha_n and beta_n of the Stein acceptance region."""
+    _check_delta(delta)
+    return _stein_report(h, n, delta, _type_scores(h, n, cap))
 
 
 def neyman_pearson_min_beta(
@@ -128,34 +187,19 @@ def neyman_pearson_min_beta(
     accepted p1-mass reaches 1 - epsilon; the boundary class is accepted with
     the fractional probability that lands exactly on the constraint.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValidationError("epsilon must lie in (0, 1/2)")
-    counts = _enumerate_counts(n, h.p1.alphabet_size, cap)
-    llr = _avg_llr_rows(counts, h)
-    table = log_factorial_table(n)
-    log2_mult = log2_multinomial(counts, table)
-    lp1 = type_log_probs(counts, _log2q(h.p1), table, log2_mult)
-    lp2 = type_log_probs(counts, _log2q(h.p2), table, log2_mult)
+    _check_epsilon(epsilon)
+    return _np_min_beta(epsilon, _type_scores(h, n, cap))
 
-    # descending LLR; the rows are in ascending lexicographic order, so a
-    # stable sort breaks ties by the count vector
-    order = np.argsort(-llr, kind="stable")
-    # scalar pow, not np.exp2: the array routine can differ by 1 ulp
-    mass1 = np.array([2.0**x for x in lp1[order].tolist()])
-    # sequential running sum, the same additions as a loop over the order
-    accepted = np.cumsum(mass1)
 
-    target = 1.0 - epsilon
-    boundary = int(np.searchsorted(accepted, target, side="left"))
-    log2_beta_terms = lp2[order[:boundary]]
-    if boundary < len(order) and mass1[boundary] > 0.0:
-        accepted_p1 = float(accepted[boundary - 1]) if boundary else 0.0
-        gamma = min(1.0, (target - accepted_p1) / mass1[boundary])
-        lp2_boundary = lp2[order[boundary]]
-        if gamma > 0.0 and np.isfinite(lp2_boundary):
-            log2_beta_terms = np.append(log2_beta_terms, math.log2(gamma) + lp2_boundary)
-    log2_beta = _log2_sum_exp2(log2_beta_terms)
-    return min(1.0, 2.0**log2_beta)
+def _stein_and_np(
+    h: BinaryHypothesis, n: int, delta: float, epsilon: float, cap: int
+) -> tuple[SteinReport, float]:
+    """:func:`stein_errors` and :func:`neyman_pearson_min_beta` from one
+    type pass; both arguments are checked before anything is enumerated."""
+    _check_delta(delta)
+    _check_epsilon(epsilon)
+    scores = _type_scores(h, n, cap)
+    return _stein_report(h, n, delta, scores), _np_min_beta(epsilon, scores)
 
 
 def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffReport:

@@ -104,13 +104,22 @@ def count_types(n: int, alphabet_size: int) -> int:
 
 
 def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
-    """All count vectors summing to n, lexicographically ascending, (T, k)."""
+    """All count vectors summing to n, lexicographically ascending, (T, k).
+
+    The matrix is column-major (Fortran order): it is filled one column at a
+    time, and every per-row reduction over the k columns (average LLR, log2
+    multinomial, type log-probabilities, row KL) then runs as k contiguous
+    vector passes instead of a T-long loop over k-element rows. For k <= 7
+    the row sums give the same bits either way; from k = 8 NumPy sums a
+    C-order row pairwise and F-order columns sequentially, so results can
+    move in their last bits.
+    """
     total = count_types(n, alphabet_size)
     if total > cap:
         raise ResourceCapError(
             f"{total} types exceeds the enumeration cap of {cap}"
         )
-    out = np.empty((total, alphabet_size), dtype=np.int64)
+    out = np.empty((total, alphabet_size), dtype=np.int64, order="F")
     # rem[i] is what the i-th distinct prefix of length j leaves for the
     # remaining columns; each prefix spawns the children c = 0..rem[i]
     rem = np.array([n], dtype=np.int64)
@@ -163,8 +172,9 @@ def type_class_size_bounds(t: EmpiricalType):
 
 
 def _log2q(q: DiscreteDistribution) -> np.ndarray:
+    # np.log2 is accurate down to the smallest subnormal; only q = 0 needs a guard
     with np.errstate(divide="ignore"):
-        return np.where(q.probs > 0, np.log2(np.maximum(q.probs, 1e-300)), -np.inf)
+        return np.where(q.probs > 0, np.log2(q.probs), -np.inf)
 
 
 def type_class_log_prob(t: EmpiricalType, q: DiscreteDistribution) -> float:

@@ -6,11 +6,19 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import pytest
 
-from errexp import ValidationError
-from errexp import cli
+from errexp import (
+    BinaryHypothesis,
+    ValidationError,
+    make_distribution,
+    neyman_pearson_min_beta,
+    stein_errors,
+)
+from errexp import cli, testing
 from errexp.cli import main, parse_distribution
+from test_testing import chernoff_oracle
 
 
 def run_cli(argv):
@@ -218,6 +226,16 @@ class TestExitCodes:
         assert status == 0
         assert "np_min_beta underflowed" in err
 
+    def test_bad_epsilon_is_2_before_enumeration(self):
+        # a cap of 1000 is far below the 176,851 types: a bad epsilon must be
+        # rejected before the enumeration can hit the cap
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,2,3,4", "--p2", "4,3,2,1", "--n", "100",
+             "--delta", "0.05", "--epsilon", "0.7", "--cap", "1000"]
+        )
+        assert status == 2 and out == ""
+        assert "epsilon" in err
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["kl", "--p", "1,1"])
@@ -269,3 +287,66 @@ class TestSharedParser:
         assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
         for argv, got in zip(self.SEQUENCE, reused):
             assert got == self.run_fresh(argv), argv
+
+
+class TestSharedTypePass:
+    def test_stein_enumerates_and_scores_once(self, monkeypatch):
+        calls = {"_enumerate_counts": 0, "_avg_llr_rows": 0}
+        for name in calls:
+            original = getattr(testing, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(testing, name, counted)
+        status, _, _ = run_cli(
+            ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
+        )
+        assert status == 0
+        assert calls == {"_enumerate_counts": 1, "_avg_llr_rows": 1}
+
+    def test_stein_output_matches_the_public_functions(self):
+        h = BinaryHypothesis(make_distribution([1, 2, 3]), make_distribution([3, 2, 1]))
+        status, out, _ = run_cli(
+            ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "40",
+             "--delta", "0.1", "--epsilon", "0.07"]
+        )
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = {k: float(v) for k, v in zip(header, rows[0])}
+        report = stein_errors(h, 40, 0.1)
+        assert (row["alpha_n"], row["beta_n"]) == (report.alpha_n, report.beta_n)
+        assert row["stein_exponent_bits"] == report.exponent
+        assert row["np_min_beta"] == neyman_pearson_min_beta(h, 40, 0.07)
+
+
+class TestSubnormalProbabilities:
+    # p2 = (1e-320, 1): p1/p2 overflows a double, and log2 1e-320 lies far
+    # below log2 1e-300
+
+    def test_chernoff_matches_mpmath(self):
+        status, out, _ = run_cli(["chernoff", "--p1", "1,1", "--p2", "1e-320,1"])
+        assert status == 0
+        _, rows = parse_csv(out)
+        h = BinaryHypothesis(make_distribution([1, 1]), make_distribution([1e-320, 1]))
+        lam, c_info = chernoff_oracle(h)
+        assert abs(float(rows[0][0]) - lam) <= 1e-10
+        assert float(rows[0][1]) == pytest.approx(c_info, rel=1e-12)
+
+    def test_stein_matches_mpmath(self):
+        # symbol 0 carries 1062 bits of LLR per count, so the band
+        # |LLR - D| <= 0.5 holds the single type (25, 25)
+        status, out, _ = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1e-320,1", "--n", "50", "--delta", "0.5"]
+        )
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        q0, q1 = (mpmath.mpf(float(x)) for x in make_distribution([1e-320, 1]).probs)
+        with mpmath.workdps(50):
+            size = mpmath.binomial(50, 25)
+            alpha = 1 - size / mpmath.mpf(2) ** 50
+            exponent = -mpmath.log(size * q0**25 * q1**25, 2) / 50
+        assert float(row["alpha_n"]) == pytest.approx(float(alpha), rel=1e-12)
+        assert float(row["stein_exponent_bits"]) == pytest.approx(float(exponent), rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,17 @@ class TestKLDivergence:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValidationError):
             kl_divergence(make_distribution([1, 1]), make_distribution([1, 1, 1]))
+
+    def test_subnormal_q_stays_finite(self):
+        # p/q overflows a double at q = 1e-320; the divergence is ~530.5 bits
+        p = make_distribution([1, 1])
+        q = make_distribution([1e-320, 1])
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(
+                mpmath.mpf(float(a)) * mpmath.log(mpmath.mpf(float(a)) / mpmath.mpf(float(b)), 2)
+                for a, b in zip(p.probs, q.probs)
+            )
+        assert kl_divergence(p, q) == pytest.approx(float(exact), rel=1e-12)
 
     @given(weights(), weights())
     @settings(max_examples=200)

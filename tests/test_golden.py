@@ -290,3 +290,55 @@ def test_neyman_pearson_matches_sorted_loop():
         )
         assert neyman_pearson_min_beta(h, n, eps).hex() == expected.hex()
         checked += 1
+
+
+def _np_reference(w1, w2, n):
+    """Hypothesis, loop inputs, and the running p1 sums in the loop's order."""
+    h = _hypothesis(w1, w2)
+    counts = _enumerate_counts(n, len(w1), cap=10**6)
+    table = log_factorial_table(n)
+    llr = _avg_llr_rows(counts, h)
+    lp1 = type_log_probs(counts, _log2q(h.p1), table)
+    lp2 = type_log_probs(counts, _log2q(h.p2), table)
+    order = sorted(range(counts.shape[0]), key=lambda i: (-llr[i], tuple(counts[i])))
+    running = list(itertools.accumulate(2.0 ** lp1[i] for i in order))
+    return h, (counts, llr, lp1, lp2), [llr[i] for i in order], running
+
+
+def _exact_running_sum(llr, running):
+    # a running sum s in (1/2, 1) for which 1 - (1 - s) == s in doubles
+    s = next(s for s in running if 0.5 < s < 1.0 and 1.0 - (1.0 - s) == s)
+    return 1.0 - s
+
+
+def _last_type(llr, running):
+    assert running[-2] < 0.95 <= running[-1]
+    return 0.05
+
+
+def _inside_tie_class(llr, running):
+    # the boundary type shares its LLR with the type accepted before it
+    j = next(j for j in range(1, len(llr)) if llr[j] == llr[j - 1] and running[j - 1] > 0.5)
+    return 1.0 - 0.5 * (running[j - 1] + running[j])
+
+
+# (p1 weights, p2 weights, n, epsilon or a rule that picks it from the
+# sorted LLRs and running p1 sums)
+NP_EDGE_CASES = {
+    "target_is_running_sum": ([1, 2, 3], [3, 2, 1], 12, _exact_running_sum),
+    "boundary_at_last_type": ([1, 1], [1, 3], 3, _last_type),
+    "tie_class_across_boundary": ([5, 5, 5, 5], [5, 5, 2, 8], 8, _inside_tie_class),
+    "epsilon_1e-12": ([1, 2, 3], [3, 2, 1], 20, 1e-12),
+    "epsilon_0.4999": ([1, 2, 3], [3, 2, 1], 20, 0.4999),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NP_EDGE_CASES))
+def test_neyman_pearson_matches_sorted_loop_at_the_boundary(case):
+    w1, w2, n, eps = NP_EDGE_CASES[case]
+    h, inputs, llr, running = _np_reference(w1, w2, n)
+    if callable(eps):
+        eps = eps(llr, running)
+    assert 0.0 < eps < 0.5
+    expected = _np_min_beta_loop(*inputs, eps)
+    assert neyman_pearson_min_beta(h, n, eps).hex() == expected.hex()

@@ -3,6 +3,7 @@ import itertools
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from errexp import (
     type_class_size,
     type_class_size_bounds,
 )
-from errexp.types_method import _enumerate_counts
+from errexp.types_method import _enumerate_counts, sanov_exact_log2_prob
 
 
 class TestEmpiricalType:
@@ -271,3 +272,15 @@ class TestSanov:
             c = count_types(n, k)
             assert prob <= c * 2.0 ** (-n * d_star) * (1 + 1e-9)
             assert prob >= 2.0 ** (-n * d_star) / c * (1 - 1e-9)
+
+
+class TestSubnormalSource:
+    def test_sanov_log2_prob_matches_mpmath(self):
+        # q = (1e-320, 1): P(Q(0) >= 1/2) at n = 2 is 2 q0 q1 + q0^2, near
+        # 2^-1062; a probability clamped to 1e-300 would read ~2^-996
+        q = make_distribution([1e-320, 1])
+        got = sanov_exact_log2_prob(ConstraintSet("lower", 0, 0.5), q, 2)
+        q0, q1 = (mpmath.mpf(float(x)) for x in q.probs)
+        with mpmath.workdps(50):
+            exact = mpmath.log(2 * q0 * q1 + q0**2, 2)
+        assert got == pytest.approx(float(exact), rel=1e-12)
