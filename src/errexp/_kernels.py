@@ -16,6 +16,19 @@ def log2_multinomial(counts, log_fact):
     return (log_fact[counts.sum(axis=1)] - log_fact[counts].sum(axis=1)) / _LN2
 
 
+def guarded_row_dot(counts, weights):
+    """sum_j counts[:, j] * weights[j] for each row, never forming 0 * -inf.
+
+    A -inf weight enters the product as 0, and every row with a positive
+    count on such a symbol is set to -inf afterwards.
+    """
+    impossible = np.isneginf(weights)
+    out = (counts * np.where(impossible, 0.0, weights)).sum(axis=1)
+    if impossible.any():
+        out[(counts[:, impossible] > 0).any(axis=1)] = -np.inf
+    return out
+
+
 def type_log_probs(counts, log2q, log_fact, log2_mult=None):
     """log2 Q^n(T(P)) for each row of ``counts``.
 
@@ -28,13 +41,7 @@ def type_log_probs(counts, log2q, log_fact, log2_mult=None):
     counts = np.asarray(counts, dtype=np.int64)
     if log2_mult is None:
         log2_mult = log2_multinomial(counts, log_fact)
-    # zero-probability symbols enter the product as 0 (no 0 * -inf); the
-    # rows that put mass on them are set to -inf afterwards
-    impossible = np.isneginf(log2q)
-    out = log2_mult + (counts * np.where(impossible, 0.0, log2q)).sum(axis=1)
-    if impossible.any():
-        out[(counts[:, impossible] > 0).any(axis=1)] = -np.inf
-    return out
+    return log2_mult + guarded_row_dot(counts, log2q)
 
 
 def count_detection_errors(stat, hyp, threshold):

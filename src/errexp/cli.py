@@ -7,8 +7,9 @@ and infinite relative entropy appears as the literal token ``inf``. A single
 deterministic ones, so scripted sweeps can pass it uniformly.
 
 Exit codes: 0 success, 2 usage/validation, 3 infeasible constraint,
-4 enumeration cap exceeded, 5 solver tolerance missed (the message gives the
-residual in the subcommand's units: bits for chernoff, energy for boltzmann).
+4 resource cap exceeded (types enumerated; binomial terms for sanov),
+5 solver tolerance missed (the message gives the residual in the
+subcommand's units: bits for chernoff, energy for boltzmann).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .dist import DiscreteDistribution, entropy, kl_divergence, make_distributio
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
 from .testing import BinaryHypothesis, _stein_and_np, chernoff_lambda_star
 from .types_method import (
+    ENUMERATION_CAP,
     ConstraintSet,
     enumerate_types,
     sanov_exact_log2_prob,
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_types = subs.add_parser("types", help="enumerate n-types with class sizes and bounds (log2)")
     p_types.add_argument("--n", type=int, required=True, help="sequence length")
     p_types.add_argument("--alphabet", type=int, required=True, help="alphabet size")
-    p_types.add_argument("--cap", type=int, default=10_000_000, help="enumeration cap")
+    p_types.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration cap")
     p_types.set_defaults(func=_run_types)
 
     p_sanov = subs.add_parser(
@@ -249,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["lower", "upper"], default="lower",
         help="keep Q(symbol) >= threshold (lower) or <= threshold (upper)",
     )
-    p_sanov.add_argument("--cap", type=int, default=10_000_000, help="enumeration cap")
+    p_sanov.add_argument(
+        "--cap", type=int, default=ENUMERATION_CAP,
+        help="cap on the n + 1 binomial terms (and on the types the minimizer scores)",
+    )
     p_sanov.set_defaults(func=_run_sanov)
 
     p_stein = subs.add_parser(
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stein.add_argument(
         "--epsilon", type=float, default=0.05, help="alpha constraint for the NP optimum"
     )
-    p_stein.add_argument("--cap", type=int, default=10_000_000, help="enumeration cap")
+    p_stein.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration cap")
     p_stein.set_defaults(func=_run_stein)
 
     p_chern = subs.add_parser("chernoff", help="equalizing tilt and Chernoff information (bits)")

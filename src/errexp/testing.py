@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import log2_multinomial, type_log_probs
+from ._kernels import guarded_row_dot, log2_multinomial, type_log_probs
 from .dist import LN2, DiscreteDistribution, TiltedFamily, _solve_tilt, kl_divergence
 from .dist import log_factorial_table
 from .errors import DegenerateHypothesisError, ValidationError
@@ -76,13 +76,12 @@ def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
     Types carrying mass where p1 = 0 get -inf; both-zero symbols would give
     nan but such types have probability zero under either hypothesis, so the
     value is forced to -inf (outside every region, never accepted first).
+    p2 > 0 wherever p1 > 0 (D(p1||p2) is finite), so no ratio is +inf.
     """
-    n = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         diff = _log2q(h.p1) - _log2q(h.p2)
-        terms = np.where(counts > 0, counts * diff, 0.0)
-        llr = terms.sum(axis=1) / n
-    return np.nan_to_num(llr, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+    diff[np.isnan(diff)] = -np.inf
+    return guarded_row_dot(counts, diff) / counts.sum(axis=1)
 
 
 def _check_delta(delta: float) -> None:

@@ -1,14 +1,23 @@
 """The method of types: empirical types, type classes, and Sanov machinery.
 
-Everything here is exact: type classes are enumerated (up to a resource cap)
-and probabilities are accumulated in log2 space with max-shift summation, so
-large-deviation events with probabilities far below double-precision range
-still get accurate exponents.
+Everything here is exact: probabilities are accumulated in log2 space with
+max-shift summation, so large-deviation events with probabilities far below
+double-precision range still get accurate exponents. Type-class sums
+enumerate the n-types, up to a resource cap.
+
+A Sanov event constrains one symbol a, so it depends on the count of a
+alone. Its probability is a binomial range sum over the merged alphabet
+{a, not a}, and its D-minimizing type is found by unit moves from the
+continuous I-projection; neither enumerates the n-types. Ties in D go to
+the lexicographically smallest count vector, the first in enumeration
+order. The event is never empty for an alphabet of two or more symbols:
+``lower`` always keeps Q(a) = 1 and ``upper`` always keeps Q(a) = 0.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
@@ -18,8 +27,13 @@ from ._kernels import type_log_probs
 from .dist import DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
-#: default ceiling on the number of enumerated types
+#: default ceiling on the number of enumerated types (for Sanov, on the
+#: binomial terms and on the types the minimizer search scores)
 ENUMERATION_CAP = 10_000_000
+
+# relative width of the band of D values that the Sanov minimizer search
+# treats as possible ties; rounding of one D value is far below it
+_TIE_BAND = 2.0**-40
 
 # exact type-class sizes above this are reported in log2 only
 _NATIVE_INT_MAX = 2**63 - 1
@@ -58,7 +72,8 @@ class ConstraintSet:
     ``lower`` keeps distributions with Q(symbol) >= threshold, ``upper``
     keeps Q(symbol) <= threshold. These closed sets satisfy the closure
     hypothesis of the large-deviation limit; richer constraint algebra is
-    out of scope.
+    out of scope. For n-types the kept set is never empty unless the
+    alphabet has one symbol (see :meth:`count_range`).
     """
 
     mode: Literal["lower", "upper"]
@@ -73,14 +88,26 @@ class ConstraintSet:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError("threshold must lie in [0, 1]")
 
-    def mask(self, counts: np.ndarray, n: int) -> np.ndarray:
-        """Boolean membership for each row of a counts matrix."""
-        if self.symbol >= counts.shape[1]:
+    def count_range(self, n: int, alphabet_size: int) -> tuple[int, int]:
+        """(lo, hi): the n-types kept are those with lo <= counts[symbol] <= hi.
+
+        Membership is the float test m / n >= threshold (or <= threshold)
+        on the symbol's count m. m / n is monotone in m, so the kept counts
+        form one interval, found by bisection with that same test. The range
+        holds m = n (``lower``) or m = 0 (``upper``); it is empty (lo > hi)
+        only for a one-symbol alphabet in ``upper`` mode below threshold 1,
+        whose single type (n,) lies outside the event.
+        """
+        if self.symbol >= alphabet_size:
             raise ValidationError("symbol index outside the alphabet")
-        frac = counts[:, self.symbol] / n
+        t = self.threshold
         if self.mode == "lower":
-            return frac >= self.threshold
-        return frac <= self.threshold
+            lo, hi = bisect_left(range(n + 1), True, key=lambda m: m / n >= t), n
+        else:
+            lo, hi = 0, bisect_left(range(n + 1), True, key=lambda m: m / n > t) - 1
+        if alphabet_size == 1:
+            lo = n
+        return lo, hi
 
 
 def empirical_type(sequence, alphabet_size: int) -> EmpiricalType:
@@ -226,6 +253,13 @@ def deviation_probability_exact(
     return min(1.0, 2.0 ** _log2_sum_exp2(lp))
 
 
+def _sanov_range(pi: ConstraintSet, p: DiscreteDistribution, n: int, cap: int):
+    lo, hi = pi.count_range(n, p.alphabet_size)
+    if n + 1 > cap:
+        raise ResourceCapError(f"{n + 1} binomial terms exceeds the cap of {cap}")
+    return lo, hi
+
+
 def sanov_exponent(
     pi: ConstraintSet,
     p: DiscreteDistribution,
@@ -234,19 +268,67 @@ def sanov_exponent(
 ):
     """Minimum of D(Q||p) over the n-types in the constraint set.
 
-    Returns (d_star in bits, minimizing type); ties go to the
-    lexicographically smallest count vector, which is the first hit in
-    enumeration order.
+    Returns (d_star in bits, minimizing type): the least ``_kl_rows`` value
+    over the member types, ties going to the lexicographically smallest
+    count vector. D is separable and convex in the counts, so a member that
+    no unit move (one count from symbol i to symbol j) improves is a global
+    minimizer, and nothing is enumerated: the search starts at the floor of
+    the continuous I-projection and moves one unit at a time. ``cap`` bounds
+    the n + 1 counts of the constrained symbol and the types scored.
     """
-    counts = _enumerate_counts(n, p.alphabet_size, cap)
-    member = pi.mask(counts, n)
-    if not member.any():
+    lo, hi = _sanov_range(pi, p, n, cap)
+    if lo > hi:
         raise InfeasibleError("no n-type satisfies the constraint set")
-    rows = counts[member]
-    kl = _kl_rows(rows, n, p)
-    best = int(np.argmin(kl))
-    minimizer = EmpiricalType(tuple(int(c) for c in rows[best]), n)
-    return float(kl[best]), minimizer
+    k, a = p.alphabet_size, pi.symbol
+    probs = p.probs
+    rest = probs.copy()
+    rest[a] = 0.0
+    if (probs[a] == 0.0 and lo > 0) or (not rest.any() and hi < n):
+        # every member puts mass where p vanishes, so D = inf throughout;
+        # the lexicographically first member sets the range end on a and
+        # gives the remainder to the last other symbol
+        c = np.zeros(k, dtype=np.int64)
+        if a < k - 1:
+            c[a], c[-1] = lo, n - lo
+        else:
+            c[-2], c[a] = n - hi, hi
+        return float(_kl_rows(c[None, :], n, p)[0]), EmpiricalType(tuple(c.tolist()), n)
+
+    c = np.zeros(k, dtype=np.int64)
+    c[a] = min(max(math.floor(n * probs[a]), lo), hi)
+    left = n - int(c[a])
+    if left:
+        # floor of the proportional split (the floors sum to at most left);
+        # the remainder goes to the likeliest other symbol
+        share = np.floor(left * rest / math.fsum(rest)).astype(np.int64)
+        share[np.argmax(rest)] += left - share.sum()
+        c += share
+
+    # types that tie in exact arithmetic (permutations under equal p_b, for
+    # one) can round either way, so the search keeps every type scoring
+    # within a band of the least value seen; level sets of a separable
+    # convex function are connected by unit moves, so this reaches all of
+    # them, and the answer is the smallest (value, counts) among them
+    eye = np.eye(k, dtype=np.int64)
+    moves = (eye[None, :, :] - eye[:, None, :]).reshape(-1, k)
+    least = float(_kl_rows(c[None, :], n, p)[0])
+    seen = {tuple(c.tolist()): least}
+    frontier = c[None, :]
+    while len(frontier):
+        fresh = {}
+        for row in frontier:
+            rows = row + moves
+            rows = rows[(rows >= 0).all(axis=1) & (rows[:, a] >= lo) & (rows[:, a] <= hi)]
+            fresh.update(dict.fromkeys(t for t in map(tuple, rows.tolist()) if t not in seen))
+        if len(seen) + len(fresh) > cap:
+            raise ResourceCapError(f"the minimizer search exceeds the cap of {cap} types")
+        rows = np.array(list(fresh), dtype=np.int64).reshape(-1, k)
+        kl = _kl_rows(rows, n, p)
+        seen.update(zip(fresh, kl.tolist()))
+        least = min(least, float(kl.min(initial=math.inf)))
+        frontier = rows[kl <= least + _TIE_BAND * (1.0 + least)]
+    value, counts = min((v, t) for t, v in seen.items())
+    return value, EmpiricalType(counts, n)
 
 
 def sanov_exact_prob(
@@ -265,10 +347,18 @@ def sanov_exact_log2_prob(
     n: int,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """Exact log2 P(P_hat_n in Pi), safe below 2**-1000; -inf if Pi is empty."""
-    counts = _enumerate_counts(n, p.alphabet_size, cap)
-    member = pi.mask(counts, n)
-    if not member.any():
-        return -math.inf
-    lp = type_log_probs(counts[member], _log2q(p), log_factorial_table(n))
-    return _log2_sum_exp2(lp)
+    """Exact log2 P(P_hat_n in Pi), safe below 2**-1000.
+
+    The event depends on the count m of the constrained symbol a only, so
+    its probability is the Binomial(n, p_a) mass of the kept range of m:
+    the rows [m, n - m] scored under the merged law (p_a, sum of the other
+    p_b). -inf only where that mass is zero, as for an empty event.
+    """
+    lo, hi = _sanov_range(pi, p, n, cap)
+    p_a = float(p.probs[pi.symbol])
+    p_rest = math.fsum(np.delete(p.probs, pi.symbol))
+    with np.errstate(divide="ignore"):
+        log2q = np.log2([p_a, p_rest])
+    m = np.arange(lo, hi + 1, dtype=np.int64)
+    counts = np.column_stack((m, n - m))
+    return _log2_sum_exp2(type_log_probs(counts, log2q, log_factorial_table(n)))

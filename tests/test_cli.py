@@ -11,6 +11,7 @@ import pytest
 
 from errexp import (
     BinaryHypothesis,
+    ConstraintSet,
     ValidationError,
     make_distribution,
     neyman_pearson_min_beta,
@@ -18,6 +19,7 @@ from errexp import (
 )
 from errexp import cli, testing
 from errexp.cli import main, parse_distribution
+from sanov_oracle import kl_bits_mp, log2_prob_mp
 from test_testing import chernoff_oracle
 
 
@@ -90,6 +92,22 @@ class TestSubcommands:
         row = dict(zip(header, rows[0]))
         assert float(row["exact_prob"]) == pytest.approx(56 / 1024)
         assert row["minimizer_counts"] == "2;8"
+
+    def test_sanov_wide_alphabet_large_n(self):
+        # 2.6e19 n-types: the event depends on the count of symbol 0 only
+        argv = ["sanov", "--p", "1,2,3,4,5,6,7,8", "--n", "2000", "--symbol", "0",
+                "--threshold", "0.2"]
+        status, out, _ = run_cli(argv)
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        p = make_distribution(range(1, 9))
+        log2_prob = log2_prob_mp(ConstraintSet("lower", 0, 0.2), p, 2000)
+        assert float(row["exact_prob"]) == pytest.approx(2.0**log2_prob, rel=1e-12)
+        assert float(row["rate_bits"]) == pytest.approx(-log2_prob / 2000, rel=1e-13)
+        counts = [int(c) for c in row["minimizer_counts"].split(";")]
+        assert sum(counts) == 2000 and counts[0] >= 400
+        assert float(row["d_star_bits"]) == pytest.approx(float(kl_bits_mp(counts, p)), rel=1e-14)
 
     def test_stein(self):
         status, out, _ = run_cli(
@@ -235,6 +253,52 @@ class TestExitCodes:
         )
         assert status == 2 and out == ""
         assert "epsilon" in err
+
+    def test_sanov_symbol_outside_the_alphabet_is_2(self):
+        # checked before anything is counted against the cap
+        status, out, err = run_cli(
+            ["sanov", "--p", "1,2,3,4,5,6,7,8", "--n", "2000", "--symbol", "9",
+             "--threshold", "0.2"]
+        )
+        assert status == 2 and out == ""
+        assert "symbol" in err
+
+    def test_sanov_empty_event_is_3(self):
+        # one symbol: the only type (5,) has Q(0) = 1 > 1/2
+        status, out, err = run_cli(
+            ["sanov", "--p", "1", "--n", "5", "--symbol", "0", "--threshold", "0.5",
+             "--mode", "upper"]
+        )
+        assert status == 3 and out == ""
+        assert err.strip() != ""
+
+    def test_sanov_cap_counts_binomial_terms(self):
+        argv = ["sanov", "--p", "1", "--n", "5", "--symbol", "0", "--threshold", "0.5"]
+        assert run_cli(argv + ["--cap", "6"])[0] == 0
+        status, out, err = run_cli(argv + ["--cap", "5"])
+        assert status == 4 and out == ""
+        assert "binomial terms" in err
+
+    def test_bad_delta_is_2_before_enumeration(self):
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,2,3,4", "--p2", "4,3,2,1", "--n", "100",
+             "--delta", "0", "--cap", "1000"]
+        )
+        assert status == 2 and out == ""
+        assert "delta" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "0"],
+            # D(p2||p1) = inf: the tilted family leaves the support of p1
+            ["chernoff", "--p1", "1,0", "--p2", "1,1"],
+        ],
+    )
+    def test_chernoff_bad_input_is_2(self, argv):
+        status, out, err = run_cli(argv)
+        assert status == 2 and out == ""
+        assert err.startswith("errexp: ")
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

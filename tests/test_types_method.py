@@ -6,6 +6,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+import sanov_oracle
 
 from errexp import (
     ConstraintSet,
@@ -272,6 +273,175 @@ class TestSanov:
             c = count_types(n, k)
             assert prob <= c * 2.0 ** (-n * d_star) * (1 + 1e-9)
             assert prob >= 2.0 ** (-n * d_star) / c * (1 - 1e-9)
+
+
+# largest n per alphabet size in the oracle comparison, so that no case
+# enumerates more than ~10^4 types
+_ORACLE_MAX_N = {1: 200, 2: 200, 3: 60, 4: 30, 5: 18, 6: 12, 7: 10, 8: 8}
+
+
+def _sanov_cases(seed, count):
+    """Random events over uniform, power-of-two and real weights (zeros
+    included), with thresholds at 0, at 1, at a count fraction m/n, where
+    members tie with the boundary, or anywhere in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(1, _ORACLE_MAX_N[k] + 1))
+        kind = rng.random()
+        if kind < 0.25:
+            w = np.ones(k)
+        elif kind < 0.6:
+            w = rng.choice([0.0, 1.0, 2.0, 4.0, 8.0], k)
+        else:
+            w = np.where(rng.random(k) < 0.15, 0.0, rng.uniform(0, 1, k))
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        r = rng.random()
+        if r < 0.1:
+            t = 0.0
+        elif r < 0.2:
+            t = 1.0
+        elif r < 0.7:
+            t = int(rng.integers(0, n + 1)) / n
+        else:
+            t = float(rng.random())
+        mode = "lower" if rng.random() < 0.5 else "upper"
+        yield w.tolist(), mode, int(rng.integers(k)), t, n
+
+
+class TestSanovClosedForm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_enumeration(self, seed):
+        # d* and the minimizer bit for bit; log2 P to 1e-13 relative. Each
+        # term's log2 multinomial coefficient also carries an absolute
+        # rounding of a few ulps of log2 n!, which is the whole error when
+        # P is near 1 and log2 P near 0: 16 ulps of it are allowed.
+        for case in _sanov_cases(seed, 600):
+            w, mode, symbol, t, n = case
+            pi, p = ConstraintSet(mode, symbol, t), make_distribution(w)
+            try:
+                d_want, t_want = sanov_oracle.sanov_exponent(pi, p, n)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    sanov_exponent(pi, p, n)
+            else:
+                d, t_got = sanov_exponent(pi, p, n)
+                assert (d.hex(), t_got.counts) == (d_want.hex(), t_want.counts), case
+            got = sanov_exact_log2_prob(pi, p, n)
+            floor = 2.0**-49 * max(1.0, math.lgamma(n + 1) / math.log(2))
+            for want in (
+                sanov_oracle.sanov_exact_log2_prob(pi, p, n),
+                sanov_oracle.log2_prob_mp(pi, p, n),
+            ):
+                assert got == want or abs(got - want) <= max(1e-13 * abs(want), floor), case
+
+    @pytest.mark.parametrize(
+        "w, mode, symbol, t, n",
+        [
+            # types tied in exact arithmetic whose D values round apart, so
+            # that the least float value is two or more unit moves away
+            ([1] * 6, "upper", 5, 0.0, 7),
+            ([2, 4, 1, 1, 2, 1], "upper", 4, 1.0, 5),
+            ([1] * 8, "lower", 7, 0.6, 5),
+            ([1] * 8, "lower", 4, 4 / 6, 6),
+        ],
+    )
+    def test_rounding_split_ties(self, w, mode, symbol, t, n):
+        pi, p = ConstraintSet(mode, symbol, t), make_distribution(w)
+        d, t_got = sanov_exponent(pi, p, n)
+        d_want, t_want = sanov_oracle.sanov_exponent(pi, p, n)
+        assert (d.hex(), t_got.counts) == (d_want.hex(), t_want.counts)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_exponent_is_bounded_by_the_i_projection(self, k):
+        # the other symbols weigh 1..k-1 (total s); the I-projection onto
+        # {Q(0) >= 1/2} (p_0 below 1/2) or {Q(0) <= 1/2} (p_0 above) puts 1/2
+        # on symbol 0 and the rest in proportion to p, and its D is the binary
+        # divergence d(1/2 || p_0). It is an n-type when 2s divides n.
+        s = k * (k - 1) // 2
+        for w0, mode in ((1, "lower"), (3 * s, "upper")):
+            p = make_distribution([w0, *range(1, k)])
+            pi = ConstraintSet(mode, 0, 0.5)
+            with mpmath.workdps(50):
+                p0 = mpmath.mpf(float(p.probs[0]))
+                rest = mpmath.fsum(mpmath.mpf(float(x)) for x in p.probs[1:])
+                half = mpmath.mpf(1) / 2
+                bound = float(half * mpmath.log(half / p0, 2) + half * mpmath.log(half / rest, 2))
+            for n in range(1, 8 * s + 1):
+                d, t = sanov_exponent(pi, p, n)
+                if n % (2 * s):
+                    assert d >= bound - 1e-13, (mode, n)
+                else:
+                    m = n // (2 * s)
+                    assert t.counts == (n // 2, *(m * j for j in range(1, k)))
+                    assert d == pytest.approx(bound, rel=1e-12), (mode, n)
+
+    def test_minimizer_has_no_improving_unit_move(self):
+        # D is separable and convex in the counts, so a member that no unit
+        # move improves in 50-digit arithmetic is a global minimizer; here the
+        # enumeration would need 2.6e19 types
+        p = make_distribution(range(1, 9))
+        pi = ConstraintSet("lower", 0, 0.2)
+        d, t = sanov_exponent(pi, p, 2000)
+        c = list(t.counts)
+        assert c[0] >= 400
+        best = sanov_oracle.kl_bits_mp(c, p)
+        assert d == pytest.approx(float(best), rel=1e-14)
+        for i, j in itertools.permutations(range(8), 2):
+            moved = list(c)
+            moved[i] -= 1
+            moved[j] += 1
+            if moved[i] >= 0 and moved[0] >= 400:
+                assert sanov_oracle.kl_bits_mp(moved, p) > best, (i, j)
+
+    def test_one_symbol(self):
+        p = make_distribution([1])
+        assert sanov_exponent(ConstraintSet("upper", 0, 1.0), p, 5) == (0.0, EmpiricalType((5,), 5))
+        assert sanov_exact_log2_prob(ConstraintSet("upper", 0, 1.0), p, 5) == 0.0
+        # the single type (5,) has Q(0) = 1, outside Q(0) <= 1/2
+        with pytest.raises(InfeasibleError):
+            sanov_exponent(ConstraintSet("upper", 0, 0.5), p, 5)
+        assert sanov_exact_log2_prob(ConstraintSet("upper", 0, 0.5), p, 5) == -math.inf
+
+    def test_every_member_off_the_support(self):
+        # D = inf for every member: the first member in count order is returned
+        p = make_distribution([0, 1, 1])
+        d, t = sanov_exponent(ConstraintSet("lower", 0, 0.5), p, 6)
+        assert d == math.inf and t.counts == (3, 0, 3)
+        p = make_distribution([1, 1, 0])
+        d, t = sanov_exponent(ConstraintSet("lower", 2, 0.4), p, 5)
+        assert d == math.inf and t.counts == (0, 0, 5)
+        p = make_distribution([0, 0, 1])
+        d, t = sanov_exponent(ConstraintSet("upper", 2, 0.5), p, 5)
+        assert d == math.inf and t.counts == (0, 3, 2)
+
+    def test_cap_counts_binomial_terms(self):
+        p = make_distribution([1, 2, 3])
+        pi = ConstraintSet("lower", 0, 0.5)
+        sanov_exponent(pi, p, 99, cap=100)
+        sanov_exact_log2_prob(pi, p, 99, cap=100)
+        with pytest.raises(ResourceCapError):
+            sanov_exponent(pi, p, 100, cap=100)
+        with pytest.raises(ResourceCapError):
+            sanov_exact_log2_prob(pi, p, 100, cap=100)
+
+    def test_cap_bounds_the_minimizer_search(self):
+        # six counts over eleven equally likely symbols: C(11, 6) = 462 types
+        # tie in exact arithmetic, and the search scores them and their
+        # neighbours, about 4,000 types (the enumeration takes 1.35 million)
+        p = make_distribution([1] * 12)
+        pi = ConstraintSet("lower", 0, 0.5)
+        d, t = sanov_exponent(pi, p, 12, cap=10_000)
+        assert (d, t) == sanov_oracle.sanov_exponent(pi, p, 12)
+        with pytest.raises(ResourceCapError):
+            sanov_exponent(pi, p, 12, cap=462)
+
+    def test_symbol_outside_the_alphabet(self):
+        with pytest.raises(ValidationError):
+            sanov_exponent(ConstraintSet("lower", 3, 0.5), make_distribution([1, 2, 3]), 10)
+        with pytest.raises(ValidationError):
+            sanov_exact_log2_prob(ConstraintSet("lower", 3, 0.5), make_distribution([1, 2, 3]), 10)
 
 
 class TestSubnormalSource:
