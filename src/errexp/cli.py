@@ -139,17 +139,23 @@ def _run_sanov(args):
 
 def _run_stein(args):
     h = BinaryHypothesis(parse_distribution(args.p1), parse_distribution(args.p2))
-    report, np_beta = _stein_and_np(h, args.n, args.delta, args.epsilon, args.cap)
-    if np_beta > 0.0:
-        np_exponent = -np.log2(np_beta) / args.n
-    else:
-        # p1 << p2 keeps the exact beta positive, so 0 is an underflow
+    report, np_log2_beta = _stein_and_np(h, args.n, args.delta, args.epsilon, args.cap)
+    np_beta = min(1.0, 2.0**np_log2_beta)
+    np_exponent = -np_log2_beta / args.n
+    underflowed = [
+        name
+        for name, linear, exponent in (
+            ("beta_n", report.beta_n, report.exponent),
+            ("np_min_beta", np_beta, np_exponent),
+        )
+        if linear == 0.0 and math.isfinite(exponent)
+    ]
+    if underflowed:
         print(
-            "errexp: warning: np_min_beta underflowed to 0 (below 2^-1074); "
-            "np_exponent_bits is not meaningful",
+            f"errexp: warning: {', '.join(underflowed)} underflowed to 0 "
+            "(below 2^-1074); the exponent columns hold their log2 / n",
             file=sys.stderr,
         )
-        np_exponent = math.inf
     header = [
         "n",
         "delta",

@@ -127,16 +127,16 @@ def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinRep
     llr, lp1, lp2 = scores
     d = kl_divergence(h.p1, h.p2)
     member = (llr >= d - delta) & (llr <= d + delta)
-    lp1, lp2 = lp1[member], lp2[member]
-    alpha = 1.0 - float(np.exp2(lp1[np.isfinite(lp1)]).sum())
-    alpha = min(1.0, max(0.0, alpha))
-    log2_beta = _log2_sum_exp2(lp2)
+    # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
+    # of an alpha below the rounding of 1
+    alpha = min(1.0, 2.0 ** _log2_sum_exp2(lp1[~member]))
+    log2_beta = _log2_sum_exp2(lp2[member])
     beta = min(1.0, 2.0**log2_beta)
     exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
     return SteinReport(n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent)
 
 
-def _np_min_beta(epsilon: float, scores) -> float:
+def _np_log2_min_beta(epsilon: float, scores) -> float:
     llr, lp1, lp2 = scores
     # descending LLR; the rows are in ascending lexicographic order, so a
     # stable sort breaks ties by the count vector
@@ -165,8 +165,7 @@ def _np_min_beta(epsilon: float, scores) -> float:
         lp2_boundary = lp2[order[boundary]]
         if gamma > 0.0 and np.isfinite(lp2_boundary):
             log2_beta_terms = np.append(log2_beta_terms, math.log2(gamma) + lp2_boundary)
-    log2_beta = _log2_sum_exp2(log2_beta_terms)
-    return min(1.0, 2.0**log2_beta)
+    return _log2_sum_exp2(log2_beta_terms)
 
 
 def stein_errors(
@@ -187,18 +186,18 @@ def neyman_pearson_min_beta(
     the fractional probability that lands exactly on the constraint.
     """
     _check_epsilon(epsilon)
-    return _np_min_beta(epsilon, _type_scores(h, n, cap))
+    return min(1.0, 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, cap)))
 
 
 def _stein_and_np(
     h: BinaryHypothesis, n: int, delta: float, epsilon: float, cap: int
 ) -> tuple[SteinReport, float]:
-    """:func:`stein_errors` and :func:`neyman_pearson_min_beta` from one
-    type pass; both arguments are checked before anything is enumerated."""
+    """:func:`stein_errors` and log2 of :func:`neyman_pearson_min_beta` from
+    one type pass; both arguments are checked before anything is enumerated."""
     _check_delta(delta)
     _check_epsilon(epsilon)
     scores = _type_scores(h, n, cap)
-    return _stein_report(h, n, delta, scores), _np_min_beta(epsilon, scores)
+    return _stein_report(h, n, delta, scores), _np_log2_min_beta(epsilon, scores)
 
 
 def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffReport:

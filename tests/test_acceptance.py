@@ -40,12 +40,14 @@ from errexp import (
     type_class_size_bounds,
 )
 from errexp.types_method import sanov_exact_log2_prob
+import maxent_oracle
 from np_oracle import (
     berry_esseen_gap_bounds,
     np_log2_beta_binomial,
     stein_moments,
     strassen_gap,
 )
+from test_boltzmann import gibbs_bound
 
 _LN2 = math.log(2.0)
 
@@ -249,6 +251,7 @@ def test_criterion_07_boltzmann_roundtrip_and_maxent():
     rng = np.random.default_rng(1007)
     worst_beta = 0.0
     worst_excess = -math.inf
+    worst_gap = 0.0
     for _ in range(20):
         k = int(rng.integers(3, 7))
         levels = np.concatenate([[0.0], np.sort(rng.uniform(0.3, 4.0, k - 1))])
@@ -256,16 +259,19 @@ def test_criterion_07_boltzmann_roundtrip_and_maxent():
         sys = EnergySystem(levels, beta)
         recovered = solve_beta(levels, mean_energy(sys))
         worst_beta = max(worst_beta, abs(recovered - beta))
-        ok_sys, excess = maxent_verify(sys, 10_000, int(rng.integers(0, 2**32)))
+        ok_sys, excess = maxent_oracle.maxent_verify(sys, 10_000, int(rng.integers(0, 2**32)))
         assert ok_sys
         worst_excess = max(worst_excess, excess)
+        certified, gap = maxent_verify(sys)
+        assert certified
+        worst_gap = max(worst_gap, abs(gap) / max(1.0, gibbs_bound(sys)))
     elapsed = time.perf_counter() - start
-    ok = worst_beta <= 1e-8 and worst_excess <= 0.0 and elapsed < 20.0
+    ok = worst_beta <= 1e-8 and worst_excess <= 0.0 and worst_gap <= 1e-13 and elapsed < 20.0
     _report(
         7,
         ok,
         f"max |beta gap|={worst_beta:.2e}, max entropy excess={worst_excess:.2e}, "
-        f"{elapsed:.1f}s",
+        f"max relative duality gap={worst_gap:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -1,5 +1,6 @@
 import math
 
+import maxent_oracle
 import numpy as np
 import pytest
 
@@ -16,6 +17,10 @@ from errexp import (
     partition_function,
     solve_beta,
 )
+from errexp import boltzmann
+from errexp._kernels import log2_multinomial
+from errexp.dist import log_factorial_table
+from errexp.types_method import _enumerate_counts
 
 
 class TestPartitionFunction:
@@ -133,21 +138,91 @@ class TestMultiplicity:
             assert abs(log_multiplicity_stirling(occ) - exact) / exact < 0.01
 
 
+def gibbs_bound(sys):
+    """ln Z + beta * U relative to the ground level, in nats."""
+    shifted = sys.levels - sys.levels.min()
+    p = boltzmann_distribution(sys).probs
+    return math.log(float(np.exp(-sys.beta * shifted).sum())) + sys.beta * float(p @ shifted)
+
+
+def assert_certified(sys):
+    ok, gap = maxent_verify(sys)
+    assert ok
+    assert abs(gap) <= 1e-13 * max(1.0, gibbs_bound(sys))
+
+
 class TestMaxentVerify:
+    # each case runs the sampler of maxent_oracle on the draws it always used
+    # and the library's duality-gap certificate on the same system
+
     def test_two_levels_vacuous(self):
-        ok, excess = maxent_verify(EnergySystem(np.array([0.0, 1.0]), 1.0), 100, 0)
+        sys = EnergySystem(np.array([0.0, 1.0]), 1.0)
+        ok, excess = maxent_oracle.maxent_verify(sys, 100, 0)
         assert ok and excess == 0.0
+        assert_certified(sys)
 
     def test_three_levels(self):
-        ok, excess = maxent_verify(EnergySystem(np.array([0.0, 1.0, 2.0]), 1.0), 10_000, 3)
+        sys = EnergySystem(np.array([0.0, 1.0, 2.0]), 1.0)
+        ok, excess = maxent_oracle.maxent_verify(sys, 10_000, 3)
         assert ok and excess <= 0.0
+        assert_certified(sys)
 
     def test_four_levels(self):
-        ok, excess = maxent_verify(
-            EnergySystem(np.array([0.0, 1.0, 2.0, 3.0]), 0.5), 10_000, 4
-        )
+        sys = EnergySystem(np.array([0.0, 1.0, 2.0, 3.0]), 0.5)
+        ok, excess = maxent_oracle.maxent_verify(sys, 10_000, 4)
         assert ok and excess <= 0.0
+        assert_certified(sys)
 
     def test_deterministic_in_seed(self):
         sys = EnergySystem(np.array([0.0, 0.5, 2.0]), 0.7)
-        assert maxent_verify(sys, 500, 9) == maxent_verify(sys, 500, 9)
+        assert maxent_oracle.maxent_verify(sys, 500, 9) == maxent_oracle.maxent_verify(
+            sys, 500, 9
+        )
+        assert maxent_verify(sys) == maxent_verify(sys)
+
+    def test_certificate_over_seeded_systems(self):
+        # k = 2..39 levels at scales 1e-6, 1 and 1e3, offsets of either sign,
+        # some degenerate levels, and beta from 0 to 1e6
+        rng = np.random.default_rng(31)
+        for i in range(10_000):
+            k = int(rng.integers(2, 40))
+            scale = (1e-6, 1.0, 1e3)[i % 3]
+            levels = scale * (rng.uniform(0.0, 5.0, k) + rng.uniform(-10.0, 10.0))
+            if i % 7 == 0:
+                levels = np.round(levels / scale) * scale
+            beta = 0.0 if i % 10 == 0 else float(10.0 ** rng.uniform(-3.0, 6.0))
+            assert_certified(EnergySystem(levels, beta))
+
+    def test_wrong_law_fails_the_certificate(self, monkeypatch):
+        # the law at 1.01 beta has mean U' != U, and its gap is -D(p'||p_beta)
+        sys = EnergySystem(np.array([0.0, 1.0, 2.0, 3.0]), 1.0)
+        right = boltzmann.boltzmann_distribution
+        monkeypatch.setattr(
+            boltzmann,
+            "boltzmann_distribution",
+            lambda s: right(EnergySystem(s.levels, 1.01 * s.beta)),
+        )
+        ok, gap = maxent_verify(sys)
+        assert not ok and gap < 0.0
+        assert abs(gap) > 1e-13 * max(1.0, gibbs_bound(sys))
+
+
+# integer levels of the finite-N check
+OCCUPANCY_LEVELS = [(0, 1, 2), (0, 1, 2, 3), (0, 1, 3, 4), (0, 2, 3, 5, 6)]
+
+
+@pytest.mark.parametrize("levels", OCCUPANCY_LEVELS)
+@pytest.mark.parametrize("fraction", [0.5, 0.8])
+def test_most_probable_occupancy_is_boltzmann(levels, fraction):
+    # the paper's derivation: at fixed N and total energy E the occupancy of
+    # largest multiplicity N!/prod N_j! approaches N times the Boltzmann law
+    # at the beta whose mean energy is E/N (the conditional limit theorem)
+    eps = np.asarray(levels)
+    for n in (10, 20, 40, 60):
+        energy = round(fraction * eps.mean() * n)
+        counts = _enumerate_counts(n, eps.size, cap=10**6)
+        counts = counts[counts @ eps == energy]
+        log2_mult = log2_multinomial(counts, log_factorial_table(n))
+        best = counts[log2_mult >= log2_mult.max() - 1e-9]
+        law = boltzmann_distribution(EnergySystem(eps, solve_beta(eps, energy / n)))
+        assert np.abs(best - n * law.probs).max() <= 2.0

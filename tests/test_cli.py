@@ -19,6 +19,7 @@ from errexp import (
 )
 from errexp import cli, testing
 from errexp.cli import main, parse_distribution
+from np_oracle import np_log2_beta_binomial
 from sanov_oracle import kl_bits_mp, log2_prob_mp
 from test_testing import chernoff_oracle
 
@@ -243,6 +244,38 @@ class TestExitCodes:
         )
         assert status == 0
         assert "np_min_beta underflowed" in err
+
+    @pytest.mark.parametrize(
+        "delta, underflowed", [(0.1, "np_min_beta"), (0.01, "beta_n, np_min_beta")]
+    )
+    def test_exponents_stay_finite_below_the_double_range(self, delta, underflowed):
+        # the exponent columns come from log2 beta, not from the printed 0
+        n = 8000
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1,3", "--n", str(n), "--delta", str(delta)]
+        )
+        assert status == 0
+        assert f"warning: {underflowed} underflowed" in err
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["np_min_beta"]) == 0.0
+        np_exponent = float(row["np_exponent_bits"])
+        assert math.isfinite(np_exponent)
+        assert np_exponent == pytest.approx(
+            -np_log2_beta_binomial(0.5, 0.25, n, 0.05) / n, abs=1e-9
+        )
+        assert math.isfinite(float(row["stein_exponent_bits"]))
+
+    def test_empty_band_is_not_an_underflow(self):
+        # at n = 1 no type has an average LLR within 0.05 of D = 0.2075, so
+        # beta_n is exactly 0 and its exponent inf: nothing underflowed
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1,3", "--n", "1", "--delta", "0.05"]
+        )
+        assert status == 0 and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["alpha_n"], row["beta_n"], row["stein_exponent_bits"]) == ("1", "0", "inf")
 
     def test_bad_epsilon_is_2_before_enumeration(self):
         # a cap of 1000 is far below the 176,851 types: a bad epsilon must be

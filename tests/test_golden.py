@@ -14,6 +14,10 @@ the Sanov probability over the merged alphabet {a, not a} instead, and
 three of its log2 values differ from the enumerated sum in the last bits
 (``SANOV_LOG2_MERGED_GOLDEN``); its exponents and minimizers do not.
 
+The Stein alpha pins were retaken when alpha became the log-space sum of
+the rejected p1 mass instead of 1 minus the accepted mass; the comment above
+``STEIN_GOLDEN`` gives both errors against an exact-fraction sum.
+
 The ``solve_beta`` pins are the inverse temperatures the Boltzmann module's
 own bracket-and-bisect loop returned on the same platform; the shared tilt
 solver must reproduce them, and raise the same errors, bit for bit.
@@ -114,14 +118,23 @@ NP_GOLDEN = {
     "k5_ties_zero": "0x1.86411ba3c6ac9p-11",
 }
 
+# alpha_n is the log-space sum of the rejected p1 mass, not 1 - accepted;
+# relative errors against an exact-fraction sum over the same doubles
+# (1 - accepted -> rejected sum, old hex):
+# k2_n100 9.8e-15 -> 2.0e-14 (0x1.efbcbcc756c5cp-2; farther, left as the
+# sum gives it), k2_n2000 1.6e-10 -> 7.3e-13 (0x1.270f6d0bc8500p-8),
+# k3_n100 1.6e-13 -> 1.8e-14 (0x1.7f490b7b634f0p-4), k4_ties 5.3e-15 ->
+# 2.9e-15 (0x1.857efa4a52cb4p-2), k5_n20 3.9e-15 -> 2.2e-15
+# (0x1.2d711f39835f9p-1); k3_zero_in_p1 rejects only types with p1 mass 0,
+# so alpha is exactly 0 (was 0x1.9000000000000p-48)
 STEIN_GOLDEN = {
     "k1_n5": ("0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0"),
-    "k2_n100": ("0x1.efbcbcc756c5cp-2", "0x1.ab2dfa5326e59p-20", "0x1.8a78b0a89c59dp-3"),
-    "k2_n2000": ("0x1.270f6d0bc8500p-8", "0x1.f2f043a5823fap-327", "0x1.4ddcb7990cbf1p-3"),
-    "k3_n100": ("0x1.7f490b7b634f0p-4", "0x1.339c1850d0d5ep-39", "0x1.8ca5970e8f1bdp-2"),
-    "k3_zero_in_p1": ("0x1.9000000000000p-48", "0x1.fffffffffffd4p-31", "0x1.0000000000001p+0"),
-    "k4_ties": ("0x1.857efa4a52cb4p-2", "0x1.31978d42732c0p-6", "0x1.261ecbbdc8193p-3"),
-    "k5_n20": ("0x1.2d711f39835f9p-1", "0x1.14303a9aa29a2p-5", "0x1.f4c94a4cf6633p-3"),
+    "k2_n100": ("0x1.efbcbcc756b5bp-2", "0x1.ab2dfa5326e59p-20", "0x1.8a78b0a89c59dp-3"),
+    "k2_n2000": ("0x1.270f6d0aff13bp-8", "0x1.f2f043a5823fap-327", "0x1.4ddcb7990cbf1p-3"),
+    "k3_n100": ("0x1.7f490b7b6304bp-4", "0x1.339c1850d0d5ep-39", "0x1.8ca5970e8f1bdp-2"),
+    "k3_zero_in_p1": ("0x0.0p+0", "0x1.fffffffffffd4p-31", "0x1.0000000000001p+0"),
+    "k4_ties": ("0x1.857efa4a52c7cp-2", "0x1.31978d42732c0p-6", "0x1.261ecbbdc8193p-3"),
+    "k5_n20": ("0x1.2d711f3983619p-1", "0x1.14303a9aa29a2p-5", "0x1.f4c94a4cf6633p-3"),
 }
 
 SANOV_EXPONENT_GOLDEN = {

@@ -117,6 +117,72 @@ class TestSteinErrors:
         ]
         assert alphas[0] > alphas[1] > alphas[2]
 
+    @pytest.mark.parametrize("n, delta", [(200, 0.9), (300, 1.2)])
+    def test_alpha_far_below_the_rounding_of_one(self, n, delta):
+        # 1 - (accepted p1 mass) gave 2.46e-14 and 0.0 here
+        h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
+        alpha = stein_errors(h, n, delta).alpha_n
+        exact = stein_alpha_k4_mp(h, n, delta)
+        assert exact < 1e-16
+        assert alpha == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _binomial_row(r, t):
+    """Binomial(r, t) probabilities of 0..r by the ratio recurrence."""
+    row = [(1 - t) ** r]
+    for c in range(r):
+        row.append(row[-1] * (r - c) / (c + 1) * t / (1 - t))
+    return row
+
+
+def stein_alpha_k4_mp(h, n, delta, margin=1e-9):
+    """Rejected p1 mass of the Stein band at k = 4, summed at 30 digits.
+
+    The p1 mass of type (c0, c1, c2, c3) factors into Binomial(n, p0 + p3)
+    at m = c0 + c3, Binomial(m, p3 / (p0 + p3)) at c3 and
+    Binomial(n - m, p2 / (p1 + p2)) at c2. For fixed (m, c3) the LLR is
+    increasing in c2 (log2(p1/p2) must be larger at symbol 2 than at 1), so
+    the accepted c2 form one interval, and the rejected mass is a lower
+    plus an upper tail: a sum of positive terms, with no 1 - x. Types
+    within ``margin`` bits of a band edge are decided by
+    ``stein_region_membership``, the library's own float test.
+    """
+    step = [math.log2(a) - math.log2(b) for a, b in zip(h.p1.probs, h.p2.probs)]
+    slope = step[2] - step[1]
+    assert slope > 0
+    d = kl_divergence(h.p1, h.p2)
+    lo, hi = (d - delta) * n, (d + delta) * n
+
+    def member(m, c3, c2):
+        counts = (m - c3, n - m - c2, c2, c3)
+        x = math.fsum(c * s for c, s in zip(counts, step))
+        if min(abs(x - lo), abs(x - hi)) > margin * n:
+            return lo <= x <= hi
+        return stein_region_membership(EmpiricalType(counts, n), h, delta)
+
+    with mpmath.workdps(30):
+        p = [mpmath.mpf(float(x)) for x in h.p1.probs]
+        outer = _binomial_row(n, p[0] + p[3])
+        total = mpmath.mpf(0)
+        for m in range(n + 1):
+            r = n - m
+            inner = _binomial_row(r, p[2] / (p[1] + p[2]))
+            below = list(itertools.accumulate(inner, initial=mpmath.mpf(0)))
+            above = list(itertools.accumulate(reversed(inner), initial=mpmath.mpf(0)))[::-1]
+            rejected = mpmath.mpf(0)
+            for c3, w in enumerate(_binomial_row(m, p[3] / (p[0] + p[3]))):
+                base = (m - c3) * step[0] + c3 * step[3] + r * step[1]
+                # accepted c2 in [a, b]: start one step outside each edge
+                a = min(r + 1, max(0, math.floor((lo - base) / slope) - 1))
+                b = max(a - 1, min(r, math.ceil((hi - base) / slope) + 1))
+                while a <= b and not member(m, c3, a):
+                    a += 1
+                while b >= a and not member(m, c3, b):
+                    b -= 1
+                rejected += w * (below[a] + above[b + 1])
+            total += outer[m] * rejected
+        return float(total)
+
 
 def brute_force_np_beta(p1, p2, n, eps):
     """Optimal randomized LR test over all 2**n sequences."""
