@@ -156,6 +156,12 @@ def _run_stein(args):
             "(below 2^-1074); the exponent columns hold their log2 / n",
             file=sys.stderr,
         )
+    if report.alpha_n == 0.0 and math.isfinite(report.log2_alpha):
+        print(
+            "errexp: warning: alpha_n underflowed to 0 (below 2^-1074); "
+            f"log2 alpha_n = {report.log2_alpha!r}",
+            file=sys.stderr,
+        )
     header = [
         "n",
         "delta",

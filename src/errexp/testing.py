@@ -8,7 +8,6 @@ ratio is type-measurable, so no Monte Carlo is involved.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +24,6 @@ from .types_method import (
     _log2_sum_exp2,
     _log2q,
 )
-
-# types gathered per block by the Neyman-Pearson mass loop
-_NP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,7 @@ class SteinReport:
     alpha_n: float
     beta_n: float
     exponent: float  # -(1/n) log2 beta_n, bits
+    log2_alpha: float  # log2 alpha_n, finite where alpha_n underflows to 0
 
 
 @dataclass(frozen=True)
@@ -129,43 +126,45 @@ def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinRep
     member = (llr >= d - delta) & (llr <= d + delta)
     # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
     # of an alpha below the rounding of 1
-    alpha = min(1.0, 2.0 ** _log2_sum_exp2(lp1[~member]))
+    log2_alpha = _log2_sum_exp2(lp1[~member])
+    alpha = min(1.0, 2.0**log2_alpha)
     log2_beta = _log2_sum_exp2(lp2[member])
     beta = min(1.0, 2.0**log2_beta)
     exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
-    return SteinReport(n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent)
+    return SteinReport(
+        n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent, log2_alpha=log2_alpha
+    )
 
 
 def _np_log2_min_beta(epsilon: float, scores) -> float:
     llr, lp1, lp2 = scores
-    # descending LLR; the rows are in ascending lexicographic order, so a
-    # stable sort breaks ties by the count vector
-    order = np.argsort(-llr, kind="stable")
-    target = 1.0 - epsilon
-    # running p1 mass, stopped at the first type that reaches the target:
-    # scalar pow, not np.exp2 (the array routine can differ by 1 ulp), and
-    # the same sequential additions as a cumsum over the whole order; the
-    # log-probabilities are gathered in blocks, so the types past the
-    # boundary are never converted
-    blocks = (
-        lp1[order[s : s + _NP_BLOCK]].tolist() for s in range(0, len(order), _NP_BLOCK)
-    )
-    boundary = len(order)
-    accepted = mass1 = 0.0
-    for i, x in enumerate(itertools.chain.from_iterable(blocks)):
-        mass1 = 2.0**x
-        if accepted + mass1 >= target:
-            boundary = i
-            break
-        accepted += mass1
-
-    log2_beta_terms = lp2[order[:boundary]]
-    if boundary < len(order) and mass1 > 0.0:
-        gamma = min(1.0, (target - accepted) / mass1)
-        lp2_boundary = lp2[order[boundary]]
-        if gamma > 0.0 and np.isfinite(lp2_boundary):
-            log2_beta_terms = np.append(log2_beta_terms, math.log2(gamma) + lp2_boundary)
-    return _log2_sum_exp2(log2_beta_terms)
+    # weighted quickselect of the threshold t from below: the p1 mass
+    # strictly below t is at most epsilon, and with the tie class at t it
+    # exceeds it. The rejected mass is the smaller side (epsilon < 1/2), so
+    # its sums keep their relative accuracy where 1 - epsilon would round
+    vals, w = llr, np.exp2(lp1)
+    below = 0.0
+    while vals.size:
+        pivot = np.partition(vals, vals.size // 2)[vals.size // 2]
+        lo = vals < pivot
+        m_lo = w[lo].sum()
+        if below + m_lo > epsilon:
+            vals, w = vals[lo], w[lo]
+            continue
+        eq = vals == pivot
+        m_eq = w[eq].sum()
+        if below + m_lo + m_eq > epsilon:
+            # accept the fraction gamma > 0 of the tie class that brings alpha
+            # to epsilon; its types share one likelihood ratio, so randomizing
+            # it whole gives the same beta as randomizing it type by type
+            gamma = min(1.0, (below + m_lo + m_eq - epsilon) / m_eq)
+            tie = math.log2(gamma) + _log2_sum_exp2(lp2[llr == pivot])
+            return _log2_sum_exp2(np.append(lp2[llr > pivot], tie))
+        below += m_lo + m_eq
+        hi = vals > pivot
+        vals, w = vals[hi], w[hi]
+    # the whole p1 mass is within epsilon: reject every type
+    return -math.inf
 
 
 def stein_errors(
@@ -181,9 +180,11 @@ def neyman_pearson_min_beta(
 ) -> float:
     """Exact minimal beta over randomized tests with alpha <= epsilon.
 
-    Type classes are admitted in decreasing likelihood-ratio order until the
-    accepted p1-mass reaches 1 - epsilon; the boundary class is accepted with
-    the fractional probability that lands exactly on the constraint.
+    The optimal test is a threshold t on the likelihood ratio (the
+    Neyman-Pearson lemma): it accepts every type above t, rejects every type
+    below, and accepts the tie class at t with the probability that makes
+    alpha exactly epsilon. t is found by weighted selection on the p1 mass
+    below candidate thresholds, without sorting the types.
     """
     _check_epsilon(epsilon)
     return min(1.0, 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, cap)))

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from ._kernels import type_log_probs
-from .dist import DiscreteDistribution, log_factorial, log_factorial_table
+from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
@@ -352,13 +352,24 @@ def sanov_exact_log2_prob(
     The event depends on the count m of the constrained symbol a only, so
     its probability is the Binomial(n, p_a) mass of the kept range of m:
     the rows [m, n - m] scored under the merged law (p_a, sum of the other
-    p_b). -inf only where that mass is zero, as for an empty event.
+    p_b). -inf only where that mass is zero, as for an empty event. Above
+    1/2 it is the total mass less that of the other counts, so log2 P keeps
+    its relative accuracy as P nears 1.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     p_a = float(p.probs[pi.symbol])
     p_rest = math.fsum(np.delete(p.probs, pi.symbol))
     with np.errstate(divide="ignore"):
         log2q = np.log2([p_a, p_rest])
-    m = np.arange(lo, hi + 1, dtype=np.int64)
-    counts = np.column_stack((m, n - m))
-    return _log2_sum_exp2(type_log_probs(counts, log2q, log_factorial_table(n)))
+    table = log_factorial_table(n)
+
+    def log2_mass(m):
+        return _log2_sum_exp2(type_log_probs(np.column_stack((m, n - m)), log2q, table))
+
+    log2_p = log2_mass(np.arange(lo, hi + 1, dtype=np.int64))
+    if log2_p <= -1.0:
+        return log2_p
+    rest = np.r_[0:lo, hi + 1 : n + 1].astype(np.int64)
+    # the doubles of p need not sum to 1: the total mass is (sum p)^n
+    log2_total = n * math.log1p(math.fsum([*p.probs, -1.0])) / LN2
+    return log2_total + math.log1p(-(2.0 ** (log2_mass(rest) - log2_total))) / LN2

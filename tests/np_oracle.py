@@ -1,9 +1,11 @@
-"""Independent references for the Neyman-Pearson optimum at large n.
+"""Independent references for the Neyman-Pearson optimum.
 
 Nothing here calls errexp. ``np_log2_beta_binomial`` recomputes the exact
 randomized NP optimum for a binary alphabet in mpmath: the type with j
 copies of symbol 0 has Binomial(n, p) mass, so the optimum is a walk over
-n + 1 binomial terms. ``stein_moments``, ``berry_esseen_gap_bounds`` and
+n + 1 binomial terms. ``np_log2_beta_types`` does the same for any
+alphabet over the enumerated n-types, with ties decided in exact rational
+arithmetic. ``stein_moments``, ``berry_esseen_gap_bounds`` and
 ``strassen_gap`` give the finite-n theory that the exponent gap
 D + (1/n) log2 beta is checked against:
 
@@ -19,7 +21,9 @@ rho = E|L - D|^3 for the per-symbol ratio L under P1, all in bits.
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import mpmath
@@ -56,6 +60,94 @@ def np_log2_beta_binomial(p1: float, p2: float, n: int, epsilon: float) -> float
                 continue
             beta += (target - accepted) / mass1 * mass2
             break
+        return float(mpmath.log(beta, 2))
+
+
+def types(n: int, k: int):
+    """Every count vector of n over k symbols, in lexicographic order."""
+    # stars and bars: the bar positions fix the counts
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1,) + bars + (n + k - 1,)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(k))
+
+
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which every value is a product."""
+    base, todo = [], [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                # split both; the product of everything pending shrinks by g
+                del base[i]
+                todo += [v for v in (g, x // g, b // g) if v > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _multiplicity(x: int, b: int) -> int:
+    e = 0
+    while x % b == 0:
+        x //= b
+        e += 1
+    return e
+
+
+def np_log2_beta_types(p1, p2, n: int, epsilon: float) -> float:
+    """log2 of the minimal type-II error over randomized tests, any k.
+
+    ``p1`` and ``p2`` are the probability vectors, and their doubles are
+    taken as exact inputs. A type's likelihood ratio is a product of powers
+    of the per-symbol ratios, written as integer exponents over a coprime
+    base of their numerators and denominators, so a tie class holds exactly
+    the types of one ratio. Classes are ordered by their log ratio at
+    ``_DPS`` digits, and their masses are summed in mpmath. Classes are
+    admitted in decreasing ratio order until the rejected P1-mass falls to
+    epsilon (the doubles of p1 need not sum to 1, so accepting 1 - epsilon
+    of the mass would be another test), and the boundary class is admitted
+    with the fraction that lands alpha exactly on epsilon. Types with counts
+    where p1 is 0 have P1-mass 0, so the walk ends before them; they are
+    left out.
+    """
+    support = [i for i, a in enumerate(p1) if a > 0]
+    ratios = [Fraction(float(p1[i])) / Fraction(float(p2[i])) for i in support]
+    base = _coprime_base([x for r in ratios for x in (r.numerator, r.denominator)])
+    exponents = [
+        [_multiplicity(r.numerator, b) - _multiplicity(r.denominator, b) for b in base]
+        for r in ratios
+    ]
+    fact = [math.factorial(c) for c in range(n + 1)]
+    classes = {}
+    with mpmath.workdps(_DPS):
+        # powers[h][i][c] = p_h[support[i]] ** c
+        powers = [
+            [[mpmath.mpf(float(p[i])) ** c for c in range(n + 1)] for i in support]
+            for p in (p1, p2)
+        ]
+        for counts in types(n, len(support)):
+            key = tuple(sum(c * e[j] for c, e in zip(counts, exponents)) for j in range(len(base)))
+            size = fact[n] // math.prod(fact[c] for c in counts)
+            g1, g2 = classes.get(key, (0, 0))
+            classes[key] = tuple(
+                g + size * math.prod(pw[i][c] for i, c in enumerate(counts))
+                for g, pw in zip((g1, g2), powers)
+            )
+        log_base = [mpmath.log(b) for b in base]
+        order = sorted(
+            classes, key=lambda key: mpmath.fsum(e * lb for e, lb in zip(key, log_base))
+        )
+        target = mpmath.fsum(g1 for g1, _ in classes.values()) - mpmath.mpf(epsilon)
+        accepted = beta = mpmath.mpf(0)
+        for key in reversed(order):
+            g1, g2 = classes[key]
+            if accepted + g1 >= target:
+                beta += (target - accepted) / g1 * g2
+                break
+            accepted += g1
+            beta += g2
         return float(mpmath.log(beta, 2))
 
 

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
+import numpy as np
 import pytest
 
 from errexp import (
@@ -266,6 +267,35 @@ class TestExitCodes:
         )
         assert math.isfinite(float(row["stein_exponent_bits"]))
 
+    def test_alpha_underflow_is_reported(self):
+        # the band |LLR - D| <= 0.35 keeps 2234 <= j <= 5766 copies of symbol
+        # 0 (its edges are 0.40 from the nearest integers), so alpha is a
+        # binomial tail below the double range: it prints 0, and the notice
+        # gives its log2
+        n = 8000
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1,3", "--n", str(n), "--delta", "0.35"]
+        )
+        assert status == 0
+        header, rows = parse_csv(out)
+        assert float(dict(zip(header, rows[0]))["alpha_n"]) == 0.0
+        tail = sum(math.comb(n, j) for j in range(n + 1) if not 2234 <= j <= 5766)
+        with mpmath.workdps(30):
+            log2_alpha = float(mpmath.log(tail, 2)) - n
+        notice = "errexp: warning: alpha_n underflowed to 0 (below 2^-1074); log2 alpha_n = "
+        (line,) = [line for line in err.splitlines() if line.startswith(notice)]
+        assert float(line[len(notice):]) == pytest.approx(log2_alpha, rel=1e-12)
+
+    def test_zero_alpha_is_not_an_underflow(self):
+        # only types with mass on the p1 = 0 symbol are rejected, so alpha is
+        # exactly 0 and its log2 -inf: nothing underflowed
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,1,0", "--p2", "1,1,2", "--n", "30", "--delta", "0.1"]
+        )
+        assert status == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert float(dict(zip(header, rows[0]))["alpha_n"]) == 0.0
+
     def test_empty_band_is_not_an_underflow(self):
         # at n = 1 no type has an average LLR within 0.05 of D = 0.2075, so
         # beta_n is exactly 0 and its exponent inf: nothing underflowed
@@ -402,6 +432,17 @@ class TestSharedTypePass:
         )
         assert status == 0
         assert calls == {"_enumerate_counts": 1, "_avg_llr_rows": 1}
+
+    def test_stein_never_sorts(self, monkeypatch):
+        # the NP threshold is found by selection, not from a global order
+        def argsort(*args, **kwargs):
+            raise AssertionError("np.argsort called")
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        status, _, err = run_cli(
+            ["stein", "--p1", "5,5,5,5", "--p2", "5,5,2,8", "--n", "40", "--delta", "0.1"]
+        )
+        assert status == 0 and err == ""
 
     def test_stein_output_matches_the_public_functions(self):
         h = BinaryHypothesis(make_distribution([1, 2, 3]), make_distribution([3, 2, 1]))

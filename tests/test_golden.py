@@ -1,10 +1,9 @@
 """Bit-level pins of the exact type-class quantities.
 
 Every expected value below is ``float.hex`` of the result the recursive
-enumerator and the sorted-key Neyman-Pearson loop produced on x86-64 Linux
-(glibc libm, NumPy 64-bit floats). The array enumeration and the array NP
-ordering must reproduce them bit for bit. The grid spans alphabets of 1 to 5
-symbols and n up to 2000, and includes zero-probability symbols (on one side
+enumerator produced on x86-64 Linux (glibc libm, NumPy 64-bit floats). The
+array enumeration must reproduce them bit for bit. The grid spans alphabets
+of 1 to 5 symbols and n up to 2000, and includes zero-probability symbols (on one side
 and on both), hypotheses that agree on some symbols (heavy LLR ties) and
 identical hypotheses (every type tied).
 
@@ -13,6 +12,12 @@ keeps; the oracle must still reproduce them bit for bit. The library sums
 the Sanov probability over the merged alphabet {a, not a} instead, and
 three of its log2 values differ from the enumerated sum in the last bits
 (``SANOV_LOG2_MERGED_GOLDEN``); its exponents and minimizers do not.
+
+The Neyman-Pearson pins were retaken when the optimum became a threshold
+found by selection, with alpha summed on the rejected side; the comment
+above ``NP_GOLDEN`` gives both errors against ``np_oracle``, and the tests
+at the end compare the optimum with that exact oracle on random and edge
+cases.
 
 The Stein alpha pins were retaken when alpha became the log-space sum of
 the rejected p1 mass instead of 1 minus the accepted mass; the comment above
@@ -29,6 +34,7 @@ import math
 import numpy as np
 import pytest
 import sanov_oracle
+from np_oracle import np_log2_beta_types
 
 from errexp import (
     BinaryHypothesis,
@@ -47,7 +53,6 @@ from errexp.dist import log_factorial_table
 from errexp.testing import _avg_llr_rows
 from errexp.types_method import (
     _enumerate_counts,
-    _log2_sum_exp2,
     _log2q,
     sanov_exact_log2_prob,
 )
@@ -102,20 +107,38 @@ DEVIATION_CASES = {
     "k5_n25": ([1, 2, 3, 4, 5], 25, 0.2),
 }
 
+# NP rejects the types of least likelihood ratio up to alpha = epsilon and
+# randomizes the tie class at the threshold as a whole; it used to accept
+# the sorted types up to 1 - epsilon, which rounds away the digits of the
+# rejected mass. Relative errors against ``np_oracle.np_log2_beta_types``
+# over the same doubles (old -> new, old hex): k2_n10 1.4e-14 -> 2.1e-15
+# (0x1.024619999995cp-1), k2_n100 1.8e-13 -> 4.9e-14 (0x1.adff228dd95c9p-16),
+# k2_n2000 1.7e-10 -> 1.3e-11 (0x1.7db1b8890f483p-365), k2_n2000_skew
+# 5.6e-11 -> 8.3e-12 (0x1.5d2b7add60f10p-506), k3_zero_in_both 2.9e-14 ->
+# 3.6e-15 (0x1.81f4d98addd58p-4), k3_n150 1.1e-12 -> 6.8e-14
+# (0x1.5caa58e19cafdp-62), k4_ties 3.2e-13 -> 1.8e-14 (0x1.d6f20d42516a0p-6),
+# k4_n100 6.6e-13 -> 9.5e-14 (0x1.82792613e7839p-55), k5_n30 1.0e-13 ->
+# 7.9e-15 (0x1.05cd77906e55dp-3), k5_ties_zero 1.7e-14 -> 5.4e-15
+# (0x1.86411ba3c6ac9p-11). Two are farther, left as the sums give them:
+# k2_identical 1.9e-16 -> 1.3e-14 (0x1.e666666666668p-1) and k3_zero_in_p1
+# 1.9e-16 -> 4.7e-15 (0x1.e666666666668p-31). There p2 is a fixed multiple
+# of p1 on every accepted type, so 1 - epsilon of the float p1 mass gave
+# beta almost exactly; alpha = epsilon leaves in beta the error of the
+# float p1 total (1.2e-14 and 5.4e-15 below 1).
 NP_GOLDEN = {
     "k1_n5": "0x1.e666666666666p-1",
-    "k2_identical": "0x1.e666666666668p-1",
-    "k2_n10": "0x1.024619999995cp-1",
-    "k2_n100": "0x1.adff228dd95c9p-16",
-    "k2_n2000": "0x1.7db1b8890f483p-365",
-    "k2_n2000_skew": "0x1.5d2b7add60f10p-506",
-    "k3_n150": "0x1.5caa58e19cafdp-62",
-    "k3_zero_in_both": "0x1.81f4d98addd58p-4",
-    "k3_zero_in_p1": "0x1.e666666666668p-31",
-    "k4_n100": "0x1.82792613e7839p-55",
-    "k4_ties": "0x1.d6f20d42516a0p-6",
-    "k5_n30": "0x1.05cd77906e55dp-3",
-    "k5_ties_zero": "0x1.86411ba3c6ac9p-11",
+    "k2_identical": "0x1.e6666666665f7p-1",
+    "k2_n10": "0x1.02461999999a3p-1",
+    "k2_n100": "0x1.adff228dd8efbp-16",
+    "k2_n2000": "0x1.7db1b887dcdb2p-365",
+    "k2_n2000_skew": "0x1.5d2b7add00ec3p-506",
+    "k3_n150": "0x1.5caa58e19aee7p-62",
+    "k3_zero_in_both": "0x1.81f4d98addc79p-4",
+    "k3_zero_in_p1": "0x1.e66666666663ep-31",
+    "k4_n100": "0x1.82792613e6414p-55",
+    "k4_ties": "0x1.d6f20d4252190p-6",
+    "k5_n30": "0x1.05cd77906e361p-3",
+    "k5_ties_zero": "0x1.86411ba3c6a31p-11",
 }
 
 # alpha_n is the log-space sum of the rejected p1 mass, not 1 - accepted;
@@ -289,27 +312,14 @@ def test_enumeration_matches_product_oracle(n, k):
     assert [tuple(r) for r in got.tolist()] == oracle
 
 
-def _np_min_beta_loop(counts, llr, lp1, lp2, epsilon):
-    """The per-type Neyman-Pearson loop the array ordering replaced."""
-    order = sorted(range(counts.shape[0]), key=lambda i: (-llr[i], tuple(counts[i])))
-    target = 1.0 - epsilon
-    accepted_p1 = 0.0
-    log2_beta_terms = []
-    for i in order:
-        mass1 = 2.0 ** lp1[i] if np.isfinite(lp1[i]) else 0.0
-        if accepted_p1 + mass1 < target:
-            accepted_p1 += mass1
-            log2_beta_terms.append(lp2[i])
-            continue
-        if mass1 > 0.0:
-            gamma = min(1.0, (target - accepted_p1) / mass1)
-            if gamma > 0.0 and np.isfinite(lp2[i]):
-                log2_beta_terms.append(math.log2(gamma) + lp2[i])
-        break
-    return min(1.0, 2.0 ** _log2_sum_exp2(np.asarray(log2_beta_terms)))
+def _assert_np_matches_oracle(h, n, eps):
+    got = neyman_pearson_min_beta(h, n, eps)
+    want = 2.0 ** np_log2_beta_types(h.p1.probs, h.p2.probs, n, eps)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_neyman_pearson_matches_sorted_loop():
+    # the sorted loop is np_oracle's walk over exact likelihood-ratio classes;
     # small integer weights, some of them zero, make LLR ties common
     rng = np.random.default_rng(5)
     checked = 0
@@ -318,33 +328,22 @@ def test_neyman_pearson_matches_sorted_loop():
         w1, w2 = rng.integers(0, 4, k), rng.integers(0, 4, k)
         if not w1.any() or np.any((w1 > 0) & (w2 == 0)):
             continue
-        h = _hypothesis(w1, w2)
         n = int(rng.integers(1, 40 if k <= 3 else 15))
-        eps = float(rng.uniform(0.01, 0.49))
-        counts = _enumerate_counts(n, k, cap=10**6)
-        table = log_factorial_table(n)
-        expected = _np_min_beta_loop(
-            counts,
-            _avg_llr_rows(counts, h),
-            type_log_probs(counts, _log2q(h.p1), table),
-            type_log_probs(counts, _log2q(h.p2), table),
-            eps,
-        )
-        assert neyman_pearson_min_beta(h, n, eps).hex() == expected.hex()
+        _assert_np_matches_oracle(_hypothesis(w1, w2), n, float(rng.uniform(0.01, 0.49)))
         checked += 1
 
 
 def _np_reference(w1, w2, n):
-    """Hypothesis, loop inputs, and the running p1 sums in the loop's order."""
+    """Hypothesis, and the LLRs and running p1 sums of the types sorted by
+    decreasing LLR (ties by count vector)."""
     h = _hypothesis(w1, w2)
     counts = _enumerate_counts(n, len(w1), cap=10**6)
     table = log_factorial_table(n)
     llr = _avg_llr_rows(counts, h)
     lp1 = type_log_probs(counts, _log2q(h.p1), table)
-    lp2 = type_log_probs(counts, _log2q(h.p2), table)
     order = sorted(range(counts.shape[0]), key=lambda i: (-llr[i], tuple(counts[i])))
     running = list(itertools.accumulate(2.0 ** lp1[i] for i in order))
-    return h, (counts, llr, lp1, lp2), [llr[i] for i in order], running
+    return h, [llr[i] for i in order], running
 
 
 def _exact_running_sum(llr, running):
@@ -364,6 +363,14 @@ def _inside_tie_class(llr, running):
     return 1.0 - 0.5 * (running[j - 1] + running[j])
 
 
+def _beyond_the_float_sum(llr, running):
+    # 1 - 1e-17 rounds to 1, which the float p1 masses fall short of by far
+    # more than their rounding, so a walk up to 1 - epsilon accepts every
+    # type; the optimum still rejects 1e-17 of the p1 mass
+    assert running[-1] < 1.0 - 1e-15
+    return 1e-17
+
+
 # (p1 weights, p2 weights, n, epsilon or a rule that picks it from the
 # sorted LLRs and running p1 sums)
 NP_EDGE_CASES = {
@@ -372,15 +379,18 @@ NP_EDGE_CASES = {
     "tie_class_across_boundary": ([5, 5, 5, 5], [5, 5, 2, 8], 8, _inside_tie_class),
     "epsilon_1e-12": ([1, 2, 3], [3, 2, 1], 20, 1e-12),
     "epsilon_0.4999": ([1, 2, 3], [3, 2, 1], 20, 0.4999),
+    "all_types_tied": ([1, 2, 3], [1, 2, 3], 10, 0.05),
+    "p1_zero_symbol": ([1, 2, 0], [1, 1, 1], 12, 0.1),
+    "k1": ([1], [1], 5, 0.05),
+    "target_beyond_the_float_sum": ([1, 1, 1], [1, 2, 3], 40, _beyond_the_float_sum),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NP_EDGE_CASES))
 def test_neyman_pearson_matches_sorted_loop_at_the_boundary(case):
     w1, w2, n, eps = NP_EDGE_CASES[case]
-    h, inputs, llr, running = _np_reference(w1, w2, n)
+    h, llr, running = _np_reference(w1, w2, n)
     if callable(eps):
         eps = eps(llr, running)
     assert 0.0 < eps < 0.5
-    expected = _np_min_beta_loop(*inputs, eps)
-    assert neyman_pearson_min_beta(h, n, eps).hex() == expected.hex()
+    _assert_np_matches_oracle(h, n, eps)

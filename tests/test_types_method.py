@@ -339,6 +339,24 @@ class TestSanovClosedForm:
     @pytest.mark.parametrize(
         "w, mode, symbol, t, n",
         [
+            ([1, 1], "lower", 0, 0.3017, 179),  # 1 - P = 5.8e-8
+            ([1, 2], "upper", 0, 0.505, 200),  # 2.0e-7
+            ([1, 2, 4], "lower", 2, 0.42, 300),  # 5.1e-8
+            ([1, 2, 4], "lower", 2, 0.4, 300),  # 8.7e-10
+            ([2, 3, 5, 7], "upper", 1, 0.36, 400),  # 7.0e-19
+        ],
+    )
+    def test_log2_prob_near_one_matches_mpmath(self, w, mode, symbol, t, n):
+        # log2 P is about -(1 - P) / ln 2, so it keeps only the digits that
+        # 1 - P keeps: the kept-range sum has none left at 1e-7
+        pi, p = ConstraintSet(mode, symbol, t), make_distribution(w)
+        want = sanov_oracle.log2_prob_mp(pi, p, n)
+        assert -1e-6 < want < 0.0
+        assert sanov_exact_log2_prob(pi, p, n) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "w, mode, symbol, t, n",
+        [
             # types tied in exact arithmetic whose D values round apart, so
             # that the least float value is two or more unit moves away
             ([1] * 6, "upper", 5, 0.0, 7),
