@@ -140,12 +140,15 @@ def _run_sanov(args):
 def _run_stein(args):
     h = BinaryHypothesis(parse_distribution(args.p1), parse_distribution(args.p2))
     report, np_log2_beta = _stein_and_np(h, args.n, args.delta, args.epsilon, args.cap)
-    np_beta = min(1.0, 2.0**np_log2_beta)
-    np_exponent = -np_log2_beta / args.n
+    np_beta = 2.0**np_log2_beta
+    # log2 beta is at most 0, and + 0.0 prints an exponent of 0 (beta = 1) as
+    # 0, not -0
+    stein_exponent = report.exponent + 0.0
+    np_exponent = -np_log2_beta / args.n + 0.0
     underflowed = [
         name
         for name, linear, exponent in (
-            ("beta_n", report.beta_n, report.exponent),
+            ("beta_n", report.beta_n, stein_exponent),
             ("np_min_beta", np_beta, np_exponent),
         )
         if linear == 0.0 and math.isfinite(exponent)
@@ -179,7 +182,7 @@ def _run_stein(args):
             args.epsilon,
             report.alpha_n,
             report.beta_n,
-            report.exponent,
+            stein_exponent,
             np_beta,
             np_exponent,
         ]

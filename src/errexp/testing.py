@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import guarded_row_dot, log2_multinomial, type_log_probs
+from ._kernels import guarded_row_dot
 from .dist import LN2, DiscreteDistribution, TiltedFamily, _solve_tilt, kl_divergence
-from .dist import log_factorial_table
 from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
     EmpiricalType,
-    _enumerate_counts,
     _log2_sum_exp2,
     _log2q,
+    _walk_scores,
+    _walk_types,
 )
 
 
@@ -67,18 +67,24 @@ class ChernoffReport:
     d2: float
 
 
-def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
-    """Per-symbol average log2 likelihood ratio for each type row.
+def _llr_weights(log2p1: np.ndarray, log2p2: np.ndarray) -> np.ndarray:
+    """log2 p1(a) / p2(a) per symbol, the weights of the log likelihood ratio.
 
     Types carrying mass where p1 = 0 get -inf; both-zero symbols would give
     nan but such types have probability zero under either hypothesis, so the
-    value is forced to -inf (outside every region, never accepted first).
+    weight is forced to -inf (outside every region, never accepted first).
     p2 > 0 wherever p1 > 0 (D(p1||p2) is finite), so no ratio is +inf.
     """
     with np.errstate(invalid="ignore"):
-        diff = _log2q(h.p1) - _log2q(h.p2)
+        diff = log2p1 - log2p2
     diff[np.isnan(diff)] = -np.inf
-    return guarded_row_dot(counts, diff) / counts.sum(axis=1)
+    return diff
+
+
+def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
+    """Per-symbol average log2 likelihood ratio for each type row."""
+    weights = _llr_weights(_log2q(h.p1), _log2q(h.p2))
+    return guarded_row_dot(counts, weights) / counts.sum(axis=1)
 
 
 def _check_delta(delta: float) -> None:
@@ -107,17 +113,24 @@ def stein_region_membership(
 def _type_scores(h: BinaryHypothesis, n: int, cap: int):
     """(avg LLR, log2 P1, log2 P2) of every n-type, in enumeration order.
 
-    One enumeration and one log2 multinomial coefficient serve both
-    hypotheses. Every value depends on its own row only, so selecting rows
-    of the scores gives the same bits as scoring the selected rows.
+    One walk over the types and one log2 multinomial coefficient serve both
+    hypotheses, and no count matrix is formed. The scores carry the bits of
+    ``_avg_llr_rows`` and ``type_log_probs`` on the column-major count
+    matrix. Every value depends on its own type only, so selecting entries
+    of the scores gives the same bits as scoring the selected types.
     """
-    counts = _enumerate_counts(n, h.p1.alphabet_size, cap)
-    llr = _avg_llr_rows(counts, h)
-    table = log_factorial_table(n)
-    log2_mult = log2_multinomial(counts, table)
-    lp1 = type_log_probs(counts, _log2q(h.p1), table, log2_mult)
-    lp2 = type_log_probs(counts, _log2q(h.p2), table, log2_mult)
+    walk = _walk_types(n, h.p1.alphabet_size, cap)
+    log2p1, log2p2 = _log2q(h.p1), _log2q(h.p2)
+    weights = [_llr_weights(log2p1, log2p2)]
+    (lp1, lp2), (llr,) = _walk_scores(walk, n, [log2p1, log2p2], weights=weights)
+    llr /= n
     return llr, lp1, lp2
+
+
+def _log2_prob(log2_terms: np.ndarray) -> float:
+    """log2 of a probability from its terms' log2 values, clamped at 0 (a
+    float sum of terms whose exact total is at most 1 can round above 1)."""
+    return min(_log2_sum_exp2(log2_terms), 0.0)
 
 
 def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinReport:
@@ -126,10 +139,9 @@ def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinRep
     member = (llr >= d - delta) & (llr <= d + delta)
     # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
     # of an alpha below the rounding of 1
-    log2_alpha = _log2_sum_exp2(lp1[~member])
-    alpha = min(1.0, 2.0**log2_alpha)
-    log2_beta = _log2_sum_exp2(lp2[member])
-    beta = min(1.0, 2.0**log2_beta)
+    log2_alpha = _log2_prob(lp1[~member])
+    log2_beta = _log2_prob(lp2[member])
+    alpha, beta = 2.0**log2_alpha, 2.0**log2_beta
     exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
     return SteinReport(
         n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent, log2_alpha=log2_alpha
@@ -159,7 +171,7 @@ def _np_log2_min_beta(epsilon: float, scores) -> float:
             # it whole gives the same beta as randomizing it type by type
             gamma = min(1.0, (below + m_lo + m_eq - epsilon) / m_eq)
             tie = math.log2(gamma) + _log2_sum_exp2(lp2[llr == pivot])
-            return _log2_sum_exp2(np.append(lp2[llr > pivot], tie))
+            return _log2_prob(np.append(lp2[llr > pivot], tie))
         below += m_lo + m_eq
         hi = vals > pivot
         vals, w = vals[hi], w[hi]
@@ -187,7 +199,7 @@ def neyman_pearson_min_beta(
     below candidate thresholds, without sorting the types.
     """
     _check_epsilon(epsilon)
-    return min(1.0, 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, cap)))
+    return 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, cap))
 
 
 def _stein_and_np(

@@ -2,8 +2,15 @@
 
 Everything here is exact: probabilities are accumulated in log2 space with
 max-shift summation, so large-deviation events with probabilities far below
-double-precision range still get accurate exponents. Type-class sums
-enumerate the n-types, up to a resource cap.
+double-precision range still get accurate exponents. Type-class sums walk
+the n-types, up to a resource cap, in lexicographic order one symbol at a
+time (``_walk_types``). Every per-type score they reduce (log2 Q^n(T(P)),
+D(P || p), the average log-likelihood ratio) is a sum over symbols j of a
+term that depends on the count c_j alone, so ``_walk_scores`` accumulates it
+during the walk, from c_j * w_j for the linear terms and from a (k, n + 1)
+table for ln c_j! and the D terms, and never forms the (T, k) count matrix.
+That matrix (``_enumerate_counts``, the same walk) serves
+:func:`enumerate_types` and the test oracles.
 
 A Sanov event constrains one symbol a, so it depends on the count of a
 alone. Its probability is a binomial range sum over the merged alphabet
@@ -23,7 +30,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._kernels import type_log_probs
+from ._kernels import guarded_scale, type_log_probs
 from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
@@ -130,41 +137,108 @@ def count_types(n: int, alphabet_size: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
-def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
-    """All count vectors summing to n, lexicographically ascending, (T, k).
+def _walk_types(n: int, alphabet_size: int, cap: int):
+    """Walk the n-types in lexicographic order, one column at a time.
 
-    The matrix is column-major (Fortran order): it is filled one column at a
-    time, and every per-row reduction over the k columns (average LLR, log2
-    multinomial, type log-probabilities, row KL) then runs as k contiguous
-    vector passes instead of a T-long loop over k-element rows. For k <= 7
-    the row sums give the same bits either way; from k = 8 NumPy sums a
-    C-order row pairwise and F-order columns sequentially, so results can
-    move in their last bits.
+    The walk is an iterator over the columns j = 0..k-1. Before column j it
+    holds the distinct prefixes (c_0, ..., c_{j-1}) in lexicographic order,
+    and column j yields ``(width, column)``: prefix i spawns ``width[i]``
+    children c_j = 0, 1, ..., whose counts are ``column``, in order. The
+    last column is forced (c_{k-1} is what the prefix leaves), so its
+    ``width`` is None: every prefix has one child. A consumer repeats its
+    per-prefix values by ``width`` and adds the column's share; after the
+    last column it holds one value per type.
+
+    ResourceCapError is raised here, before anything is allocated, if there
+    are more than ``cap`` types; a caller creates the walk before it builds
+    anything of size n.
     """
     total = count_types(n, alphabet_size)
     if total > cap:
         raise ResourceCapError(
             f"{total} types exceeds the enumeration cap of {cap}"
         )
-    out = np.empty((total, alphabet_size), dtype=np.int64, order="F")
-    # rem[i] is what the i-th distinct prefix of length j leaves for the
-    # remaining columns; each prefix spawns the children c = 0..rem[i]
-    rem = np.array([n], dtype=np.int64)
-    for j in range(alphabet_size - 1):
-        width = rem + 1
-        children = np.arange(int(width.sum()), dtype=np.int64)
-        children -= np.repeat(np.cumsum(width) - width, width)
-        rem = np.repeat(rem, width)
-        rem -= children
-        # a child leaving r owns C(r + m, m) output rows, m = columns after
-        # j + 1; at the last free column (m = 0) each child is one row
-        m = alphabet_size - 2 - j
-        if m:
-            block = np.array([math.comb(r + m, m) for r in range(n + 1)], dtype=np.int64)
-            children = np.repeat(children, block[rem])
-        out[:, j] = children
-    out[:, -1] = rem
-    return out
+
+    def columns():
+        # rem[i] is what the i-th distinct prefix leaves for the later columns
+        rem = np.array([n], dtype=np.int64)
+        for _ in range(alphabet_size - 1):
+            width = rem + 1
+            column = np.arange(int(width.sum()), dtype=np.int64)
+            column -= np.repeat(np.cumsum(width) - width, width)
+            rem = np.repeat(rem, width)
+            rem -= column
+            yield width, column
+        # drop the previous column before the last step, which holds T types
+        width = column = None
+        yield None, rem
+
+    return columns()
+
+
+def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
+    """All count vectors summing to n, lexicographically ascending, (T, k).
+
+    The matrix is column-major (Fortran order), so the row reductions of the
+    test oracles (average LLR, log2 multinomial, type log-probabilities, row
+    KL) run as k contiguous vector passes, summing the columns in order as
+    :func:`_walk_scores` does: from k = 8 NumPy sums a C-order row pairwise
+    instead, and results can move in their last bits.
+    """
+    walk = _walk_types(n, alphabet_size, cap)
+    out = np.empty((alphabet_size, count_types(n, alphabet_size)), dtype=np.int64)
+    # row i holds column i of the first `size` prefixes, repeated in place
+    size = 1
+    for j, (width, column) in enumerate(walk):
+        if width is not None:
+            for i in range(j):
+                out[i, : column.size] = np.repeat(out[i, :size], width)
+        size = column.size
+        out[j, :size] = column
+    return out.T
+
+
+def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
+    """Per-type scores from one :func:`_walk_types` walk, in enumeration order.
+
+    Returns ``(lps, sums)``. ``lps`` holds, for each log2 q in ``log2qs``,
+    log2 Q^n(T(P)) of every type, with the bits of ``type_log_probs`` on the
+    column-major count matrix. ``sums`` holds, for each weight vector w, the
+    sum over symbols j of c_j * w[j] as ``guarded_row_dot`` forms it, then
+    for each (k, n + 1) table the sum of table[j, c_j]. Each sum runs over
+    the columns in order, as the matrix's column-major row sums do.
+    """
+    k = len(log2qs[0])
+    log_fact = log_factorial_table(n)
+
+    def scaled(w):
+        return lambda j, column: guarded_scale(column, w[j])
+
+    def looked_up(table):
+        # the counts lie in 0..n, so "clip" never clips; it skips the
+        # bounds check of the default mode
+        return lambda j, column: table[j].take(column, mode="clip")
+
+    # one log-factorial table serves every column of the multinomial sum
+    terms = [*map(scaled, (*log2qs, *weights)), *map(looked_up, (*tables, [log_fact] * k))]
+    sums = [None] * len(terms)
+    for j, (width, column) in enumerate(walk):
+        for i, term in enumerate(terms):
+            if j == 0:
+                # the first column has one parent, the empty prefix
+                sums[i] = term(j, column)
+                continue
+            if width is not None:
+                sums[i] = np.repeat(sums[i], width)
+            sums[i] += term(j, column)
+    *sums, log2_mult = sums
+    # log2 n! / prod c_j!, formed as log2_multinomial forms it
+    np.subtract(log_fact[n], log2_mult, out=log2_mult)
+    log2_mult /= LN2
+    lps = sums[: len(log2qs)]
+    for lp in lps:
+        lp += log2_mult
+    return lps, sums[len(log2qs) :]
 
 
 def enumerate_types(
@@ -218,13 +292,15 @@ def type_class_log_prob(t: EmpiricalType, q: DiscreteDistribution) -> float:
     return float(type_log_probs(counts, _log2q(q), table)[0])
 
 
+def _kl_terms(frac: np.ndarray, log2p: np.ndarray) -> np.ndarray:
+    """The terms frac * (log2 frac - log2 p) of D in bits, 0 where frac = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(frac > 0, frac * (np.log2(np.maximum(frac, 1e-300)) - log2p), 0.0)
+
+
 def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
     """D(type || p) in bits for each row of a counts matrix."""
-    frac = counts / n
-    lp = _log2q(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(frac > 0, frac * (np.log2(np.maximum(frac, 1e-300)) - lp), 0.0)
-    return terms.sum(axis=1)
+    return _kl_terms(counts / n, _log2q(p)).sum(axis=1)
 
 
 def _log2_sum_exp2(log2_vals: np.ndarray) -> float:
@@ -242,15 +318,21 @@ def deviation_probability_exact(
     delta: float,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """Exact P(D(P_hat_n || p) >= delta) by summing over type classes."""
+    """Exact P(D(P_hat_n || p) >= delta) by summing over type classes.
+
+    D(type || p) is summed from a table of the ``_kl_rows`` terms, so each
+    type is judged on the same float D as the Sanov search judges it.
+    """
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    counts = _enumerate_counts(n, p.alphabet_size, cap)
-    deviating = _kl_rows(counts, n, p) >= delta
+    walk = _walk_types(n, p.alphabet_size, cap)
+    log2q = _log2q(p)
+    kl_table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
+    (lp,), (kl,) = _walk_scores(walk, n, [log2q], tables=[kl_table])
+    deviating = kl >= delta
     if not deviating.any():
         return 0.0
-    lp = type_log_probs(counts[deviating], _log2q(p), log_factorial_table(n))
-    return min(1.0, 2.0 ** _log2_sum_exp2(lp))
+    return min(1.0, 2.0 ** _log2_sum_exp2(lp[deviating]))
 
 
 def _sanov_range(pi: ConstraintSet, p: DiscreteDistribution, n: int, cap: int):

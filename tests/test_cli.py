@@ -18,7 +18,7 @@ from errexp import (
     neyman_pearson_min_beta,
     stein_errors,
 )
-from errexp import cli, testing
+from errexp import cli, testing, types_method
 from errexp.cli import main, parse_distribution
 from np_oracle import np_log2_beta_binomial
 from sanov_oracle import kl_bits_mp, log2_prob_mp
@@ -307,6 +307,24 @@ class TestExitCodes:
         row = dict(zip(header, rows[0]))
         assert (row["alpha_n"], row["beta_n"], row["stein_exponent_bits"]) == ("1", "0", "inf")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the band holds every type of positive p2 mass, and the float
+            # sum of those masses rounds above 1 (log2 beta was 3e-12)
+            ["--p1", "1,8", "--p2", "1,9", "--n", "5000", "--delta", "0.09044571783527118"],
+            # one symbol: beta is exactly 1 and log2 beta exactly 0
+            ["--p1", "1", "--p2", "1", "--n", "5", "--delta", "0.1"],
+        ],
+    )
+    def test_beta_of_one_prints_a_zero_exponent(self, argv):
+        status, out, _ = run_cli(["stein", *argv])
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["beta_n"], row["stein_exponent_bits"]) == ("1", "0")
+        assert not row["np_exponent_bits"].startswith("-")
+
     def test_bad_epsilon_is_2_before_enumeration(self):
         # a cap of 1000 is far below the 176,851 types: a bad epsilon must be
         # rejected before the enumeration can hit the cap
@@ -418,20 +436,26 @@ class TestSharedParser:
 
 class TestSharedTypePass:
     def test_stein_enumerates_and_scores_once(self, monkeypatch):
-        calls = {"_enumerate_counts": 0, "_avg_llr_rows": 0}
-        for name in calls:
-            original = getattr(testing, name)
+        # one walk scores every type; no count matrix, no row-wise LLR
+        modules = {
+            "_walk_types": testing,
+            "_enumerate_counts": types_method,
+            "_avg_llr_rows": testing,
+        }
+        calls = dict.fromkeys(modules, 0)
+        for name, module in modules.items():
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(testing, name, counted)
+            monkeypatch.setattr(module, name, counted)
         status, _, _ = run_cli(
             ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
         )
         assert status == 0
-        assert calls == {"_enumerate_counts": 1, "_avg_llr_rows": 1}
+        assert calls == {"_walk_types": 1, "_enumerate_counts": 0, "_avg_llr_rows": 0}
 
     def test_stein_never_sorts(self, monkeypatch):
         # the NP threshold is found by selection, not from a global order

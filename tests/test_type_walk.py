@@ -1,0 +1,165 @@
+"""The type walk scores every n-type as the materialized count matrix does.
+
+``_walk_scores`` sums per-symbol term tables while it walks the types; the
+reference is the (T, k) count matrix of ``_enumerate_counts`` reduced row by
+row. Stein and Neyman-Pearson scores must agree byte for byte at every k. The
+deviation probability reduces a selection of rows, which is C-order, and from
+k = 8 NumPy sums C-order rows pairwise, so there it may move in its last bits.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from errexp import (
+    BinaryHypothesis,
+    ResourceCapError,
+    ValidationError,
+    deviation_probability_exact,
+    make_distribution,
+)
+from errexp._kernels import type_log_probs
+from errexp.dist import log_factorial_table
+from errexp.testing import _avg_llr_rows, _stein_and_np, _type_scores
+from errexp.types_method import (
+    _enumerate_counts,
+    _kl_rows,
+    _kl_terms,
+    _log2_sum_exp2,
+    _log2q,
+    _walk_scores,
+    _walk_types,
+    count_types,
+)
+
+# the largest n per alphabet size that keeps T in the tens of thousands
+_N_MAX = {1: 60, 2: 80, 3: 60, 4: 30, 5: 18, 6: 12, 7: 10, 8: 8, 9: 7}
+# where the zero-probability symbols go
+_ZEROS = ("none", "p1", "p2", "both")
+
+
+def _case(seed):
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 9
+    n = int(rng.integers(1, _N_MAX[k] + 1))
+    w1, w2 = rng.random(k) + 0.01, rng.random(k) + 0.01
+    zeros = _ZEROS[(seed // 9) % 4] if k > 1 else "none"
+    a, b = rng.choice(k, size=2, replace=False) if k > 1 else (0, 0)
+    if zeros in ("p1", "both"):
+        w1[a] = 0.0
+    if zeros in ("p2", "both"):
+        w2[a if zeros == "both" else b] = 0.0
+    return k, n, make_distribution(w1), make_distribution(w2), zeros
+
+
+def _reference_scores(h, n):
+    counts = _enumerate_counts(n, h.p1.alphabet_size, cap=10**6)
+    table = log_factorial_table(n)
+    return (
+        _avg_llr_rows(counts, h),
+        type_log_probs(counts, _log2q(h.p1), table),
+        type_log_probs(counts, _log2q(h.p2), table),
+    )
+
+
+def _reference_deviation(n, p, delta):
+    counts = _enumerate_counts(n, p.alphabet_size, cap=10**6)
+    deviating = _kl_rows(counts, n, p) >= delta
+    if not deviating.any():
+        return 0.0
+    lp = type_log_probs(counts[deviating], _log2q(p), log_factorial_table(n))
+    return min(1.0, 2.0 ** _log2_sum_exp2(lp))
+
+
+@pytest.mark.parametrize("seed", range(72))
+def test_scores_match_the_count_matrix_bit_for_bit(seed):
+    k, n, p1, p2, zeros = _case(seed)
+    # a zero in p2 alone makes D(p1||p2) infinite: score the swapped pair
+    h = BinaryHypothesis(p2, p1) if zeros == "p2" else BinaryHypothesis(p1, p2)
+    got = _type_scores(h, n, cap=10**6)
+    want = _reference_scores(h, n)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(72))
+def test_deviation_matches_the_count_matrix(seed):
+    k, n, p1, p2, _ = _case(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    for p in (p1, p2):
+        delta = float(rng.uniform(1e-3, 0.6))
+        got = deviation_probability_exact(n, p, delta)
+        want = _reference_deviation(n, p, delta)
+        if k <= 7:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k, n", [(1, 7), (2, 40), (3, 25), (5, 9), (8, 6), (9, 5)])
+def test_kl_table_sums_are_the_kl_rows(k, n):
+    # the walk judges each type on the same float D as the Sanov search
+    p = make_distribution(np.r_[0.0, np.arange(1.0, k)] if k > 1 else [1.0])
+    log2q = _log2q(p)
+    table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
+    _, (kl,) = _walk_scores(_walk_types(n, k, cap=10**6), n, [log2q], tables=[table])
+    want = _kl_rows(_enumerate_counts(n, k, cap=10**6), n, p)
+    assert kl.tobytes() == want.tobytes()
+
+
+class TestCap:
+    # n = 10^6 over 4 symbols is 1.7e17 types: a term table alone would be
+    # 32 MB and the log-factorial table a million-step loop, so raising
+    # before any allocation shows as a small traced peak
+    N, K = 10**6, 4
+
+    def _peak_of_refusal(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stein_and_np(self):
+        h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
+        peak = self._peak_of_refusal(lambda: _stein_and_np(h, self.N, 0.1, 0.05, cap=10**7))
+        assert peak < 100_000
+
+    def test_deviation(self):
+        p = make_distribution([1, 2, 3, 4])
+        peak = self._peak_of_refusal(
+            lambda: deviation_probability_exact(self.N, p, 0.1, cap=10**7)
+        )
+        assert peak < 100_000
+
+    def test_enumeration(self):
+        peak = self._peak_of_refusal(lambda: _enumerate_counts(self.N, self.K, cap=10**7))
+        assert peak < 100_000
+
+    def test_at_the_cap_is_allowed(self):
+        total = count_types(20, 4)
+        assert _enumerate_counts(20, 4, cap=total).shape == (total, 4)
+        with pytest.raises(ResourceCapError):
+            _enumerate_counts(20, 4, cap=total - 1)
+
+    def test_bad_delta_is_refused_first(self):
+        with pytest.raises(ValidationError):
+            deviation_probability_exact(self.N, make_distribution([1, 1]), 0.0, cap=1)
+
+
+def test_stein_and_np_peak_memory_per_type():
+    # the walk keeps T-length score vectors, no (T, k) count matrix and no
+    # T x k float temporaries; the materialized pass took 96 bytes per type
+    h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
+    n = 100
+    _stein_and_np(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
+    tracemalloc.start()
+    try:
+        _stein_and_np(h, n, 0.1, 0.05, cap=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count_types(n, 4) <= 64
