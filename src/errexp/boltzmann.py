@@ -119,7 +119,7 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
     # nearly equal laws starts within tol of its target, yet its root is near 1/2
     if abs(shifted.mean() - shifted_target) <= tol:
         return 0.0
-    return _solve_tilt(0.0, shifted, shifted_target, tol)
+    return _solve_tilt(0.0, shifted, shifted_target, tol)[0]
 
 
 def log_multiplicity_exact(occ: Occupancy) -> float:

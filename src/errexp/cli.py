@@ -111,7 +111,9 @@ def _run_sanov(args):
     p = parse_distribution(args.p)
     pi = ConstraintSet(mode=args.mode, symbol=args.symbol, threshold=args.threshold)
     d_star, minimizer = sanov_exponent(pi, p, args.n, cap=args.cap)
-    log2_prob = sanov_exact_log2_prob(pi, p, args.n, cap=args.cap)
+    # the float sum of an event's terms can round above 1: clamp log2 P at 0,
+    # as testing._log2_prob does for stein, and + 0.0 prints a rate of 0, not -0
+    log2_prob = min(sanov_exact_log2_prob(pi, p, args.n, cap=args.cap), 0.0)
     header = [
         "n",
         "symbol",
@@ -131,7 +133,7 @@ def _run_sanov(args):
             d_star,
             ";".join(str(c) for c in minimizer.counts),
             2.0**log2_prob,
-            -log2_prob / args.n,
+            -log2_prob / args.n + 0.0,
         ]
     ]
     return header, rows

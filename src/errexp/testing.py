@@ -65,6 +65,8 @@ class ChernoffReport:
     c_info: float
     d1: float
     d2: float
+    iterations: int  # mean and moment evaluations of the tilt solver
+    residual: float  # |D(P_lam||p1) - D(P_lam||p2)| at lambda_star, bits
 
 
 def _llr_weights(log2p1: np.ndarray, log2p2: np.ndarray) -> np.ndarray:
@@ -234,12 +236,20 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     near = np.abs(p2 - p1) < 0.5 * p1
     energy = np.log(p2) - np.log(p1)
     energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
-    lam = _solve_tilt(np.log(p2), energy / LN2, 0.0, tol) / LN2
+    beta, iterations, residual = _solve_tilt(np.log(p2), energy / LN2, 0.0, tol)
+    lam = beta / LN2
 
     p_star = TiltedFamily(h.p1, h.p2).at(lam)
     d1 = kl_divergence(p_star, h.p1)
     d2 = kl_divergence(p_star, h.p2)
-    return ChernoffReport(lambda_star=lam, c_info=max(d1, d2), d1=d1, d2=d2)
+    return ChernoffReport(
+        lambda_star=lam,
+        c_info=max(d1, d2),
+        d1=d1,
+        d2=d2,
+        iterations=iterations,
+        residual=residual,
+    )
 
 
 def bayesian_error_exponent(h: BinaryHypothesis, n: int) -> float:

@@ -325,6 +325,24 @@ class TestExitCodes:
         assert (row["beta_n"], row["stein_exponent_bits"]) == ("1", "0")
         assert not row["np_exponent_bits"].startswith("-")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the event holds every type: P is exactly 1 and log2 P exactly 0
+            ["--p", "1,1", "--n", "10", "--symbol", "0", "--threshold", "0", "--mode", "lower"],
+            # the same certain event, whose float sum rounds above 1 (log2 P
+            # was 1.04e-14)
+            ["--p", "2,8", "--n", "130", "--symbol", "0", "--threshold", "0", "--mode", "lower"],
+            ["--p", "2,8", "--n", "130", "--symbol", "0", "--threshold", "1", "--mode", "upper"],
+        ],
+    )
+    def test_sanov_certain_event_prints_a_zero_rate(self, argv):
+        status, out, _ = run_cli(["sanov", *argv])
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["exact_prob"], row["rate_bits"]) == ("1", "0")
+
     def test_bad_epsilon_is_2_before_enumeration(self):
         # a cap of 1000 is far below the 176,851 types: a bad epsilon must be
         # rejected before the enumeration can hit the cap
