@@ -29,17 +29,6 @@ def guarded_row_dot(counts, weights):
     return out
 
 
-def guarded_scale(counts, weight):
-    """counts * weight, with 0 where a count is 0 and the weight -inf.
-
-    These are the terms ``guarded_row_dot`` sums for one symbol: a -inf
-    weight gives 0 at a zero count and -inf at every positive one.
-    """
-    if weight == -np.inf:
-        return np.where(counts > 0, -np.inf, 0.0)
-    return counts * weight
-
-
 def type_log_probs(counts, log2q, log_fact, log2_mult=None):
     """log2 Q^n(T(P)) for each row of ``counts``.
 

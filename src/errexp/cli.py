@@ -176,6 +176,9 @@ def _run_stein(args):
         "stein_exponent_bits",
         "np_min_beta",
         "np_exponent_bits",
+        "log2_alpha_n",
+        "log2_beta_n",
+        "np_log2_beta",
     ]
     rows = [
         [
@@ -187,6 +190,10 @@ def _run_stein(args):
             stein_exponent,
             np_beta,
             np_exponent,
+            # + 0.0 prints a log2 of 0 (a probability of 1) as 0, not -0
+            report.log2_alpha + 0.0,
+            report.log2_beta + 0.0,
+            np_log2_beta + 0.0,
         ]
     ]
     return header, rows

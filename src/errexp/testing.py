@@ -19,6 +19,7 @@ from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
     EmpiricalType,
+    _exp2,
     _log2_sum_exp2,
     _log2q,
     _walk_scores,
@@ -55,6 +56,7 @@ class SteinReport:
     beta_n: float
     exponent: float  # -(1/n) log2 beta_n, bits
     log2_alpha: float  # log2 alpha_n, finite where alpha_n underflows to 0
+    log2_beta: float  # log2 beta_n, finite where beta_n underflows to 0
 
 
 @dataclass(frozen=True)
@@ -129,35 +131,45 @@ def _type_scores(h: BinaryHypothesis, n: int, cap: int):
     return llr, lp1, lp2
 
 
-def _log2_prob(log2_terms: np.ndarray) -> float:
-    """log2 of a probability from its terms' log2 values, clamped at 0 (a
-    float sum of terms whose exact total is at most 1 can round above 1)."""
-    return min(_log2_sum_exp2(log2_terms), 0.0)
+def _log2_prob(log2_terms: np.ndarray, where=None, tail=()) -> float:
+    """log2 of a probability from its terms' log2 values, as
+    ``_log2_sum_exp2`` selects them, clamped at 0: a float sum of terms whose
+    exact total is at most 1 can round above 1."""
+    return min(_log2_sum_exp2(log2_terms, where, tail), 0.0)
 
 
 def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinReport:
     llr, lp1, lp2 = scores
     d = kl_divergence(h.p1, h.p2)
-    member = (llr >= d - delta) & (llr <= d + delta)
+    member = llr >= d - delta
+    member &= llr <= d + delta
+    log2_beta = _log2_prob(lp2, member)
     # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
     # of an alpha below the rounding of 1
-    log2_alpha = _log2_prob(lp1[~member])
-    log2_beta = _log2_prob(lp2[member])
+    log2_alpha = _log2_prob(lp1, np.logical_not(member, out=member))
     alpha, beta = 2.0**log2_alpha, 2.0**log2_beta
     exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
     return SteinReport(
-        n=n, delta=delta, alpha_n=alpha, beta_n=beta, exponent=exponent, log2_alpha=log2_alpha
+        n=n,
+        delta=delta,
+        alpha_n=alpha,
+        beta_n=beta,
+        exponent=exponent,
+        log2_alpha=log2_alpha,
+        log2_beta=log2_beta,
     )
 
 
-def _np_log2_min_beta(epsilon: float, scores) -> float:
-    llr, lp1, lp2 = scores
-    # weighted quickselect of the threshold t from below: the p1 mass
-    # strictly below t is at most epsilon, and with the tie class at t it
-    # exceeds it. The rejected mass is the smaller side (epsilon < 1/2), so
-    # its sums keep their relative accuracy where 1 - epsilon would round
-    vals, w = llr, np.exp2(lp1)
-    below = 0.0
+def _np_threshold(epsilon: float, llr: np.ndarray, w: np.ndarray):
+    """(t, gamma) of the NP test with p1 weights ``w``, or None where the
+    whole p1 mass is within epsilon.
+
+    A weighted quickselect of the threshold t from below: the p1 mass
+    strictly below t is at most epsilon, and with the tie class at t it
+    exceeds it. The rejected mass is the smaller side (epsilon < 1/2), so
+    its sums keep their relative accuracy where 1 - epsilon would round.
+    """
+    vals, below = llr, 0.0
     while vals.size:
         pivot = np.partition(vals, vals.size // 2)[vals.size // 2]
         lo = vals < pivot
@@ -169,16 +181,27 @@ def _np_log2_min_beta(epsilon: float, scores) -> float:
         m_eq = w[eq].sum()
         if below + m_lo + m_eq > epsilon:
             # accept the fraction gamma > 0 of the tie class that brings alpha
-            # to epsilon; its types share one likelihood ratio, so randomizing
-            # it whole gives the same beta as randomizing it type by type
-            gamma = min(1.0, (below + m_lo + m_eq - epsilon) / m_eq)
-            tie = math.log2(gamma) + _log2_sum_exp2(lp2[llr == pivot])
-            return _log2_prob(np.append(lp2[llr > pivot], tie))
+            # to epsilon
+            return pivot, min(1.0, (below + m_lo + m_eq - epsilon) / m_eq)
         below += m_lo + m_eq
         hi = vals > pivot
         vals, w = vals[hi], w[hi]
-    # the whole p1 mass is within epsilon: reject every type
-    return -math.inf
+    return None
+
+
+def _np_log2_min_beta(epsilon: float, scores) -> float:
+    """log2 of the NP optimum from the type scores. The p1 weights are
+    formed in place of the scores' log2 P1 vector, which is lost."""
+    llr, lp1, lp2 = scores
+    threshold = _np_threshold(epsilon, llr, _exp2(lp1, out=lp1))
+    if threshold is None:
+        # the whole p1 mass is within epsilon: reject every type
+        return -math.inf
+    pivot, gamma = threshold
+    # the tie class shares one likelihood ratio, so randomizing it whole
+    # gives the same beta as randomizing it type by type
+    tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
+    return _log2_prob(lp2, llr > pivot, tail=[tie])
 
 
 def stein_errors(
@@ -238,10 +261,19 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
     beta, iterations, residual = _solve_tilt(np.log(p2), energy / LN2, 0.0, tol)
     lam = beta / LN2
+    if lam > 1.0:
+        # the exact g(1) = -D(p1||p2) < 0 puts lam* inside [0, 1]; the
+        # computed g(1) can only be >= 0 where that divergence is below the
+        # rounding of the normalized probabilities
+        raise DegenerateHypothesisError(
+            "hypotheses differ by less than the rounding of their normalization: "
+            "the equalizing tilt falls outside [0, 1]"
+        )
 
     p_star = TiltedFamily(h.p1, h.p2).at(lam)
-    d1 = kl_divergence(p_star, h.p1)
-    d2 = kl_divergence(p_star, h.p2)
+    # D >= 0; a float sum of near-cancelling terms can round below it
+    d1 = max(0.0, kl_divergence(p_star, h.p1))
+    d2 = max(0.0, kl_divergence(p_star, h.p2))
     return ChernoffReport(
         lambda_star=lam,
         c_info=max(d1, d2),

@@ -9,8 +9,11 @@ D(P || p), the average log-likelihood ratio) is a sum over symbols j of a
 term that depends on the count c_j alone, so ``_walk_scores`` accumulates it
 during the walk, from c_j * w_j for the linear terms and from a (k, n + 1)
 table for ln c_j! and the D terms, and never forms the (T, k) count matrix.
-That matrix (``_enumerate_counts``, the same walk) serves
-:func:`enumerate_types` and the test oracles.
+The walk's last two columns come in blocks of ``_BLOCK`` types, which are
+summed in block-sized buffers and written into the score vectors, so the
+scores are the only arrays of size T. The count matrix
+(``_enumerate_counts``, the same walk) serves :func:`enumerate_types` and
+the test oracles.
 
 A Sanov event constrains one symbol a, so it depends on the count of a
 alone. Its probability is a binomial range sum over the merged alphabet
@@ -30,7 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._kernels import guarded_scale, type_log_probs
+from ._kernels import type_log_probs
 from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
@@ -41,6 +44,12 @@ ENUMERATION_CAP = 10_000_000
 # relative width of the band of D values that the Sanov minimizer search
 # treats as possible ties; rounding of one D value is far below it
 _TIE_BAND = 2.0**-40
+
+# types per step of the walk's last two columns: the score blocks stay in cache
+_BLOCK = 2**13
+
+# 2**x is +0.0 below x = -1075; _exp2 does not evaluate it below this
+_EXP2_FLOOR = -1100.0
 
 # exact type-class sizes above this are reported in log2 only
 _NATIVE_INT_MAX = 2**63 - 1
@@ -140,14 +149,18 @@ def count_types(n: int, alphabet_size: int) -> int:
 def _walk_types(n: int, alphabet_size: int, cap: int):
     """Walk the n-types in lexicographic order, one column at a time.
 
-    The walk is an iterator over the columns j = 0..k-1. Before column j it
-    holds the distinct prefixes (c_0, ..., c_{j-1}) in lexicographic order,
-    and column j yields ``(width, column)``: prefix i spawns ``width[i]``
-    children c_j = 0, 1, ..., whose counts are ``column``, in order. The
-    last column is forced (c_{k-1} is what the prefix leaves), so its
-    ``width`` is None: every prefix has one child. A consumer repeats its
-    per-prefix values by ``width`` and adds the column's share; after the
-    last column it holds one value per type.
+    The walk is an iterator of steps ``(lo, width, columns)``, each of which
+    extends prefixes by the columns in ``columns``, a list of ``(j, counts)``:
+    prefix lo + i of those the previous steps built spawns ``width[i]``
+    children, in order, or ``width`` is None where the one parent is the
+    empty prefix. The prefix columns j = 0..k-3 come whole, one step each,
+    and leave the C(n + k - 2, k - 2) distinct prefixes (c_0, ..., c_{k-3})
+    in lexicographic order. The last free column and the forced last column
+    (c_{k-1} is what the prefix leaves) then come together, over consecutive
+    ranges of ``_BLOCK`` types; for k = 1 the forced column comes alone. A
+    consumer repeats its per-prefix values by ``width`` and adds each
+    column's share in order; the steps whose columns end at j = k - 1 hold
+    the complete types, in order.
 
     ResourceCapError is raised here, before anything is allocated, if there
     are more than ``cap`` types; a caller creates the walk before it builds
@@ -159,21 +172,39 @@ def _walk_types(n: int, alphabet_size: int, cap: int):
             f"{total} types exceeds the enumeration cap of {cap}"
         )
 
-    def columns():
+    def steps():
         # rem[i] is what the i-th distinct prefix leaves for the later columns
         rem = np.array([n], dtype=np.int64)
-        for _ in range(alphabet_size - 1):
+        if alphabet_size == 1:
+            yield 0, None, [(0, rem)]
+            return
+        for j in range(alphabet_size - 2):
             width = rem + 1
-            column = np.arange(int(width.sum()), dtype=np.int64)
-            column -= np.repeat(np.cumsum(width) - width, width)
-            rem = np.repeat(rem, width)
-            rem -= column
-            yield width, column
-        # drop the previous column before the last step, which holds T types
-        width = column = None
-        yield None, rem
+            column = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+            rem = np.repeat(rem, width) - column
+            yield 0, (width if j else None), [(j, column)]
+        # prefix i spawns the types first[i]..first[i + 1] - 1
+        first = np.zeros(rem.size + 1, dtype=np.int64)
+        np.cumsum(rem + 1, out=first[1:])
+        offsets = np.arange(min(total, _BLOCK))
+        for start in range(0, total, _BLOCK):
+            stop = min(start + _BLOCK, total)
+            # the types start..stop - 1 have the prefixes lo..hi
+            lo = int(first.searchsorted(start, side="right")) - 1
+            hi = int(first.searchsorted(stop - 1, side="right")) - 1
+            width = rem[lo : hi + 1] + 1
+            width[0] -= start - first[lo]
+            width[-1] -= first[hi + 1] - stop
+            column = np.repeat(first[lo : hi + 1] - start, width)
+            np.subtract(offsets[: stop - start], column, out=column)
+            last = np.repeat(rem[lo : hi + 1], width)
+            last -= column
+            yield lo, (width if alphabet_size > 2 else None), [
+                (alphabet_size - 2, column),
+                (alphabet_size - 1, last),
+            ]
 
-    return columns()
+    return steps()
 
 
 def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
@@ -187,14 +218,17 @@ def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
     """
     walk = _walk_types(n, alphabet_size, cap)
     out = np.empty((alphabet_size, count_types(n, alphabet_size)), dtype=np.int64)
-    # row i holds column i of the first `size` prefixes, repeated in place
-    size = 1
-    for j, (width, column) in enumerate(walk):
-        if width is not None:
-            for i in range(j):
-                out[i, : column.size] = np.repeat(out[i, :size], width)
-        size = column.size
-        out[j, :size] = column
+    prefix, start = [], 0
+    for lo, width, columns in walk:
+        # prefix is empty while width is None (the one parent is the empty prefix)
+        counts = [np.repeat(c[lo : lo + width.size], width) for c in prefix]
+        counts += [c for _, c in columns]
+        if columns[-1][0] < alphabet_size - 1:
+            prefix = counts
+            continue
+        stop = start + counts[-1].size
+        out[:, start:stop] = counts
+        start = stop
     return out.T
 
 
@@ -207,38 +241,63 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
     sum over symbols j of c_j * w[j] as ``guarded_row_dot`` forms it, then
     for each (k, n + 1) table the sum of table[j, c_j]. Each sum runs over
     the columns in order, as the matrix's column-major row sums do.
+
+    The result vectors are the rows of one array allocated once. Each block
+    of complete types is summed in a block-sized array, one row per score
+    plus the log2 multinomial sum, and then copied into it, so nothing else
+    of size T is formed.
     """
     k = len(log2qs[0])
+    total = count_types(n, k)
     log_fact = log_factorial_table(n)
+    # a row per score: the products c_j * w[j], then the table look-ups, the
+    # last of them ln c_j! for the multinomial sum
+    w = np.array([*log2qs, *weights]).reshape(-1, k).T.copy()
+    tabs = np.array([*tables, [log_fact] * k]).transpose(1, 0, 2).copy()
+    # a -inf weight enters the product as 0, and its positive counts as -inf
+    neg = np.isneginf(w)
+    impossible = [row.nonzero()[0] for row in neg]
+    w[neg] = 0.0
+    rows, scaled = len(w[0]) + len(tabs[0]), len(w[0])
+    scores = np.empty((rows - 1, total))
+    term_buf = np.empty(rows * min(total, _BLOCK))
+    prefix, start = None, 0
 
-    def scaled(w):
-        return lambda j, column: guarded_scale(column, w[j])
-
-    def looked_up(table):
+    def column_terms(j, counts):
+        # c_j * w[j] as guarded_row_dot forms it, then the table entries; a
+        # prefix step can hold more than a block
+        size = counts.size
+        buf = term_buf if size <= _BLOCK else np.empty(rows * size)
+        out = buf[: rows * size].reshape(rows, size)
+        np.multiply(w[j][:, None], counts.astype(np.float64), out=out[:scaled])
+        if impossible[j].size:
+            out[impossible[j][:, None], counts > 0] = -np.inf
         # the counts lie in 0..n, so "clip" never clips; it skips the
         # bounds check of the default mode
-        return lambda j, column: table[j].take(column, mode="clip")
+        np.take(tabs[j], counts, axis=1, mode="clip", out=out[scaled:])
+        return out
 
-    # one log-factorial table serves every column of the multinomial sum
-    terms = [*map(scaled, (*log2qs, *weights)), *map(looked_up, (*tables, [log_fact] * k))]
-    sums = [None] * len(terms)
-    for j, (width, column) in enumerate(walk):
-        for i, term in enumerate(terms):
-            if j == 0:
-                # the first column has one parent, the empty prefix
-                sums[i] = term(j, column)
-                continue
-            if width is not None:
-                sums[i] = np.repeat(sums[i], width)
-            sums[i] += term(j, column)
-    *sums, log2_mult = sums
-    # log2 n! / prod c_j!, formed as log2_multinomial forms it
-    np.subtract(log_fact[n], log2_mult, out=log2_mult)
-    log2_mult /= LN2
-    lps = sums[: len(log2qs)]
-    for lp in lps:
-        lp += log2_mult
-    return lps, sums[len(log2qs) :]
+    for lo, width, columns in walk:
+        rest = columns
+        if width is None:
+            # the first column has one parent, the empty prefix
+            (j, counts), *rest = columns
+            acc = column_terms(j, counts).copy()
+        else:
+            acc = np.repeat(prefix[:, lo : lo + width.size], width, axis=1)
+        for j, counts in rest:
+            acc += column_terms(j, counts)
+        if columns[-1][0] < k - 1:
+            prefix = acc
+            continue
+        # log2 n! / prod c_j!, formed as log2_multinomial forms it
+        log2_mult = acc[-1]
+        np.subtract(log_fact[n], log2_mult, out=log2_mult)
+        log2_mult /= LN2
+        acc[: len(log2qs)] += log2_mult
+        scores[:, start : start + acc.shape[1]] = acc[:-1]
+        start += acc.shape[1]
+    return list(scores[: len(log2qs)]), list(scores[len(log2qs) :])
 
 
 def enumerate_types(
@@ -303,13 +362,42 @@ def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
     return _kl_terms(counts / n, _log2q(p)).sum(axis=1)
 
 
-def _log2_sum_exp2(log2_vals: np.ndarray) -> float:
-    """log2 of a sum of 2**x terms, max-shifted so nothing underflows."""
-    finite = log2_vals[np.isfinite(log2_vals)]
-    if finite.size == 0:
+def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2**x into ``out`` (which may be x), without evaluating it below -1100.
+
+    2**x rounds to +0.0 below -1075, so the result is the same; NumPy's exp2
+    takes about 20x longer on an argument whose result flushes to 0, and
+    100x longer on one whose result is subnormal, than on a normal result.
+    """
+    low = x < _EXP2_FLOOR
+    if not low.any():
+        # exp2 with where= is about 1.8x slower on arguments it does evaluate
+        return np.exp2(x, out=out)
+    np.exp2(x, out=out, where=~low)
+    out[low] = 0.0
+    return out
+
+
+def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
+    """log2 of a sum of 2**x terms, max-shifted so nothing underflows.
+
+    The terms are the finite entries of ``log2_vals`` that ``where`` selects
+    (all of them if None), then the finite values in ``tail``, in that
+    order. They are shifted and raised in place in the compacted copy,
+    which is compacted again only where a selected entry is not finite.
+    """
+    terms = log2_vals if where is None else log2_vals[where]
+    finite = np.isfinite(terms)
+    if where is None or not finite.all():
+        terms = terms[finite]
+    tail = [x for x in tail if math.isfinite(x)]
+    if tail:
+        terms = np.append(terms, tail)
+    if terms.size == 0:
         return -math.inf
-    m = float(finite.max())
-    return m + math.log2(float(np.exp2(finite - m).sum()))
+    m = float(terms.max())
+    terms -= m
+    return m + math.log2(float(_exp2(terms, out=terms).sum()))
 
 
 def deviation_probability_exact(
@@ -332,7 +420,7 @@ def deviation_probability_exact(
     deviating = kl >= delta
     if not deviating.any():
         return 0.0
-    return min(1.0, 2.0 ** _log2_sum_exp2(lp[deviating]))
+    return min(1.0, 2.0 ** _log2_sum_exp2(lp, deviating))
 
 
 def _sanov_range(pi: ConstraintSet, p: DiscreteDistribution, n: int, cap: int):

@@ -267,6 +267,25 @@ class TestExitCodes:
         )
         assert math.isfinite(float(row["stein_exponent_bits"]))
 
+    def test_log2_columns_at_n_8000(self):
+        # beta_n and np_min_beta print 0 here; their log2 columns do not
+        n, delta, epsilon = 8000, 0.01, 0.05
+        status, out, _ = run_cli(
+            ["stein", "--p1", "1,1", "--p2", "1,3", "--n", str(n), "--delta", str(delta)]
+        )
+        assert status == 0
+        header, rows = parse_csv(out)
+        assert header[8:] == ["log2_alpha_n", "log2_beta_n", "np_log2_beta"]
+        row = {k: float(v) for k, v in zip(header, rows[0])}
+        h = BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 3]))
+        report, np_log2_beta = testing._stein_and_np(h, n, delta, epsilon, cap=10**7)
+        assert (row["beta_n"], row["np_min_beta"]) == (0.0, 0.0)
+        assert row["log2_alpha_n"] == report.log2_alpha
+        assert row["log2_beta_n"] == report.log2_beta
+        assert row["np_log2_beta"] == np_log2_beta
+        assert all(math.isfinite(row[k]) for k in header[8:])
+        assert row["log2_beta_n"] < -1074 and row["np_log2_beta"] < -1074
+
     def test_alpha_underflow_is_reported(self):
         # the band |LLR - D| <= 0.35 keeps 2234 <= j <= 5766 copies of symbol
         # 0 (its edges are 0.40 from the nearest integers), so alpha is a
@@ -398,6 +417,27 @@ class TestExitCodes:
         status, out, err = run_cli(argv)
         assert status == 2 and out == ""
         assert err.startswith("errexp: ")
+
+    def test_chernoff_pair_closer_than_its_rounding_is_2(self):
+        # D(p1||p2) is below the rounding of the normalized weights, so the
+        # computed tilt mean stays positive past lambda = 1
+        status, out, err = run_cli(
+            ["chernoff",
+             "--p1", "0.9764403508229538,0.7767722662779667,0.8701159532064582,0.5703333820488687",
+             "--p2", "0.9764403505095443,0.7767722668285244,0.8701159530553381,0.5703333824724192"]
+        )
+        assert status == 2 and out == ""
+        assert "rounding of their normalization" in err
+
+    def test_chernoff_divergences_are_never_negative(self):
+        # the float D of a pair this close rounds below 0 (d1 read -8.0e-17)
+        status, out, _ = run_cli(["chernoff", "--p1", "1,1", "--p2", "1.000000001,1"])
+        assert status == 0
+        header, rows = parse_csv(out)
+        row = {k: float(v) for k, v in zip(header, rows[0])}
+        assert 0.0 < row["lambda_star"] < 1.0
+        for name in ("c_info_bits", "d1_bits", "d2_bits"):
+            assert row[name] >= 0.0 and not rows[0][header.index(name)].startswith("-")
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -163,3 +163,19 @@ def test_stein_and_np_peak_memory_per_type():
     finally:
         tracemalloc.stop()
     assert peak / count_types(n, 4) <= 64
+
+
+def test_stein_and_np_peak_memory_within_the_score_vectors():
+    # the three score vectors take 24 bytes per type; the blocked fill adds
+    # block-sized buffers only, the reductions one compaction at a time and
+    # the NP weights overwrite log2 P1 (56.6 bytes per type before them)
+    h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
+    n = 100
+    _stein_and_np(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
+    tracemalloc.start()
+    try:
+        _stein_and_np(h, n, 0.1, 0.05, cap=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count_types(n, 4) <= 42
