@@ -43,11 +43,3 @@ def type_log_probs(counts, log2q, log_fact, log2_mult=None):
         log2_mult = log2_multinomial(counts, log_fact)
     return log2_mult + guarded_row_dot(counts, log2q)
 
-
-def count_detection_errors(stat, hyp, threshold):
-    """Number of trials where thresholding ``stat`` disagrees with ``hyp``.
-
-    Decision rule: hypothesis 1 (signal present) iff stat > threshold.
-    """
-    decided_one = stat > threshold
-    return int(np.count_nonzero(decided_one != (hyp == 1)))

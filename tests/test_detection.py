@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,9 +15,9 @@ from errexp import (
     simulate_detection,
     sweep,
 )
-from errexp import detection
-from errexp._kernels import count_detection_errors
 from errexp.detection import _CHUNK
+
+import detection_oracle
 
 
 def q_oracle(x):
@@ -119,23 +120,61 @@ class TestSimulation:
 
     def test_chunking_invisible(self, monkeypatch):
         # a run one partial chunk longer repeats the whole first chunk, so
-        # its error count exceeds the shorter run's by at most the extra trials
+        # its error count exceeds the shorter run's by at most the extra
+        # trials; each chunk's generator records what it draws
         chunks = []
+        default_rng = np.random.default_rng
 
-        def recording(stat, hyp, threshold):
-            chunks.append((stat.copy(), hyp.copy()))
-            return count_detection_errors(stat, hyp, threshold)
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                chunks.append(self)
 
-        monkeypatch.setattr(detection, "count_detection_errors", recording)
+            def integers(self, *args, **kwargs):
+                self.hyp = self.rng.integers(*args, **kwargs)
+                return self.hyp.copy()
+
+            def standard_normal(self, *args, **kwargs):
+                self.noise = self.rng.standard_normal(*args, **kwargs)
+                return self.noise.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
         short = DetectionScenario(1, 1.0, _CHUNK, 5)
         longer = DetectionScenario(1, 1.0, _CHUNK + 1000, 5)
         errors_short = round(simulate_detection(short) * short.trials)
         errors_longer = round(simulate_detection(longer) * longer.trials)
         assert 0 <= errors_longer - errors_short <= 1000
-        # the statistic and hypotheses of the shared chunk, bit for bit
-        assert [len(stat) for stat, _ in chunks] == [_CHUNK, _CHUNK, 1000]
-        assert np.array_equal(chunks[0][0], chunks[1][0])
-        assert np.array_equal(chunks[0][1], chunks[1][1])
+        # the hypotheses and noise of the shared chunk, bit for bit
+        assert [len(c.noise) for c in chunks] == [_CHUNK, _CHUNK, 1000]
+        assert [len(c.hyp) for c in chunks] == [_CHUNK, _CHUNK, 1000]
+        assert np.array_equal(chunks[0].hyp, chunks[1].hyp)
+        assert np.array_equal(chunks[0].noise, chunks[1].noise)
+        # the partial chunk draws from its own stream
+        assert not np.array_equal(chunks[1].hyp[:1000], chunks[2].hyp)
+
+    @pytest.mark.parametrize("dim", [1, 4, 64, 1000])
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-9, 0.5, 2.0, 7.5])
+    def test_bit_identical_to_oracle(self, dim, amplitude):
+        # the in-place pass draws the same streams as the reference loop
+        # and must decide every trial the same way
+        for trials in (1, 7, 50_000, _CHUNK, _CHUNK + 3):
+            for seed in (0, 1, (1 << 64) - 1):
+                s = DetectionScenario(dim, amplitude, trials, seed)
+                expected = detection_oracle.simulate_detection(s).hex()
+                assert simulate_detection(s).hex() == expected, s
+
+    def test_traced_peak_per_trial(self):
+        # one float buffer and two bool masks per chunk; the reference loop,
+        # with four 8-byte arrays per trial, peaks at about 27 bytes per trial
+        s = DetectionScenario(4, 1.0, 50_000, 3)
+        simulate_detection(s)
+        tracemalloc.start()
+        try:
+            simulate_detection(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * s.trials
 
     @pytest.mark.parametrize("dim", [16, 64])
     def test_matches_analytic_at_high_dim(self, dim):
@@ -190,6 +229,17 @@ class TestSweep:
         # reproduce them bit for bit at dim 1
         rows = sweep(dims, amplitudes, trials=trials, seed=seed)
         assert [r.empirical_pe.hex() for r in rows] == expected
+
+    def test_dim4_dim64_values_pinned(self):
+        # recorded before the in-place chunk pass, across a chunk boundary;
+        # amplitude 0 puts the threshold at 0, where only the sign counts
+        rows = sweep([4, 64], [0.0, 0.5], trials=_CHUNK + 1000, seed=12)
+        assert [r.empirical_pe.hex() for r in rows] == [
+            "0x1.00dc51b0735ebp-1",
+            "0x1.3a75d1e21273fp-2",
+            "0x1.ffc6706c6c3cap-2",
+            "0x1.78a066b761d4fp-6",
+        ]
 
     def test_appending_rows_preserves_earlier_seeds(self):
         short = sweep([1], [1, 2], trials=50_000, seed=9)
