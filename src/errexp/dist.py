@@ -93,7 +93,8 @@ def entropy(p: DiscreteDistribution) -> float:
     """Shannon entropy in bits, with the 0*log 0 = 0 convention."""
     probs = p.probs
     pos = probs[probs > 0]
-    return float(-(pos * np.log2(pos)).sum())
+    # + 0.0: a point mass sums to -0.0
+    return float(-(pos * np.log2(pos)).sum()) + 0.0
 
 
 def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import guarded_row_dot
 from .dist import LN2, DiscreteDistribution, TiltedFamily, _solve_tilt, kl_divergence
 from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
     EmpiricalType,
+    _check_delta,
     _exp2,
     _log2_sum_exp2,
     _log2q,
+    _rows_walk,
     _walk_scores,
     _walk_types,
 )
@@ -85,17 +86,6 @@ def _llr_weights(log2p1: np.ndarray, log2p2: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _avg_llr_rows(counts: np.ndarray, h: BinaryHypothesis) -> np.ndarray:
-    """Per-symbol average log2 likelihood ratio for each type row."""
-    weights = _llr_weights(_log2q(h.p1), _log2q(h.p2))
-    return guarded_row_dot(counts, weights) / counts.sum(axis=1)
-
-
-def _check_delta(delta: float) -> None:
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 0.5:
         raise ValidationError("epsilon must lie in (0, 1/2)")
@@ -108,22 +98,23 @@ def stein_region_membership(
     _check_delta(delta)
     if t.alphabet_size != h.p1.alphabet_size:
         raise ValidationError("type and hypothesis must share an alphabet")
-    counts = np.asarray(t.counts, dtype=np.int64)[None, :]
-    llr = float(_avg_llr_rows(counts, h)[0])
+    llr = float(_type_scores(h, t.n, _rows_walk([t.counts]))[0][0])
     d = kl_divergence(h.p1, h.p2)
     return d - delta <= llr <= d + delta
 
 
-def _type_scores(h: BinaryHypothesis, n: int, cap: int):
-    """(avg LLR, log2 P1, log2 P2) of every n-type, in enumeration order.
+def _type_scores(h: BinaryHypothesis, n: int, walk):
+    """(avg LLR, log2 P1, log2 P2) of every type of ``walk``, in its order.
 
-    One walk over the types and one log2 multinomial coefficient serve both
-    hypotheses, and no count matrix is formed. The scores carry the bits of
-    ``_avg_llr_rows`` and ``type_log_probs`` on the column-major count
-    matrix. Every value depends on its own type only, so selecting entries
-    of the scores gives the same bits as scoring the selected types.
+    ``walk`` is a :func:`_walk_types` walk over the n-types or a
+    :func:`_rows_walk` over given types. One log2 multinomial coefficient
+    serves both hypotheses, and no count matrix is formed. The scores carry
+    the bits of ``avg_llr_rows`` and ``type_log_probs`` of
+    ``tests/row_oracle.py`` on the column-major count matrix. Every value
+    depends on its own type only, so a type scores the same bits in any
+    walk, and selecting entries of the scores gives the same bits as
+    scoring the selected types.
     """
-    walk = _walk_types(n, h.p1.alphabet_size, cap)
     log2p1, log2p2 = _log2q(h.p1), _log2q(h.p2)
     weights = [_llr_weights(log2p1, log2p2)]
     (lp1, lp2), (llr,) = _walk_scores(walk, n, [log2p1, log2p2], weights=weights)
@@ -209,7 +200,8 @@ def stein_errors(
 ) -> SteinReport:
     """Exact alpha_n and beta_n of the Stein acceptance region."""
     _check_delta(delta)
-    return _stein_report(h, n, delta, _type_scores(h, n, cap))
+    walk = _walk_types(n, h.p1.alphabet_size, cap)
+    return _stein_report(h, n, delta, _type_scores(h, n, walk))
 
 
 def neyman_pearson_min_beta(
@@ -224,7 +216,8 @@ def neyman_pearson_min_beta(
     below candidate thresholds, without sorting the types.
     """
     _check_epsilon(epsilon)
-    return 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, cap))
+    walk = _walk_types(n, h.p1.alphabet_size, cap)
+    return 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, walk))
 
 
 def _stein_and_np(
@@ -234,7 +227,7 @@ def _stein_and_np(
     one type pass; both arguments are checked before anything is enumerated."""
     _check_delta(delta)
     _check_epsilon(epsilon)
-    scores = _type_scores(h, n, cap)
+    scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
     return _stein_report(h, n, delta, scores), _np_log2_min_beta(epsilon, scores)
 
 

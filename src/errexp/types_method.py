@@ -11,9 +11,12 @@ during the walk, from c_j * w_j for the linear terms and from a (k, n + 1)
 table for ln c_j! and the D terms, and never forms the (T, k) count matrix.
 The walk's last two columns come in blocks of ``_BLOCK`` types, which are
 summed in block-sized buffers and written into the score vectors, so the
-scores are the only arrays of size T. The count matrix
-(``_enumerate_counts``, the same walk) serves :func:`enumerate_types` and
-the test oracles.
+scores are the only arrays of size T. Given count rows (one type, or the
+binomial rows of a Sanov event) are scored by the same code through a
+one-step walk (``_rows_walk``), so one function defines how a type is
+scored. Its bit reference is ``tests/row_oracle.py``, the row kernels of
+the (T, k) count matrix. That matrix (``_enumerate_counts``, the same walk)
+serves :func:`enumerate_types` and the test oracles.
 
 A Sanov event constrains one symbol a, so it depends on the count of a
 alone. Its probability is a binomial range sum over the merged alphabet
@@ -33,7 +36,6 @@ from typing import Literal
 
 import numpy as np
 
-from ._kernels import type_log_probs
 from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
@@ -162,6 +164,7 @@ def _walk_types(n: int, alphabet_size: int, cap: int):
     column's share in order; the steps whose columns end at j = k - 1 hold
     the complete types, in order.
 
+    Returns ``(T, steps)``: the number of types and that iterator.
     ResourceCapError is raised here, before anything is allocated, if there
     are more than ``cap`` types; a caller creates the walk before it builds
     anything of size n.
@@ -204,22 +207,29 @@ def _walk_types(n: int, alphabet_size: int, cap: int):
                 (alphabet_size - 1, last),
             ]
 
-    return steps()
+    return total, steps()
+
+
+def _rows_walk(rows):
+    """A one-step walk, as :func:`_walk_types` returns it, whose one step
+    holds all the columns of the given count rows, each row summing to n."""
+    counts = np.asarray(rows, dtype=np.int64)
+    return len(counts), iter([(0, None, list(enumerate(counts.T)))])
 
 
 def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
     """All count vectors summing to n, lexicographically ascending, (T, k).
 
     The matrix is column-major (Fortran order), so the row reductions of the
-    test oracles (average LLR, log2 multinomial, type log-probabilities, row
-    KL) run as k contiguous vector passes, summing the columns in order as
+    test oracles (``tests/row_oracle.py``, and the row KL) run as k
+    contiguous vector passes, summing the columns in order as
     :func:`_walk_scores` does: from k = 8 NumPy sums a C-order row pairwise
     instead, and results can move in their last bits.
     """
-    walk = _walk_types(n, alphabet_size, cap)
-    out = np.empty((alphabet_size, count_types(n, alphabet_size)), dtype=np.int64)
+    total, steps = _walk_types(n, alphabet_size, cap)
+    out = np.empty((alphabet_size, total), dtype=np.int64)
     prefix, start = [], 0
-    for lo, width, columns in walk:
+    for lo, width, columns in steps:
         # prefix is empty while width is None (the one parent is the empty prefix)
         counts = [np.repeat(c[lo : lo + width.size], width) for c in prefix]
         counts += [c for _, c in columns]
@@ -233,14 +243,16 @@ def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
 
 
 def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
-    """Per-type scores from one :func:`_walk_types` walk, in enumeration order.
+    """Per-type scores from one walk, in the walk's order.
 
+    ``walk`` is ``(T, steps)`` from :func:`_walk_types` or :func:`_rows_walk`.
     Returns ``(lps, sums)``. ``lps`` holds, for each log2 q in ``log2qs``,
-    log2 Q^n(T(P)) of every type, with the bits of ``type_log_probs`` on the
-    column-major count matrix. ``sums`` holds, for each weight vector w, the
-    sum over symbols j of c_j * w[j] as ``guarded_row_dot`` forms it, then
-    for each (k, n + 1) table the sum of table[j, c_j]. Each sum runs over
-    the columns in order, as the matrix's column-major row sums do.
+    log2 Q^n(T(P)) of every type. ``sums`` holds, for each weight vector w,
+    the sum over symbols j of c_j * w[j], a -inf weight counting as -inf
+    where c_j > 0 and as 0 elsewhere, then for each (k, n + 1) table the sum
+    of table[j, c_j]. Each sum runs over the columns in order, so the scores
+    carry the bits of ``type_log_probs`` and ``guarded_row_dot`` of
+    ``tests/row_oracle.py`` on the column-major count matrix.
 
     The result vectors are the rows of one array allocated once. Each block
     of complete types is summed in a block-sized array, one row per score
@@ -248,14 +260,14 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
     of size T is formed.
     """
     k = len(log2qs[0])
-    total = count_types(n, k)
+    total, steps = walk
     log_fact = log_factorial_table(n)
     # a row per score: the products c_j * w[j], then the table look-ups, the
     # last of them ln c_j! for the multinomial sum
     w = np.array([*log2qs, *weights]).reshape(-1, k).T.copy()
     tabs = np.array([*tables, [log_fact] * k]).transpose(1, 0, 2).copy()
     # a -inf weight enters the product as 0, and its positive counts as -inf
-    neg = np.isneginf(w)
+    neg = w == -np.inf
     impossible = [row.nonzero()[0] for row in neg]
     w[neg] = 0.0
     rows, scaled = len(w[0]) + len(tabs[0]), len(w[0])
@@ -264,7 +276,7 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
     prefix, start = None, 0
 
     def column_terms(j, counts):
-        # c_j * w[j] as guarded_row_dot forms it, then the table entries; a
+        # c_j * w[j], 0 for a -inf w[j] and c_j = 0, then the table entries; a
         # prefix step can hold more than a block
         size = counts.size
         buf = term_buf if size <= _BLOCK else np.empty(rows * size)
@@ -274,10 +286,10 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
             out[impossible[j][:, None], counts > 0] = -np.inf
         # the counts lie in 0..n, so "clip" never clips; it skips the
         # bounds check of the default mode
-        np.take(tabs[j], counts, axis=1, mode="clip", out=out[scaled:])
+        tabs[j].take(counts, axis=1, mode="clip", out=out[scaled:])
         return out
 
-    for lo, width, columns in walk:
+    for lo, width, columns in steps:
         rest = columns
         if width is None:
             # the first column has one parent, the empty prefix
@@ -290,7 +302,7 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
         if columns[-1][0] < k - 1:
             prefix = acc
             continue
-        # log2 n! / prod c_j!, formed as log2_multinomial forms it
+        # log2 n! / prod c_j!: (ln n! - sum ln c_j!) / ln 2
         log2_mult = acc[-1]
         np.subtract(log_fact[n], log2_mult, out=log2_mult)
         log2_mult /= LN2
@@ -346,9 +358,8 @@ def type_class_log_prob(t: EmpiricalType, q: DiscreteDistribution) -> float:
     """
     if t.alphabet_size != q.alphabet_size:
         raise ValidationError("type and distribution must share an alphabet")
-    counts = np.asarray(t.counts, dtype=np.int64)[None, :]
-    table = log_factorial_table(t.n)
-    return float(type_log_probs(counts, _log2q(q), table)[0])
+    (lp,), _ = _walk_scores(_rows_walk([t.counts]), t.n, [_log2q(q)])
+    return float(lp[0])
 
 
 def _kl_terms(frac: np.ndarray, log2p: np.ndarray) -> np.ndarray:
@@ -400,6 +411,11 @@ def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
     return m + math.log2(float(_exp2(terms, out=terms).sum()))
 
 
+def _check_delta(delta: float) -> None:
+    if not delta > 0:
+        raise ValidationError("delta must be positive")
+
+
 def deviation_probability_exact(
     n: int,
     p: DiscreteDistribution,
@@ -411,8 +427,7 @@ def deviation_probability_exact(
     D(type || p) is summed from a table of the ``_kl_rows`` terms, so each
     type is judged on the same float D as the Sanov search judges it.
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _check_delta(delta)
     walk = _walk_types(n, p.alphabet_size, cap)
     log2q = _log2q(p)
     kl_table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
@@ -521,20 +536,20 @@ def sanov_exact_log2_prob(
 
     The event depends on the count m of the constrained symbol a only, so
     its probability is the Binomial(n, p_a) mass of the kept range of m:
-    the rows [m, n - m] scored under the merged law (p_a, sum of the other
-    p_b). -inf only where that mass is zero, as for an empty event. Above
-    1/2 it is the total mass less that of the other counts, so log2 P keeps
-    its relative accuracy as P nears 1.
+    the rows [m, n - m], one walk per range, scored under the merged law
+    (p_a, sum of the other p_b). -inf only where that mass is zero, as for
+    an empty event. Above 1/2 it is the total mass less that of the other
+    counts, so log2 P keeps its relative accuracy as P nears 1.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     p_a = float(p.probs[pi.symbol])
     p_rest = math.fsum(np.delete(p.probs, pi.symbol))
     with np.errstate(divide="ignore"):
         log2q = np.log2([p_a, p_rest])
-    table = log_factorial_table(n)
 
     def log2_mass(m):
-        return _log2_sum_exp2(type_log_probs(np.column_stack((m, n - m)), log2q, table))
+        (lp,), _ = _walk_scores(_rows_walk(np.column_stack((m, n - m))), n, [log2q])
+        return _log2_sum_exp2(lp)
 
     log2_p = log2_mass(np.arange(lo, hi + 1, dtype=np.int64))
     if log2_p <= -1.0:

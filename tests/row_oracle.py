@@ -1,8 +1,24 @@
-"""Hot numeric kernels, vectorized with NumPy."""
+"""The row kernels of the (T, k) count matrix, kept as the bit reference of
+the type scorer.
+
+``errexp.types_method._walk_scores`` is the one scorer of types: it scores
+the enumerated n-types while walking them, and given count rows (one type,
+the Sanov binomial rows) through a one-step walk. The functions here are the
+row-matrix kernels it replaced, verbatim: log2 multinomial coefficients, the
+guarded row dot product, type log-probabilities and the average log
+likelihood ratio of each row. On the column-major matrix of
+``_enumerate_counts`` their row sums run over the columns in order, as the
+walk sums them, so the two must agree bit for bit. A single C-order row of
+8 or more symbols is summed pairwise by NumPy instead, and may differ from
+the walk in its last bits.
+"""
 
 import math
 
 import numpy as np
+
+from errexp.testing import _llr_weights
+from errexp.types_method import _log2q
 
 _LN2 = math.log(2.0)
 
@@ -43,3 +59,8 @@ def type_log_probs(counts, log2q, log_fact, log2_mult=None):
         log2_mult = log2_multinomial(counts, log_fact)
     return log2_mult + guarded_row_dot(counts, log2q)
 
+
+def avg_llr_rows(counts: np.ndarray, h) -> np.ndarray:
+    """Per-symbol average log2 likelihood ratio for each type row."""
+    weights = _llr_weights(_log2q(h.p1), _log2q(h.p2))
+    return guarded_row_dot(counts, weights) / counts.sum(axis=1)

@@ -20,9 +20,9 @@ import math
 
 import mpmath
 import numpy as np
+from row_oracle import type_log_probs
 
 from errexp import ConstraintSet, DiscreteDistribution, EmpiricalType, InfeasibleError
-from errexp._kernels import type_log_probs
 from errexp.dist import log_factorial_table
 from errexp.types_method import (
     ENUMERATION_CAP,

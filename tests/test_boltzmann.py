@@ -3,6 +3,7 @@ import math
 import maxent_oracle
 import numpy as np
 import pytest
+from row_oracle import log2_multinomial
 
 from errexp import (
     EnergySystem,
@@ -18,7 +19,6 @@ from errexp import (
     solve_beta,
 )
 from errexp import boltzmann
-from errexp._kernels import log2_multinomial
 from errexp.dist import log_factorial_table
 from errexp.types_method import _enumerate_counts
 

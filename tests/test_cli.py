@@ -70,6 +70,11 @@ class TestSubcommands:
         assert rows[0][2] == "inf"
         assert math.isinf(float(rows[0][2]))
 
+    def test_kl_point_mass_prints_a_zero_entropy(self):
+        status, out, _ = run_cli(["kl", "--p", "0,1", "--q", "1,1"])
+        assert status == 0
+        assert out.splitlines()[1] == "0,1,1,inf"
+
     def test_types(self):
         status, out, _ = run_cli(["types", "--n", "3", "--alphabet", "2"])
         assert status == 0
@@ -77,6 +82,8 @@ class TestSubcommands:
         assert len(rows) == 4
         assert rows[1][0] == "1;2"
         assert int(rows[1][3]) == 3
+        # the point mass's upper bound n * H is 0, not -0
+        assert out.splitlines()[1] == "0;3,3,0,1,-2,0"
 
     def test_sanov(self):
         status, out, _ = run_cli(
@@ -405,6 +412,14 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert "delta" in err
 
+    def test_nan_delta_is_2(self):
+        # nan <= 0 is False: a nan band printed beta_n 0 and exited 0
+        status, out, err = run_cli(
+            ["stein", "--p1", "1,2", "--p2", "2,1", "--n", "20", "--delta", "nan"]
+        )
+        assert status == 2 and out == ""
+        assert "delta" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -494,11 +509,11 @@ class TestSharedParser:
 
 class TestSharedTypePass:
     def test_stein_enumerates_and_scores_once(self, monkeypatch):
-        # one walk scores every type; no count matrix, no row-wise LLR
+        # one walk scores every type; no count matrix, no one-row scoring
         modules = {
             "_walk_types": testing,
             "_enumerate_counts": types_method,
-            "_avg_llr_rows": testing,
+            "_rows_walk": testing,
         }
         calls = dict.fromkeys(modules, 0)
         for name, module in modules.items():
@@ -513,7 +528,7 @@ class TestSharedTypePass:
             ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
         )
         assert status == 0
-        assert calls == {"_walk_types": 1, "_enumerate_counts": 0, "_avg_llr_rows": 0}
+        assert calls == {"_walk_types": 1, "_enumerate_counts": 0, "_rows_walk": 0}
 
     def test_stein_never_sorts(self, monkeypatch):
         # the NP threshold is found by selection, not from a global order

@@ -58,7 +58,10 @@ class TestEntropy:
         assert entropy(make_distribution([1, 1, 1, 1])) == pytest.approx(2.0)
 
     def test_point_mass(self):
-        assert entropy(make_distribution([1, 0])) == 0.0
+        # +0.0: -(1 * log2 1) is -0.0, which the CSV would print as -0
+        for probs in ([1, 0], [0, 1]):
+            h = entropy(make_distribution(probs))
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_quarter_three_quarters(self):
         assert entropy(make_distribution([0.25, 0.75])) == pytest.approx(

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 import sanov_oracle
 from np_oracle import np_log2_beta_types
+from row_oracle import avg_llr_rows, type_log_probs
 
 from errexp import (
     BinaryHypothesis,
@@ -48,9 +49,7 @@ from errexp import (
     solve_beta,
     stein_errors,
 )
-from errexp._kernels import type_log_probs
 from errexp.dist import log_factorial_table
-from errexp.testing import _avg_llr_rows
 from errexp.types_method import (
     _enumerate_counts,
     _log2q,
@@ -339,7 +338,7 @@ def _np_reference(w1, w2, n):
     h = _hypothesis(w1, w2)
     counts = _enumerate_counts(n, len(w1), cap=10**6)
     table = log_factorial_table(n)
-    llr = _avg_llr_rows(counts, h)
+    llr = avg_llr_rows(counts, h)
     lp1 = type_log_probs(counts, _log2q(h.p1), table)
     order = sorted(range(counts.shape[0]), key=lambda i: (-llr[i], tuple(counts[i])))
     running = list(itertools.accumulate(2.0 ** lp1[i] for i in order))

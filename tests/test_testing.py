@@ -96,6 +96,13 @@ class TestSteinRegion:
                 EmpiricalType(counts, 2), bernoulli_pair, 1e6
             )
 
+    def test_nan_delta_is_refused(self, bernoulli_pair):
+        # nan <= 0 is False: a nan band held no type, and beta came out 0
+        with pytest.raises(ValidationError):
+            stein_region_membership(EmpiricalType((1, 1), 2), bernoulli_pair, math.nan)
+        with pytest.raises(ValidationError):
+            stein_errors(bernoulli_pair, 20, math.nan)
+
 
 class TestSteinErrors:
     def test_identical_hypotheses_keep_beta_high(self):

@@ -16,7 +16,7 @@ import type_pass_oracle as oracle
 from errexp import BinaryHypothesis, deviation_probability_exact, kl_divergence, make_distribution
 from errexp import types_method
 from errexp.testing import _stein_and_np, _type_scores
-from errexp.types_method import _exp2, count_types
+from errexp.types_method import _exp2, _walk_types, count_types
 
 # the largest n per alphabet size that keeps each case to a few thousand types
 _N_MAX = {1: 50, 2: 300, 3: 70, 4: 25, 5: 14, 6: 10, 7: 8, 8: 7, 9: 6, 10: 5, 11: 5}
@@ -29,7 +29,8 @@ def _bits(x) -> str:
 def _assert_same_pass(h, n, delta, epsilon):
     report, np_log2_beta = _stein_and_np(h, n, delta, epsilon, cap=10**7)
     scores = oracle.type_scores(h, n)
-    for got, want in zip(_type_scores(h, n, cap=10**7), scores):
+    walk = _walk_types(n, h.p1.alphabet_size, cap=10**7)
+    for got, want in zip(_type_scores(h, n, walk), scores):
         assert got.tobytes() == want.tobytes()
     want = oracle.stein_report(h, n, delta, scores)
     for field in dataclasses.fields(want):

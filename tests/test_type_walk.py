@@ -2,26 +2,36 @@
 
 ``_walk_scores`` sums per-symbol term tables while it walks the types; the
 reference is the (T, k) count matrix of ``_enumerate_counts`` reduced row by
-row. Stein and Neyman-Pearson scores must agree byte for byte at every k. The
-deviation probability reduces a selection of rows, which is C-order, and from
-k = 8 NumPy sums C-order rows pairwise, so there it may move in its last bits.
+row by the kernels of ``row_oracle``. Stein and Neyman-Pearson scores must
+agree byte for byte at every k. The deviation probability reduces a
+selection of rows, which is C-order, and from k = 8 NumPy sums C-order rows
+pairwise, so there it may move in its last bits.
+
+The one-type functions score a type through a one-step walk of the same
+scorer, so they must judge and score each type exactly as the enumerated
+sums do, at every k.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from row_oracle import avg_llr_rows, type_log_probs
 
 from errexp import (
     BinaryHypothesis,
+    EmpiricalType,
     ResourceCapError,
     ValidationError,
     deviation_probability_exact,
+    kl_divergence,
     make_distribution,
+    stein_errors,
+    stein_region_membership,
+    type_class_log_prob,
 )
-from errexp._kernels import type_log_probs
 from errexp.dist import log_factorial_table
-from errexp.testing import _avg_llr_rows, _stein_and_np, _type_scores
+from errexp.testing import _stein_and_np, _type_scores
 from errexp.types_method import (
     _enumerate_counts,
     _kl_rows,
@@ -57,7 +67,7 @@ def _reference_scores(h, n):
     counts = _enumerate_counts(n, h.p1.alphabet_size, cap=10**6)
     table = log_factorial_table(n)
     return (
-        _avg_llr_rows(counts, h),
+        avg_llr_rows(counts, h),
         type_log_probs(counts, _log2q(h.p1), table),
         type_log_probs(counts, _log2q(h.p2), table),
     )
@@ -77,7 +87,7 @@ def test_scores_match_the_count_matrix_bit_for_bit(seed):
     k, n, p1, p2, zeros = _case(seed)
     # a zero in p2 alone makes D(p1||p2) infinite: score the swapped pair
     h = BinaryHypothesis(p2, p1) if zeros == "p2" else BinaryHypothesis(p1, p2)
-    got = _type_scores(h, n, cap=10**6)
+    got = _type_scores(h, n, _walk_types(n, k, cap=10**6))
     want = _reference_scores(h, n)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
@@ -106,6 +116,56 @@ def test_kl_table_sums_are_the_kl_rows(k, n):
     _, (kl,) = _walk_scores(_walk_types(n, k, cap=10**6), n, [log2q], tables=[table])
     want = _kl_rows(_enumerate_counts(n, k, cap=10**6), n, p)
     assert kl.tobytes() == want.tobytes()
+
+
+# n per alphabet size for the one-type checks: every type is checked, a few
+# hundred per k
+_N_SMALL = {2: 40, 3: 15, 4: 9, 5: 7, 6: 5, 7: 5, 8: 4, 9: 4, 10: 3, 11: 3, 12: 3}
+
+
+def _band(h, llr, delta):
+    # the types stein_errors sums into beta, as it selects them
+    d = kl_divergence(h.p1, h.p2)
+    return (llr >= d - delta) & (llr <= d + delta)
+
+
+@pytest.mark.parametrize("k", sorted(_N_SMALL))
+def test_one_type_functions_score_as_the_walk(k):
+    # delta = |LLR - D| puts each type on the edge of the Stein band, where
+    # the last bit of its LLR decides membership
+    rng = np.random.default_rng(k)
+    h = BinaryHypothesis(
+        make_distribution(rng.random(k) + 0.01), make_distribution(rng.random(k) + 0.01)
+    )
+    n = _N_SMALL[k]
+    d = kl_divergence(h.p1, h.p2)
+    llr, lp1, lp2 = _type_scores(h, n, _walk_types(n, k, cap=10**6))
+    for row, x, l1, l2 in zip(_enumerate_counts(n, k, cap=10**6), llr, lp1, lp2):
+        t = EmpiricalType(tuple(row), n)
+        delta = abs(float(x) - d)
+        if delta > 0:
+            assert stein_region_membership(t, h, delta) == _band(h, x, delta), t.counts
+        assert type_class_log_prob(t, h.p1).hex() == float(l1).hex(), t.counts
+        assert type_class_log_prob(t, h.p2).hex() == float(l2).hex(), t.counts
+
+
+def test_boundary_type_at_k8():
+    # the one-row scorer summed this type's LLR pairwise, one ulp below the
+    # walk's, and put it outside the band that stein_errors sums over
+    h = BinaryHypothesis(
+        make_distribution([18, 5, 12, 30, 20, 16, 21, 19]),
+        make_distribution([3, 20, 1, 30, 27, 16, 9, 18]),
+    )
+    n, delta = 12, 0.2746872521163858
+    t = EmpiricalType((2, 1, 2, 4, 0, 1, 1, 1), n)
+    counts = _enumerate_counts(n, 8, cap=10**6)
+    i = int(np.flatnonzero((counts == t.counts).all(axis=1))[0])
+    llr, _, lp2 = _type_scores(h, n, _walk_types(n, 8, cap=10**6))
+    band = _band(h, llr, delta)
+    assert band[i]
+    assert stein_region_membership(t, h, delta)
+    # the band is what stein_errors sums: beta is its log2 P2 mass
+    assert stein_errors(h, n, delta).log2_beta == min(_log2_sum_exp2(lp2, band), 0.0)
 
 
 class TestCap:

@@ -217,6 +217,11 @@ class TestDeviationProbability:
         with pytest.raises(ValidationError):
             deviation_probability_exact(5, make_distribution([1, 1]), 0.0)
 
+    def test_nan_delta_is_refused(self):
+        # nan <= 0 is False: a nan delta summed nothing and returned 0.0
+        with pytest.raises(ValidationError):
+            deviation_probability_exact(10, make_distribution([1, 2]), math.nan)
+
 
 class TestSanov:
     def test_source_in_constraint(self):
