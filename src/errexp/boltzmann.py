@@ -99,7 +99,7 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
     (min level, arithmetic mean]. A target within ``tol`` of that mean gives
     beta = 0; any other is solved by the tilt solver that Chernoff's lam* uses.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
     levels = np.asarray(levels, dtype=np.float64)
     uniform_mean = mean_energy(EnergySystem(levels, 0.0))

@@ -238,7 +238,7 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     P_lam = p1^lam p2^(1-lam) / Z = p2 exp(-lam ln2 * energy) / Z. It falls from
     D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0 with ``tol`` in bits.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
     if h.p1 == h.p2:
         raise DegenerateHypothesisError("hypotheses are identical")

@@ -116,6 +116,8 @@ class ConstraintSet:
         only for a one-symbol alphabet in ``upper`` mode below threshold 1,
         whose single type (n,) lies outside the event.
         """
+        if n < 1:
+            raise ValidationError("n must be positive")
         if self.symbol >= alphabet_size:
             raise ValidationError("symbol index outside the alphabet")
         t = self.threshold
@@ -368,9 +370,10 @@ def _kl_terms(frac: np.ndarray, log2p: np.ndarray) -> np.ndarray:
         return np.where(frac > 0, frac * (np.log2(np.maximum(frac, 1e-300)) - log2p), 0.0)
 
 
-def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
-    """D(type || p) in bits for each row of a counts matrix."""
-    return _kl_terms(counts / n, _log2q(p)).sum(axis=1)
+def _kl_table(log2q: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n + 1) table of the terms of D(type || q) in bits: entry
+    [j, c] is the term of symbol j at count c, from log2 q as ``_log2q``."""
+    return _kl_terms(np.arange(n + 1) / n, log2q[:, None])
 
 
 def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -424,14 +427,14 @@ def deviation_probability_exact(
 ) -> float:
     """Exact P(D(P_hat_n || p) >= delta) by summing over type classes.
 
-    D(type || p) is summed from a table of the ``_kl_rows`` terms, so each
-    type is judged on the same float D as the Sanov search judges it.
+    D(type || p) is summed over the symbols in order from the
+    :func:`_kl_table` terms, the terms :func:`sanov_exponent` scores types
+    with.
     """
     _check_delta(delta)
     walk = _walk_types(n, p.alphabet_size, cap)
     log2q = _log2q(p)
-    kl_table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
-    (lp,), (kl,) = _walk_scores(walk, n, [log2q], tables=[kl_table])
+    (lp,), (kl,) = _walk_scores(walk, n, [log2q], tables=[_kl_table(log2q, n)])
     deviating = kl >= delta
     if not deviating.any():
         return 0.0
@@ -453,65 +456,92 @@ def sanov_exponent(
 ):
     """Minimum of D(Q||p) over the n-types in the constraint set.
 
-    Returns (d_star in bits, minimizing type): the least ``_kl_rows`` value
-    over the member types, ties going to the lexicographically smallest
-    count vector. D is separable and convex in the counts, so a member that
-    no unit move (one count from symbol i to symbol j) improves is a global
-    minimizer, and nothing is enumerated: the search starts at the floor of
-    the continuous I-projection and moves one unit at a time. ``cap`` bounds
-    the n + 1 counts of the constrained symbol and the types scored.
+    Returns (d_star in bits, minimizing type): the least D value over the
+    member types, ties going to the lexicographically smallest count vector.
+    D is separable and convex in the counts, so a member that no unit move
+    (one count from symbol i to symbol j) improves is a global minimizer, and
+    nothing is enumerated. The search starts at the continuous I-projection
+    rounded to an n-type (the count of a is n * p_a clamped to the event; the
+    other counts are the floors of the proportional split of the rest, and
+    the units left over go one each to the largest fractional remainders,
+    ties to the lower symbol) and moves one unit at a time. It keeps every
+    type within a band of the least value seen, which reaches every
+    minimizer from any start (see the comment at the search), so the start
+    changes how many types are scored, not the answer.
+
+    Every type is scored from one :func:`_kl_table`, the D terms the
+    deviation sum judges types on, with its rows summed in C order: the bits
+    of ``_kl_rows`` in ``tests/row_oracle.py``. ``cap`` bounds the n + 1
+    counts of the constrained symbol and the types scored; from this start
+    the search scores fewer types than from the floors with every leftover
+    unit on the likeliest symbol, so some calls that exceeded a cap before
+    now pass.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     if lo > hi:
         raise InfeasibleError("no n-type satisfies the constraint set")
     k, a = p.alphabet_size, pi.symbol
     probs = p.probs
+    table = _kl_table(_log2q(p), n)
+    symbols = np.arange(k)
+
+    def score(rows):
+        return table[symbols, np.array(rows, dtype=np.int64).reshape(-1, k)].sum(axis=1)
+
     rest = probs.copy()
     rest[a] = 0.0
     if (probs[a] == 0.0 and lo > 0) or (not rest.any() and hi < n):
         # every member puts mass where p vanishes, so D = inf throughout;
         # the lexicographically first member sets the range end on a and
         # gives the remainder to the last other symbol
-        c = np.zeros(k, dtype=np.int64)
+        c = [0] * k
         if a < k - 1:
             c[a], c[-1] = lo, n - lo
         else:
             c[-2], c[a] = n - hi, hi
-        return float(_kl_rows(c[None, :], n, p)[0]), EmpiricalType(tuple(c.tolist()), n)
+        return float(score(c)[0]), EmpiricalType(tuple(c), n)
 
     c = np.zeros(k, dtype=np.int64)
     c[a] = min(max(math.floor(n * probs[a]), lo), hi)
     left = n - int(c[a])
     if left:
-        # floor of the proportional split (the floors sum to at most left);
-        # the remainder goes to the likeliest other symbol
-        share = np.floor(left * rest / math.fsum(rest)).astype(np.int64)
-        share[np.argmax(rest)] += left - share.sum()
-        c += share
+        # the floors of the proportional split sum to at most left, and their
+        # remainders, each below 1, to what is left over
+        split = left * rest / math.fsum(rest)
+        share = np.floor(split)
+        order = np.argsort(share - split, kind="stable")
+        c += share.astype(np.int64)
+        c[order[: left - int(share.sum())]] += 1
 
     # types that tie in exact arithmetic (permutations under equal p_b, for
     # one) can round either way, so the search keeps every type scoring
     # within a band of the least value seen; level sets of a separable
     # convex function are connected by unit moves, so this reaches all of
     # them, and the answer is the smallest (value, counts) among them
-    eye = np.eye(k, dtype=np.int64)
-    moves = (eye[None, :, :] - eye[:, None, :]).reshape(-1, k)
-    least = float(_kl_rows(c[None, :], n, p)[0])
-    seen = {tuple(c.tolist()): least}
-    frontier = c[None, :]
-    while len(frontier):
+    moves = [(i, j) for i in range(k) for j in range(k) if i != j]
+    start = tuple(c.tolist())
+    least = float(score(start)[0])
+    seen = {start: least}
+    frontier = [start]
+    while frontier:
         fresh = {}
-        for row in frontier:
-            rows = row + moves
-            rows = rows[(rows >= 0).all(axis=1) & (rows[:, a] >= lo) & (rows[:, a] <= hi)]
-            fresh.update(dict.fromkeys(t for t in map(tuple, rows.tolist()) if t not in seen))
+        for t in frontier:
+            for i, j in moves:
+                if t[i] == 0 or (i == a and t[a] == lo) or (j == a and t[a] == hi):
+                    continue
+                u = list(t)
+                u[i] -= 1
+                u[j] += 1
+                u = tuple(u)
+                if u not in seen:
+                    fresh[u] = None
         if len(seen) + len(fresh) > cap:
             raise ResourceCapError(f"the minimizer search exceeds the cap of {cap} types")
-        rows = np.array(list(fresh), dtype=np.int64).reshape(-1, k)
-        kl = _kl_rows(rows, n, p)
-        seen.update(zip(fresh, kl.tolist()))
-        least = min(least, float(kl.min(initial=math.inf)))
-        frontier = rows[kl <= least + _TIE_BAND * (1.0 + least)]
+        kl = score(list(fresh)).tolist()
+        seen.update(zip(fresh, kl))
+        least = min(least, min(kl, default=math.inf))
+        band = least + _TIE_BAND * (1.0 + least)
+        frontier = [t for t, v in zip(fresh, kl) if v <= band]
     value, counts = min((v, t) for t, v in seen.items())
     return value, EmpiricalType(counts, n)
 

@@ -11,14 +11,20 @@ likelihood ratio of each row. On the column-major matrix of
 walk sums them, so the two must agree bit for bit. A single C-order row of
 8 or more symbols is summed pairwise by NumPy instead, and may differ from
 the walk in its last bits.
+
+``_kl_rows`` is the row D that the Sanov minimizer search replaced with
+look-ups in one table of the same terms (``types_method._kl_table``): its
+C-order rows are summed as the search sums its table rows, pairwise from
+k = 8, so the search's D values carry its bits at every k.
 """
 
 import math
 
 import numpy as np
 
+from errexp.dist import DiscreteDistribution
 from errexp.testing import _llr_weights
-from errexp.types_method import _log2q
+from errexp.types_method import _kl_terms, _log2q
 
 _LN2 = math.log(2.0)
 
@@ -64,3 +70,8 @@ def avg_llr_rows(counts: np.ndarray, h) -> np.ndarray:
     """Per-symbol average log2 likelihood ratio for each type row."""
     weights = _llr_weights(_log2q(h.p1), _log2q(h.p2))
     return guarded_row_dot(counts, weights) / counts.sum(axis=1)
+
+
+def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
+    """D(type || p) in bits for each row of a counts matrix."""
+    return _kl_terms(counts / n, _log2q(p)).sum(axis=1)

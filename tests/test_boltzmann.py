@@ -93,6 +93,12 @@ class TestSolveBeta:
             target = mean_energy(EnergySystem(levels, beta))
             assert solve_beta(levels, target) == pytest.approx(beta, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # nan <= 0 is False: a nan tolerance solved and returned a beta
+        with pytest.raises(ValidationError):
+            solve_beta([0, 1, 2], 0.7, tol=tol)
+
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleError):
             solve_beta([0, 1], 0.9)

@@ -388,6 +388,15 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert "symbol" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sanov_n_below_1_is_2(self, n):
+        # n = 0 was a ZeroDivisionError (exit 1), n = -3 an empty event (exit 3)
+        status, out, err = run_cli(
+            ["sanov", "--p", "1,2", "--n", n, "--symbol", "0", "--threshold", "0.5"]
+        )
+        assert status == 2 and out == ""
+        assert "n must be positive" in err
+
     def test_sanov_empty_event_is_3(self):
         # one symbol: the only type (5,) has Q(0) = 1 > 1/2
         status, out, err = run_cli(
@@ -424,6 +433,8 @@ class TestExitCodes:
         "argv",
         [
             ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "0"],
+            # nan <= 0 is False: a nan tolerance printed a result and exited 0
+            ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "nan"],
             # D(p2||p1) = inf: the tilted family leaves the support of p1
             ["chernoff", "--p1", "1,0", "--p2", "1,1"],
         ],
@@ -432,6 +443,14 @@ class TestExitCodes:
         status, out, err = run_cli(argv)
         assert status == 2 and out == ""
         assert err.startswith("errexp: ")
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_boltzmann_bad_tolerance_is_2(self, tol):
+        status, out, err = run_cli(
+            ["boltzmann", "--levels", "0,1,2", "--mean", "0.7", "--tol", tol]
+        )
+        assert status == 2 and out == ""
+        assert "tolerance" in err
 
     def test_chernoff_pair_closer_than_its_rounding_is_2(self):
         # D(p1||p2) is below the rounding of the normalized weights, so the

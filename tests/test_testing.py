@@ -306,6 +306,13 @@ class TestChernoff:
                 kl_divergence(p1, p2), kl_divergence(p2, p1)
             )
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # nan <= 0 is False: a nan tolerance solved and returned a result
+        h = BinaryHypothesis(make_distribution([1, 2]), make_distribution([2, 1]))
+        with pytest.raises(ValidationError):
+            chernoff_lambda_star(h, tol=tol)
+
     def test_lambda_star_matches_mpmath_root(self):
         rng = np.random.default_rng(2016)
         checked = 0

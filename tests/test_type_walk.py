@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from row_oracle import avg_llr_rows, type_log_probs
+from row_oracle import _kl_rows, avg_llr_rows, type_log_probs
 
 from errexp import (
     BinaryHypothesis,
@@ -34,7 +34,6 @@ from errexp.dist import log_factorial_table
 from errexp.testing import _stein_and_np, _type_scores
 from errexp.types_method import (
     _enumerate_counts,
-    _kl_rows,
     _kl_terms,
     _log2_sum_exp2,
     _log2q,

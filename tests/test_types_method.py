@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import sanov_oracle
+from row_oracle import _kl_rows
 
 from errexp import (
     ConstraintSet,
@@ -26,7 +27,12 @@ from errexp import (
     type_class_size,
     type_class_size_bounds,
 )
-from errexp.types_method import _enumerate_counts, sanov_exact_log2_prob
+from errexp.types_method import (
+    _enumerate_counts,
+    _kl_table,
+    _log2q,
+    sanov_exact_log2_prob,
+)
 
 
 class TestEmpiricalType:
@@ -459,6 +465,45 @@ class TestSanovClosedForm:
         assert (d, t) == sanov_oracle.sanov_exponent(pi, p, 12)
         with pytest.raises(ResourceCapError):
             sanov_exponent(pi, p, 12, cap=462)
+
+    def test_tie_heavy_search_stays_within_a_small_cap(self):
+        # the other 12 counts over 15 equally likely symbols: C(15, 3) = 455
+        # types tie in exact arithmetic. Pinned on the search that started
+        # with every leftover unit on one symbol and needed a cap of 146,047;
+        # from the rounded I-projection it scores 16,835 types
+        p = make_distribution([1] * 16)
+        d, t = sanov_exponent(ConstraintSet("lower", 0, 0.5), p, 24, cap=20_000)
+        assert (d.hex(), t.counts) == ("0x1.351ff2e30214cp+0", (12, 0, 0, 0, *[1] * 12))
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_table_rows_are_the_kl_rows(self, k):
+        # the search sums its table rows in C order, as _kl_rows sums its
+        # rows: pairwise from k = 8, so the bits match at every k
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            w = rng.uniform(0, 1, k) if rng.random() < 0.5 else rng.integers(1, 6, k) * 1.0
+            w[rng.random(k) < 0.2] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            p = make_distribution(w)
+            rows = rng.multinomial(n, rng.dirichlet(np.ones(k)), size=50)
+            got = _kl_table(_log2q(p), n)[np.arange(k), rows].sum(axis=1)
+            assert got.tobytes() == _kl_rows(rows, n, p).tobytes()
+            pi = ConstraintSet("lower" if rng.random() < 0.5 else "upper", 0, rng.random())
+            d, t = sanov_exponent(pi, p, n)
+            assert d.hex() == _kl_rows(np.array([t.counts]), n, p)[0].hex()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_positive(self, n):
+        # n = 0 divided by zero in count_range, and n = -3 read as an empty event
+        pi, p = ConstraintSet("lower", 0, 0.5), make_distribution([1, 2])
+        with pytest.raises(ValidationError):
+            pi.count_range(n, 2)
+        with pytest.raises(ValidationError):
+            sanov_exponent(pi, p, n)
+        with pytest.raises(ValidationError):
+            sanov_exact_log2_prob(pi, p, n)
 
     def test_symbol_outside_the_alphabet(self):
         with pytest.raises(ValidationError):
