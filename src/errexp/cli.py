@@ -74,10 +74,10 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     vals = _parse_floats(text)
-    out = [int(v) for v in vals]
-    if any(i != v for i, v in zip(out, vals)):
+    # is_integer() is False for inf and nan, which int() would raise on
+    if not all(v.is_integer() for v in vals):
         raise ValidationError(f"expected integers in {text!r}")
-    return out
+    return [int(v) for v in vals]
 
 
 def _run_kl(args):
@@ -320,12 +320,34 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in (p_kl, p_types, p_sanov, p_stein, p_chern, p_boltz, p_det):
         _add_common(sub)
 
+    # subcommand name -> its parser, for the one-level parse of main()
+    parser.subcommands = subs.choices
     return parser
 
 
 # building this argparse tree costs more than most subcommands' own work,
 # and parsing does not mutate it, so main() builds it once and reuses it
 _shared_parser = functools.cache(build_parser)
+
+
+def _parse_args(argv):
+    """The namespace ``_shared_parser().parse_args(argv)`` gives.
+
+    The top-level parser hands every token after the subcommand's name to
+    that subcommand's parser, so parsing them with it directly gives the
+    same namespace, errors and help, without the top-level pass. Anything
+    else (no subcommand first, or tokens the subcommand leaves unparsed,
+    which the top-level parser reports) takes the full parse.
+    """
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _write_csv(header, rows, output_path):
@@ -341,7 +363,7 @@ def _write_csv(header, rows, output_path):
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         header, rows = args.func(args)
     except ResourceCapError as exc:

@@ -30,9 +30,27 @@ _TILT_MAX_ITER = 200
 _NEWTON_MAX_ITER = 12
 
 
+def _sum_and_min(v: np.ndarray) -> tuple[float, float]:
+    """The sum and the least entry of a nonempty 1-D vector, two reductions.
+
+    A finite sum has only finite terms, and min >= 0 holds exactly when no
+    entry is < 0 (-0.0 passes both), so a vector with a finite sum and
+    min >= 0 passes the element-wise finite and nonnegative checks, which
+    the validators run only for the other vectors. The sum is ``v.sum()``
+    to the bit. NumPy's warnings are off here: a vector that fails the two
+    tests meets the element-wise checks, which warn where they sum, as
+    before, and one that passes them sums without a warning.
+    """
+    with np.errstate(all="ignore"):
+        return float(np.add.reduce(v)), float(np.minimum.reduce(v))
+
+
 def _validate_probs(probs: np.ndarray) -> None:
     if probs.ndim != 1 or probs.size < 1:
         raise ValidationError("probability vector must be 1-D and nonempty")
+    total, least = _sum_and_min(probs)
+    if abs(total - 1.0) <= PROB_ATOL and least >= 0:
+        return
     if not np.all(np.isfinite(probs)):
         raise ValidationError("probability vector must be finite")
     if np.any(probs < 0):
@@ -79,11 +97,15 @@ def make_distribution(weights) -> DiscreteDistribution:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("weights must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
-    total = float(w.sum())
+    total, least = _sum_and_min(w)
+    if not (math.isfinite(total) and least >= 0):
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
+        if np.any(w < 0):
+            raise ValidationError("weights must be nonnegative")
+        # finite and nonnegative terms whose sum overflowed: sum again as
+        # before, with NumPy's overflow warning
+        total = float(w.sum())
     if total <= 0.0:
         raise ValidationError("weights must contain a strictly positive entry")
     return DiscreteDistribution(w / total)

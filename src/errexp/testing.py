@@ -42,7 +42,8 @@ class BinaryHypothesis:
         if math.isinf(kl_divergence(self.p1, self.p2)):
             raise ValidationError("D(p1||p2) must be finite")
         pi1, pi2 = self.priors
-        if pi1 <= 0 or pi2 <= 0 or abs(pi1 + pi2 - 1.0) > 1e-12:
+        # written so that a NaN prior fails it
+        if not (pi1 > 0 and pi2 > 0 and abs(pi1 + pi2 - 1.0) <= 1e-12):
             raise ValidationError("priors must be positive and sum to 1")
         object.__setattr__(self, "priors", (float(pi1), float(pi2)))
 

@@ -267,10 +267,14 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
     # a row per score: the products c_j * w[j], then the table look-ups, the
     # last of them ln c_j! for the multinomial sum
     w = np.array([*log2qs, *weights]).reshape(-1, k).T.copy()
-    tabs = np.array([*tables, [log_fact] * k]).transpose(1, 0, 2).copy()
+    if tables:
+        tabs = np.array([*tables, [log_fact] * k]).transpose(1, 0, 2).copy()
+    else:
+        # ln c_j! alone is one row for every symbol, looked up in place
+        tabs = [log_fact[None]] * k
     # a -inf weight enters the product as 0, and its positive counts as -inf
     neg = w == -np.inf
-    impossible = [row.nonzero()[0] for row in neg]
+    impossible = [row.nonzero()[0] for row in neg] if neg.any() else None
     w[neg] = 0.0
     rows, scaled = len(w[0]) + len(tabs[0]), len(w[0])
     scores = np.empty((rows - 1, total))
@@ -284,7 +288,7 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
         buf = term_buf if size <= _BLOCK else np.empty(rows * size)
         out = buf[: rows * size].reshape(rows, size)
         np.multiply(w[j][:, None], counts.astype(np.float64), out=out[:scaled])
-        if impossible[j].size:
+        if impossible is not None and impossible[j].size:
             out[impossible[j][:, None], counts > 0] = -np.inf
         # the counts lie in 0..n, so "clip" never clips; it skips the
         # bounds check of the default mode
@@ -461,13 +465,14 @@ def sanov_exponent(
     D is separable and convex in the counts, so a member that no unit move
     (one count from symbol i to symbol j) improves is a global minimizer, and
     nothing is enumerated. The search starts at the continuous I-projection
-    rounded to an n-type (the count of a is n * p_a clamped to the event; the
-    other counts are the floors of the proportional split of the rest, and
-    the units left over go one each to the largest fractional remainders,
-    ties to the lower symbol) and moves one unit at a time. It keeps every
-    type within a band of the least value seen, which reaches every
-    minimizer from any start (see the comment at the search), so the start
-    changes how many types are scored, not the answer.
+    rounded to an n-type (the count of a is n * p_a clamped to the event, or
+    n where no other symbol has mass; the other counts are the floors of the
+    proportional split of the rest, and the units left over go one each to
+    the largest fractional remainders, ties to the lower symbol) and moves
+    one unit at a time. It keeps every type within a band of the least value
+    seen, which reaches every minimizer from any start (see the comment at
+    the search), so the start changes how many types are scored, not the
+    answer.
 
     Every type is scored from one :func:`_kl_table`, the D terms the
     deviation sum judges types on, with its rows summed in C order: the bits
@@ -481,16 +486,18 @@ def sanov_exponent(
     if lo > hi:
         raise InfeasibleError("no n-type satisfies the constraint set")
     k, a = p.alphabet_size, pi.symbol
-    probs = p.probs
     table = _kl_table(_log2q(p), n)
     symbols = np.arange(k)
 
     def score(rows):
         return table[symbols, np.array(rows, dtype=np.int64).reshape(-1, k)].sum(axis=1)
 
+    # the start is set on Python floats: the same IEEE products, quotients
+    # and floors as on arrays, at a fraction of the per-call cost
+    probs = p.probs.tolist()
     rest = probs.copy()
     rest[a] = 0.0
-    if (probs[a] == 0.0 and lo > 0) or (not rest.any() and hi < n):
+    if (probs[a] == 0.0 and lo > 0) or (not any(rest) and hi < n):
         # every member puts mass where p vanishes, so D = inf throughout;
         # the lexicographically first member sets the range end on a and
         # gives the remainder to the last other symbol
@@ -501,17 +508,20 @@ def sanov_exponent(
             c[-2], c[a] = n - hi, hi
         return float(score(c)[0]), EmpiricalType(tuple(c), n)
 
-    c = np.zeros(k, dtype=np.int64)
-    c[a] = min(max(math.floor(n * probs[a]), lo), hi)
-    left = n - int(c[a])
+    c = [0] * k
+    # with no mass off a (p_a may round below 1) only c_a = n has finite D
+    c[a] = min(max(math.floor(n * probs[a]), lo), hi) if any(rest) else n
+    left = n - c[a]
     if left:
         # the floors of the proportional split sum to at most left, and their
-        # remainders, each below 1, to what is left over
-        split = left * rest / math.fsum(rest)
-        share = np.floor(split)
-        order = np.argsort(share - split, kind="stable")
-        c += share.astype(np.int64)
-        c[order[: left - int(share.sum())]] += 1
+        # remainders, each below 1, to what is left over; sorted() is stable
+        total = math.fsum(rest)
+        split = [left * r / total for r in rest]
+        share = [math.floor(x) for x in split]
+        c = [ci + si for ci, si in zip(c, share)]
+        order = sorted(range(k), key=lambda i: share[i] - split[i])
+        for i in order[: left - sum(share)]:
+            c[i] += 1
 
     # types that tie in exact arithmetic (permutations under equal p_b, for
     # one) can round either way, so the search keeps every type scoring
@@ -519,7 +529,7 @@ def sanov_exponent(
     # convex function are connected by unit moves, so this reaches all of
     # them, and the answer is the smallest (value, counts) among them
     moves = [(i, j) for i in range(k) for j in range(k) if i != j]
-    start = tuple(c.tolist())
+    start = tuple(c)
     least = float(score(start)[0])
     seen = {start: least}
     frontier = [start]
@@ -572,8 +582,10 @@ def sanov_exact_log2_prob(
     counts, so log2 P keeps its relative accuracy as P nears 1.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
-    p_a = float(p.probs[pi.symbol])
-    p_rest = math.fsum(np.delete(p.probs, pi.symbol))
+    probs, a = p.probs.tolist(), pi.symbol
+    p_a = probs[a]
+    # fsum is correctly rounded, so the order of its terms does not matter
+    p_rest = math.fsum(probs[:a] + probs[a + 1 :])
     with np.errstate(divide="ignore"):
         log2q = np.log2([p_a, p_rest])
 
@@ -586,5 +598,5 @@ def sanov_exact_log2_prob(
         return log2_p
     rest = np.r_[0:lo, hi + 1 : n + 1].astype(np.int64)
     # the doubles of p need not sum to 1: the total mass is (sum p)^n
-    log2_total = n * math.log1p(math.fsum([*p.probs, -1.0])) / LN2
+    log2_total = n * math.log1p(math.fsum([*probs, -1.0])) / LN2
     return log2_total + math.log1p(-(2.0 ** (log2_mass(rest) - log2_total))) / LN2

@@ -478,6 +478,13 @@ class TestExitCodes:
             run_cli(["kl", "--p", "1,1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dims", ["inf", "1e400", "nan", "4,-inf"])
+    def test_detect_non_finite_dims_is_2(self, dims):
+        status, out, err = run_cli(
+            ["detect", "--dims", dims, "--amplitudes", "1", "--trials", "10"]
+        )
+        assert (status, out, err) == (2, "", f"errexp: expected integers in {dims!r}\n")
+
 
 class TestSharedParser:
     # one process, one parser: every call must print what a fresh process,
@@ -524,6 +531,91 @@ class TestSharedParser:
         assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
         for argv, got in zip(self.SEQUENCE, reused):
             assert got == self.run_fresh(argv), argv
+
+
+def full_parse(argv):
+    return cli._shared_parser().parse_args(argv)
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(empty)"
+
+
+class TestParsePaths:
+    """main() parses the tokens after a subcommand's name with that
+    subcommand's parser; every argv must give the exit status, stdout and
+    stderr of the full parse, errors and help included."""
+
+    VALID = [
+        ["kl", "--p", "1,1", "--q", "1,3"],
+        ["types", "--n", "3", "--alphabet", "2"],
+        ["sanov", "--p", "1,2,3", "--n", "20", "--symbol", "0", "--threshold", "0.4"],
+        ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"],
+        ["chernoff", "--p1", "1,2,3", "--p2", "3,1,1"],
+        ["boltzmann", "--levels", "0,1,2", "--mean", "0.8"],
+        ["detect", "--dims", "1,4", "--amplitudes", "1", "--trials", "2000", "--seed", "3"],
+        # an abbreviated flag, --flag=value, and a repeated flag (the last wins)
+        ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0", "--thr", "0.5", "--mode", "upper"],
+        ["sanov", "--p=1,2", "--n=5", "--symbol=0", "--threshold=0.5"],
+        ["sanov", "--p", "1,2", "--n", "5", "--n", "7", "--symbol", "0", "--threshold", "0.5"],
+    ]
+    INVALID = [
+        [],
+        ["--help"],
+        ["nope", "--p", "1"],
+        *([name, "-h"] for name in ("kl", "types", "sanov", "stein", "chernoff", "boltzmann", "detect")),
+        # a missing required flag, a bad choice, a bad int
+        ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0"],
+        ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0", "--threshold", "0.5", "--mode", "mid"],
+        ["types", "--n", "three", "--alphabet", "2"],
+        # an unknown flag and a trailing positional, which the top-level
+        # parser reports
+        ["kl", "--p", "1,1", "--q", "1,3", "--bogus", "1"],
+        ["kl", "--p", "1,1", "--q", "1,3", "extra"],
+        ["kl", "--p", "1,1", "--q", "1,3", "--", "extra"],
+    ]
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("SystemExit", exc.code)
+        return status, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", VALID + INVALID, ids=argv_id)
+    def test_matches_the_full_parse(self, argv, monkeypatch):
+        got = self.outcome(argv)
+        monkeypatch.setattr(cli, "_parse_args", full_parse)
+        assert got == self.outcome(argv)
+
+    @pytest.mark.parametrize("argv", VALID, ids=argv_id)
+    def test_same_namespace(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(full_parse(argv))
+
+    def test_invalid_argv_exit_2_or_print_help(self):
+        for argv in self.INVALID:
+            status, _, _ = self.outcome(argv)
+            assert status == ("SystemExit", 0 if {"-h", "--help"} & set(argv) else 2), argv
+
+    def test_subcommand_argv_skip_the_top_level_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse")
+
+        # instance entries shadow the class's methods, and undoing removes them
+        parser = cli._shared_parser()
+        monkeypatch.setitem(vars(parser), "parse_args", refuse)
+        monkeypatch.setitem(vars(parser), "parse_known_args", refuse)
+        for argv in self.VALID:
+            assert self.outcome(argv)[0] == 0, argv
+
+    def test_one_parser_tree(self):
+        cli._shared_parser.cache_clear()
+        for argv in self.VALID + self.INVALID:
+            self.outcome(argv)
+        assert cli._shared_parser.cache_info().misses == 1
 
 
 class TestSharedTypePass:

@@ -53,6 +53,90 @@ class TestMakeDistribution:
             DiscreteDistribution(np.array([0.5, 0.6]))
 
 
+NAN, INF = math.nan, math.inf
+
+# (vector, make_distribution's error, DiscreteDistribution's error), each
+# recorded on the element-wise checks that validation ran before it was
+# cut to two reductions
+REFUSED = [
+    ([NAN, 1.0], "weights must be finite", "probability vector must be finite"),
+    ([1.0, NAN], "weights must be finite", "probability vector must be finite"),
+    ([INF, 1.0], "weights must be finite", "probability vector must be finite"),
+    ([-INF, 1.0], "weights must be finite", "probability vector must be finite"),
+    ([INF, -INF], "weights must be finite", "probability vector must be finite"),
+    ([1.0, -0.5], "weights must be nonnegative", "probability vector must be nonnegative"),
+    # sums to 1, so only the least entry refuses it
+    ([1.5, -0.5], "weights must be nonnegative", "probability vector must be nonnegative"),
+    ([0.0, 0.0], "weights must contain a strictly positive entry",
+     "probabilities must sum to 1 within 1e-12; got np.float64(0.0)"),
+    ([-0.0], "weights must contain a strictly positive entry",
+     "probabilities must sum to 1 within 1e-12; got np.float64(0.0)"),
+    ([], "weights must be a nonempty 1-D vector", "probability vector must be 1-D and nonempty"),
+    ([[0.5, 0.5]], "weights must be a nonempty 1-D vector",
+     "probability vector must be 1-D and nonempty"),
+]
+
+# (vector, make_distribution's probs, DiscreteDistribution's probs) as
+# float.hex, recorded on the element-wise checks
+ACCEPTED = [
+    ([-0.0, 1.0], ["-0x0.0p+0", "0x1.0000000000000p+0"], ["-0x0.0p+0", "0x1.0000000000000p+0"]),
+    ([0.5, -0.0, 0.5], ["0x1.0000000000000p-1", "-0x0.0p+0", "0x1.0000000000000p-1"],
+     ["0x1.0000000000000p-1", "-0x0.0p+0", "0x1.0000000000000p-1"]),
+    ([0.5, 0.5 + 5e-13], ["0x1.fffffffffee68p-2", "0x1.00000000008ccp-1"],
+     ["0x1.0000000000000p-1", "0x1.0000000001198p-1"]),
+    ([0.5 - 5e-13, 0.5], ["0x1.fffffffffee69p-2", "0x1.00000000008ccp-1"],
+     ["0x1.fffffffffdcd1p-2", "0x1.0000000000000p-1"]),
+]
+
+
+class TestValidation:
+    """Two reductions (a finite sum, a least entry >= 0) accept a vector;
+    every other vector meets the element-wise checks and their messages."""
+
+    @pytest.mark.parametrize("vec, weights_msg, probs_msg", REFUSED)
+    def test_refusals_unchanged(self, vec, weights_msg, probs_msg):
+        # RuntimeWarnings are errors in this suite, so these also check
+        # that no refusal warns
+        with pytest.raises(ValidationError) as exc:
+            make_distribution(np.array(vec))
+        assert str(exc.value) == weights_msg
+        with pytest.raises(ValidationError) as exc:
+            DiscreteDistribution(np.array(vec))
+        assert str(exc.value) == probs_msg
+
+    @pytest.mark.parametrize("off", [2e-12, -2e-12])
+    def test_sum_off_by_more_than_the_tolerance(self, off):
+        with pytest.raises(ValidationError) as exc:
+            DiscreteDistribution(np.array([0.5, 0.5 + off]))
+        assert str(exc.value) == (
+            f"probabilities must sum to 1 within 1e-12; got {np.float64(1.0 + off)!r}"
+        )
+
+    def test_overflowing_sum_warns_and_is_refused(self):
+        # the weights pass the element-wise checks, their sum overflows (with
+        # NumPy's warning, as before), and w / inf sums to 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValidationError) as exc:
+                make_distribution([1e308, 1e308])
+        assert str(exc.value) == "probabilities must sum to 1 within 1e-12; got np.float64(0.0)"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValidationError) as exc:
+                DiscreteDistribution(np.array([1e308, 1e308]))
+        assert str(exc.value) == "probabilities must sum to 1 within 1e-12; got np.float64(inf)"
+
+    @pytest.mark.parametrize("vec, weights_hex, probs_hex", ACCEPTED)
+    def test_acceptances_unchanged(self, vec, weights_hex, probs_hex):
+        assert [x.hex() for x in make_distribution(vec).probs.tolist()] == weights_hex
+        assert [x.hex() for x in DiscreteDistribution(vec).probs.tolist()] == probs_hex
+
+    def test_normalizer_is_the_numpy_sum(self):
+        # sizes on both sides of NumPy's pairwise-summation blocks
+        rng = np.random.default_rng(20)
+        for size in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4099):
+            w = rng.uniform(0.0, 1e3, size)
+            assert np.array_equal(make_distribution(w).probs, w / w.sum())
+
+
 class TestEntropy:
     def test_uniform_four_symbols(self):
         assert entropy(make_distribution([1, 1, 1, 1])) == pytest.approx(2.0)

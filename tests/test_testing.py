@@ -80,6 +80,13 @@ class TestBinaryHypothesis:
                 make_distribution([1, 1]), make_distribution([1, 3]), priors=(1.0, 0.0)
             )
 
+    @pytest.mark.parametrize(
+        "priors", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_priors_rejected(self, priors):
+        with pytest.raises(ValidationError, match="priors must be positive"):
+            BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 3]), priors=priors)
+
 
 class TestSteinRegion:
     def test_type_at_p1_is_member(self, bernoulli_pair):

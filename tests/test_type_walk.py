@@ -238,3 +238,19 @@ def test_stein_and_np_peak_memory_within_the_score_vectors():
     finally:
         tracemalloc.stop()
     assert peak / count_types(n, 4) <= 42
+
+
+def test_one_type_peak_memory_without_a_table_stack():
+    # only a call with D tables stacks k copies of the ln c! table; one type
+    # at k = 8, n = 100,000 reads it in place (the stack took 12.8 MB)
+    n = 100_000
+    q = make_distribution(np.arange(1.0, 9.0))
+    t = EmpiricalType((n - 28, 1, 2, 3, 4, 5, 6, 7), n)
+    type_class_log_prob(t, q)  # warm the log-factorial cache
+    tracemalloc.start()
+    try:
+        type_class_log_prob(t, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

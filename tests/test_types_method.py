@@ -11,6 +11,7 @@ from row_oracle import _kl_rows
 
 from errexp import (
     ConstraintSet,
+    DiscreteDistribution,
     EmpiricalType,
     InfeasibleError,
     ResourceCapError,
@@ -493,6 +494,19 @@ class TestSanovClosedForm:
             pi = ConstraintSet("lower" if rng.random() < 0.5 else "upper", 0, rng.random())
             d, t = sanov_exponent(pi, p, n)
             assert d.hex() == _kl_rows(np.array([t.counts]), n, p)[0].hex()
+
+    @pytest.mark.parametrize("symbol", [0, 1])
+    @pytest.mark.parametrize("mode, threshold", [("upper", 1.0), ("lower", 0.0), ("lower", 0.5)])
+    def test_no_mass_off_the_symbol(self, symbol, mode, threshold):
+        # p_a rounds below 1 with no mass elsewhere, so only c_a = n has a
+        # finite D; the start split the rest by its zero sum (a ValueError)
+        w = [0.0, 0.0, 0.0]
+        w[symbol] = 1.0 - 1e-13
+        pi, p = ConstraintSet(mode, symbol, threshold), DiscreteDistribution(w)
+        d, t = sanov_exponent(pi, p, 5)
+        assert t.counts == tuple(5 if j == symbol else 0 for j in range(3))
+        assert d.hex() == _kl_rows(np.array([t.counts]), 5, p)[0].hex()
+        assert d == pytest.approx(-math.log2(1.0 - 1e-13), rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_must_be_positive(self, n):
