@@ -276,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep Q(symbol) >= threshold (lower) or <= threshold (upper)",
     )
     p_sanov.add_argument(
-        "--cap", type=int, default=ENUMERATION_CAP,
-        help="cap on the n + 1 binomial terms (and on the types the minimizer scores)",
+        "--cap", type=int, default=ENUMERATION_CAP, help="cap on the n + 1 binomial terms"
     )
     p_sanov.set_defaults(func=_run_sanov)
 

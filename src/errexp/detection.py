@@ -145,6 +145,8 @@ def sweep(dims, amplitudes, trials: int, seed: int) -> list[SweepRow]:
     amplitudes = list(amplitudes)
     if not dims or not amplitudes:
         raise ValidationError("dims and amplitudes must be nonempty")
+    if not 0 <= seed <= _MASK64:  # _mix_seed would alias it mod 2**64
+        raise ValidationError("seed must fit in 64 unsigned bits")
     rows = []
     index = 0
     for dim in dims:

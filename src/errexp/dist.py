@@ -103,8 +103,8 @@ def make_distribution(weights) -> DiscreteDistribution:
             raise ValidationError("weights must be finite")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
-        # finite and nonnegative terms whose sum overflowed: sum again as
-        # before, with NumPy's overflow warning
+        # finite, nonnegative terms whose sum overflowed: scale by the largest
+        w = w / w.max()
         total = float(w.sum())
     if total <= 0.0:
         raise ValidationError("weights must contain a strictly positive entry")

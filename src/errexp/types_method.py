@@ -20,15 +20,16 @@ serves :func:`enumerate_types` and the test oracles.
 
 A Sanov event constrains one symbol a, so it depends on the count of a
 alone. Its probability is a binomial range sum over the merged alphabet
-{a, not a}, and its D-minimizing type is found by unit moves from the
-continuous I-projection; neither enumerates the n-types. Ties in D go to
-the lexicographically smallest count vector, the first in enumeration
+{a, not a}, and its D-minimizing type is found by unit exchanges from the
+continuous I-projection; neither enumerates the n-types. Exact ties in D go
+to the lexicographically smallest count vector, the first in enumeration
 order. The event is never empty for an alphabet of two or more symbols:
 ``lower`` always keeps Q(a) = 1 and ``upper`` always keeps Q(a) = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -40,12 +41,12 @@ from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
-#: binomial terms and on the types the minimizer search scores)
+#: binomial terms)
 ENUMERATION_CAP = 10_000_000
 
-# relative width of the band of D values that the Sanov minimizer search
-# treats as possible ties; rounding of one D value is far below it
-_TIE_BAND = 2.0**-40
+# Sanov unit increments whose float keys lie closer than this, relative to
+# their size, are compared exactly; a key's rounding is far below it
+_KEY_ROUNDING = 2.0**-44
 
 # types per step of the walk's last two columns: the score blocks stay in cache
 _BLOCK = 2**13
@@ -452,6 +453,50 @@ def _sanov_range(pi: ConstraintSet, p: DiscreteDistribution, n: int, cap: int):
     return lo, hi
 
 
+def _exchange(c: list, probs: list, a: int, lo: int, hi: int) -> list:
+    """The lexicographically smallest member minimizing D, by unit moves from c.
+
+    The unit m + 1 of symbol i adds g_i(m) = (m + 1) ln(m + 1) - m ln m -
+    ln p_i to n ln 2 * D(c || p), rising in m. While the largest last
+    increment exceeds the least next one, that unit moves; then c is a
+    minimizer. Where the two are equal, each symbol has at most one unit at
+    that increment, and those units go to the last of the tied symbols.
+    """
+    neg_ln_p = [-math.log(x) if x > 0 else math.inf for x in probs]
+
+    def key(i, m):
+        # ln(m + 1) + m ln(1 + 1/m) - ln p_i rounds by a few ulps of its value
+        return neg_ln_p[i] + (math.log(m + 1) + m * math.log1p(1 / m) if m else 0.0), i, m
+
+    def cmp(x, y):
+        # exact where the float keys lie within rounding of each other
+        (gx, i, m), (gy, j, d) = x, y
+        if abs(gx - gy) > _KEY_ROUNDING * (abs(gx) + abs(gy)):
+            return 1 if gx > gy else -1
+        if probs[i] == probs[j] or m == d:  # g rises with m and falls with p
+            return (m > d) - (m < d) or (probs[j] > probs[i]) - (probs[j] < probs[i])
+        # the sign of (m + 1)^(m + 1) d^d p_j - (d + 1)^(d + 1) m^m p_i, p_i = u / v
+        (u, v), (s, t) = probs[i].as_integer_ratio(), probs[j].as_integer_ratio()
+        diff = (m + 1) ** (m + 1) * d**d * s * v - (d + 1) ** (d + 1) * m**m * u * t
+        return (diff > 0) - (diff < 0)
+
+    order, symbols = functools.cmp_to_key(cmp), range(len(c))
+    while True:
+        gives = [key(i, c[i] - 1) for i in symbols if c[i] > (lo if i == a else 0)]
+        takes = [key(i, c[i]) for i in symbols if probs[i] > 0 and (i != a or c[i] < hi)]
+        top, bottom = max(gives, key=order, default=None), min(takes, key=order, default=None)
+        sign = 1 if top is None or bottom is None else cmp(bottom, top)
+        if sign >= 0:
+            break
+        c[top[1]] -= 1
+        c[bottom[1]] += 1
+    if sign == 0:
+        down = [x[1] for x in gives if cmp(x, top) == 0]
+        last = sorted(down + [x[1] for x in takes if cmp(x, top) == 0])[-len(down) :]
+        c = [ci - (i in down) + (i in last) for i, ci in enumerate(c)]
+    return c
+
+
 def sanov_exponent(
     pi: ConstraintSet,
     p: DiscreteDistribution,
@@ -460,100 +505,50 @@ def sanov_exponent(
 ):
     """Minimum of D(Q||p) over the n-types in the constraint set.
 
-    Returns (d_star in bits, minimizing type): the least D value over the
-    member types, ties going to the lexicographically smallest count vector.
-    D is separable and convex in the counts, so a member that no unit move
-    (one count from symbol i to symbol j) improves is a global minimizer, and
-    nothing is enumerated. The search starts at the continuous I-projection
-    rounded to an n-type (the count of a is n * p_a clamped to the event, or
-    n where no other symbol has mass; the other counts are the floors of the
-    proportional split of the rest, and the units left over go one each to
-    the largest fractional remainders, ties to the lower symbol) and moves
-    one unit at a time. It keeps every type within a band of the least value
-    seen, which reaches every minimizer from any start (see the comment at
-    the search), so the start changes how many types are scored, not the
-    answer.
-
-    Every type is scored from one :func:`_kl_table`, the D terms the
-    deviation sum judges types on, with its rows summed in C order: the bits
-    of ``_kl_rows`` in ``tests/row_oracle.py``. ``cap`` bounds the n + 1
-    counts of the constrained symbol and the types scored; from this start
-    the search scores fewer types than from the floors with every leftover
-    unit on the likeliest symbol, so some calls that exceeded a cap before
-    now pass.
+    Returns (d_star in bits, minimizing type), ties in exact arithmetic going
+    to the lexicographically smallest count vector. Nothing is enumerated:
+    :func:`_exchange` starts from the continuous I-projection rounded to an
+    n-type (c_a is n * p_a clamped to the event, or n where no other symbol
+    has mass; the other counts are the floors of the proportional split of
+    the rest, the units left over going one each to the largest fractional
+    remainders, ties to the lower symbol). Where every member has D = inf,
+    the first member is returned. d_star is the C-order sum of the type's
+    :func:`_kl_terms`, the bits of its :func:`_kl_table` row, on which the
+    deviation sum judges types. ``cap`` bounds the n + 1 counts of a.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     if lo > hi:
         raise InfeasibleError("no n-type satisfies the constraint set")
     k, a = p.alphabet_size, pi.symbol
-    table = _kl_table(_log2q(p), n)
-    symbols = np.arange(k)
-
-    def score(rows):
-        return table[symbols, np.array(rows, dtype=np.int64).reshape(-1, k)].sum(axis=1)
-
     # the start is set on Python floats: the same IEEE products, quotients
     # and floors as on arrays, at a fraction of the per-call cost
     probs = p.probs.tolist()
     rest = probs.copy()
     rest[a] = 0.0
+    c = [0] * k
     if (probs[a] == 0.0 and lo > 0) or (not any(rest) and hi < n):
-        # every member puts mass where p vanishes, so D = inf throughout;
-        # the lexicographically first member sets the range end on a and
-        # gives the remainder to the last other symbol
-        c = [0] * k
+        # the first member sets the range end on a, the rest on the last other
         if a < k - 1:
             c[a], c[-1] = lo, n - lo
         else:
             c[-2], c[a] = n - hi, hi
-        return float(score(c)[0]), EmpiricalType(tuple(c), n)
-
-    c = [0] * k
-    # with no mass off a (p_a may round below 1) only c_a = n has finite D
-    c[a] = min(max(math.floor(n * probs[a]), lo), hi) if any(rest) else n
-    left = n - c[a]
-    if left:
-        # the floors of the proportional split sum to at most left, and their
-        # remainders, each below 1, to what is left over; sorted() is stable
-        total = math.fsum(rest)
-        split = [left * r / total for r in rest]
-        share = [math.floor(x) for x in split]
-        c = [ci + si for ci, si in zip(c, share)]
-        order = sorted(range(k), key=lambda i: share[i] - split[i])
-        for i in order[: left - sum(share)]:
-            c[i] += 1
-
-    # types that tie in exact arithmetic (permutations under equal p_b, for
-    # one) can round either way, so the search keeps every type scoring
-    # within a band of the least value seen; level sets of a separable
-    # convex function are connected by unit moves, so this reaches all of
-    # them, and the answer is the smallest (value, counts) among them
-    moves = [(i, j) for i in range(k) for j in range(k) if i != j]
-    start = tuple(c)
-    least = float(score(start)[0])
-    seen = {start: least}
-    frontier = [start]
-    while frontier:
-        fresh = {}
-        for t in frontier:
-            for i, j in moves:
-                if t[i] == 0 or (i == a and t[a] == lo) or (j == a and t[a] == hi):
-                    continue
-                u = list(t)
-                u[i] -= 1
-                u[j] += 1
-                u = tuple(u)
-                if u not in seen:
-                    fresh[u] = None
-        if len(seen) + len(fresh) > cap:
-            raise ResourceCapError(f"the minimizer search exceeds the cap of {cap} types")
-        kl = score(list(fresh)).tolist()
-        seen.update(zip(fresh, kl))
-        least = min(least, min(kl, default=math.inf))
-        band = least + _TIE_BAND * (1.0 + least)
-        frontier = [t for t, v in zip(fresh, kl) if v <= band]
-    value, counts = min((v, t) for t, v in seen.items())
-    return value, EmpiricalType(counts, n)
+    else:
+        # with no mass off a (p_a may round below 1) only c_a = n has finite D
+        c[a] = min(max(math.floor(n * probs[a]), lo), hi) if any(rest) else n
+        left = n - c[a]
+        if left:
+            # the floors sum to at most left, and their remainders, each below
+            # 1, to what is left over; sorted() is stable
+            total = math.fsum(rest)
+            split = [left * r / total for r in rest]
+            share = [math.floor(x) for x in split]
+            c = [ci + si for ci, si in zip(c, share)]
+            order = sorted(range(k), key=lambda i: share[i] - split[i])
+            for i in order[: left - sum(share)]:
+                c[i] += 1
+        c = _exchange(c, probs, a, lo, hi)
+    d_star = _kl_terms(np.array(c) / n, _log2q(p)).sum()
+    return float(d_star), EmpiricalType(tuple(c), n)
 
 
 def sanov_exact_prob(

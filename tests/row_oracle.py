@@ -12,10 +12,11 @@ walk sums them, so the two must agree bit for bit. A single C-order row of
 8 or more symbols is summed pairwise by NumPy instead, and may differ from
 the walk in its last bits.
 
-``_kl_rows`` is the row D that the Sanov minimizer search replaced with
-look-ups in one table of the same terms (``types_method._kl_table``): its
-C-order rows are summed as the search sums its table rows, pairwise from
-k = 8, so the search's D values carry its bits at every k.
+``_kl_rows`` is the row D of the enumerated Sanov oracle and of the
+deviation sum's table of the same terms (``types_method._kl_table``). Its
+C-order rows are summed pairwise from k = 8, as ``sanov_exponent`` sums the
+terms of its minimizer and as a C-order table row sums, so all three carry
+the same bits at every k.
 """
 
 import math

@@ -486,6 +486,19 @@ class TestExitCodes:
         assert (status, out, err) == (2, "", f"errexp: expected integers in {dims!r}\n")
 
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_detect_seed_outside_64_bits_is_2(self, seed):
+        status, out, err = run_cli(
+            ["detect", "--dims", "1", "--amplitudes", "1", "--trials", "10", "--seed", seed]
+        )
+        assert (status, out, err) == (2, "", "errexp: seed must fit in 64 unsigned bits\n")
+
+    def test_kl_of_weights_whose_sum_overflows(self):
+        # refused with "got np.float64(0.0)" while the sum overflowed
+        status, out, _ = run_cli(["kl", "--p", "1e308,1e308", "--q", "1,1"])
+        assert status == 0
+        assert [float(x) for x in parse_csv(out)[1][0]] == [1.0, 1.0, 0.0, 0.0]
+
 class TestSharedParser:
     # one process, one parser: every call must print what a fresh process,
     # with a freshly built parser, prints, whatever the calls before it parsed

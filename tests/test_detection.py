@@ -201,6 +201,12 @@ class TestSweep:
             assert row.analytic_pe <= row.chernoff_bound
             assert 0.0 <= row.empirical_pe <= 1.0
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # the row seeds are mixed mod 2**64: -1 aliased 2**64 - 1
+        with pytest.raises(ValidationError, match="64 unsigned bits"):
+            sweep([1], [1], trials=10, seed=seed)
+
     def test_n1_m2_analytic(self):
         row = sweep([1], [2], trials=1000, seed=0)[0]
         assert row.analytic_pe == pytest.approx(q_function(1.0), abs=1e-15)

@@ -113,12 +113,11 @@ class TestValidation:
         )
 
     def test_overflowing_sum_warns_and_is_refused(self):
-        # the weights pass the element-wise checks, their sum overflows (with
-        # NumPy's warning, as before), and w / inf sums to 0
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValidationError) as exc:
-                make_distribution([1e308, 1e308])
-        assert str(exc.value) == "probabilities must sum to 1 within 1e-12; got np.float64(0.0)"
+        # weights whose sum overflows are scaled by the largest before they
+        # are summed, without a warning; probabilities that overflow are
+        # refused, with NumPy's warning
+        assert make_distribution([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+        assert make_distribution([1.5e308, 0.0, 1.5e308]).probs.tolist() == [0.5, 0.0, 0.5]
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(ValidationError) as exc:
                 DiscreteDistribution(np.array([1e308, 1e308]))

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import time
 import weakref
 
 import mpmath
@@ -293,9 +294,8 @@ _ORACLE_MAX_N = {1: 200, 2: 200, 3: 60, 4: 30, 5: 18, 6: 12, 7: 10, 8: 8}
 
 
 def _sanov_cases(seed, count):
-    """Random events over uniform, power-of-two and real weights (zeros
-    included), with thresholds at 0, at 1, at a count fraction m/n, where
-    members tie with the boundary, or anywhere in [0, 1]."""
+    """Random events (:func:`_event`) over uniform, power-of-two and real
+    weights, zeros included."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         k = int(rng.integers(1, 9))
@@ -309,17 +309,46 @@ def _sanov_cases(seed, count):
             w = np.where(rng.random(k) < 0.15, 0.0, rng.uniform(0, 1, k))
         if not w.any():
             w[rng.integers(k)] = 1.0
-        r = rng.random()
-        if r < 0.1:
-            t = 0.0
-        elif r < 0.2:
-            t = 1.0
-        elif r < 0.7:
-            t = int(rng.integers(0, n + 1)) / n
+        yield w.tolist(), *_event(rng, k, n)
+
+
+def _event(rng, k, n):
+    """(mode, symbol, threshold, n) with the threshold at 0, at 1, at a count
+    fraction m/n, where members tie with the boundary, or anywhere in [0, 1]."""
+    r = rng.random()
+    if r < 0.1:
+        t = 0.0
+    elif r < 0.2:
+        t = 1.0
+    elif r < 0.7:
+        t = int(rng.integers(0, n + 1)) / n
+    else:
+        t = float(rng.random())
+    mode = "lower" if rng.random() < 0.5 else "upper"
+    return mode, int(rng.integers(k)), t, n
+
+
+# largest n per alphabet size in the exact brute force: at most about 2,000 types
+_EXACT_MAX_N = {2: 500, 3: 61, 4: 20, 5: 12, 6: 8, 7: 7, 8: 6}
+
+
+def _exact_cases(seed, count):
+    """Random events (:func:`_event`) over uniform, integer and real weights,
+    a fifth of them with a zero weight."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 9))
+        n = int(rng.integers(1, _EXACT_MAX_N[k] + 1))
+        kind = rng.random()
+        if kind < 0.3:
+            w = np.ones(k)
+        elif kind < 0.65:
+            w = rng.integers(1, 9, k).astype(np.float64)
         else:
-            t = float(rng.random())
-        mode = "lower" if rng.random() < 0.5 else "upper"
-        yield w.tolist(), mode, int(rng.integers(k)), t, n
+            w = rng.uniform(0, 1, k)
+        if rng.random() < 0.2:
+            w[rng.integers(k)] = 0.0
+        yield w.tolist(), *_event(rng, k, n)
 
 
 class TestSanovClosedForm:
@@ -369,8 +398,9 @@ class TestSanovClosedForm:
     @pytest.mark.parametrize(
         "w, mode, symbol, t, n",
         [
-            # types tied in exact arithmetic whose D values round apart, so
-            # that the least float value is two or more unit moves away
+            # types tied in exact arithmetic whose D values round apart: the
+            # lexicographically smallest of them is returned, whatever its
+            # float D, with d* its _kl_rows value
             ([1] * 6, "upper", 5, 0.0, 7),
             ([2, 4, 1, 1, 2, 1], "upper", 4, 1.0, 5),
             ([1] * 8, "lower", 7, 0.6, 5),
@@ -456,30 +486,97 @@ class TestSanovClosedForm:
         with pytest.raises(ResourceCapError):
             sanov_exact_log2_prob(pi, p, 100, cap=100)
 
-    def test_cap_bounds_the_minimizer_search(self):
+    def test_uniform_ties_go_to_the_last_symbols(self):
         # six counts over eleven equally likely symbols: C(11, 6) = 462 types
-        # tie in exact arithmetic, and the search scores them and their
-        # neighbours, about 4,000 types (the enumeration takes 1.35 million)
+        # tie in exact arithmetic (the enumeration takes 1.35 million)
         p = make_distribution([1] * 12)
         pi = ConstraintSet("lower", 0, 0.5)
         d, t = sanov_exponent(pi, p, 12, cap=10_000)
         assert (d, t) == sanov_oracle.sanov_exponent(pi, p, 12)
-        with pytest.raises(ResourceCapError):
-            sanov_exponent(pi, p, 12, cap=462)
 
     def test_tie_heavy_search_stays_within_a_small_cap(self):
         # the other 12 counts over 15 equally likely symbols: C(15, 3) = 455
-        # types tie in exact arithmetic. Pinned on the search that started
-        # with every leftover unit on one symbol and needed a cap of 146,047;
-        # from the rounded I-projection it scores 16,835 types
+        # types tie in exact arithmetic. The cap bounds only the 25 binomial
+        # terms; a search over the tied types once needed 16,835 of it
         p = make_distribution([1] * 16)
         d, t = sanov_exponent(ConstraintSet("lower", 0, 0.5), p, 24, cap=20_000)
         assert (d.hex(), t.counts) == ("0x1.351ff2e30214cp+0", (12, 0, 0, 0, *[1] * 12))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_exact_brute_force(self, seed):
+        # the lexicographically smallest exact minimizer of the enumeration
+        # and its _kl_rows value, 1,000 events of at most about 2,000 types
+        for case in _exact_cases(100 + seed, 1000):
+            w, mode, symbol, t, n = case
+            pi, p = ConstraintSet(mode, symbol, t), make_distribution(w)
+            try:
+                d_want, t_want = sanov_oracle.sanov_exponent(pi, p, n)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    sanov_exponent(pi, p, n)
+                continue
+            d, t_got = sanov_exponent(pi, p, n)
+            assert (d.hex(), t_got.counts) == (d_want.hex(), t_want.counts), case
+
+    @pytest.mark.parametrize(
+        "w, mode, symbol, t, n, want",
+        [
+            # the float search once returned (4, 5, 5, 4, 4, 4)
+            ([1] * 6, "upper", 4, 0.7, 26, (4, 4, 4, 4, 5, 5)),
+            # the increments of symbol 1 from 1 to 2 and of symbol 7 from 0
+            # to 1 are both ln(35/33) exactly, across unequal p
+            ([4, 4, 6, 4, 3, 7, 6, 1], "lower", 0, 0.625, 33, (21, 1, 2, 2, 1, 3, 2, 1)),
+        ],
+    )
+    def test_exact_ties_go_to_the_lexicographically_smallest(self, w, mode, symbol, t, n, want):
+        pi, p = ConstraintSet(mode, symbol, t), make_distribution(w)
+        d, t_got = sanov_exponent(pi, p, n)
+        assert t_got.counts == want
+        assert d.hex() == _kl_rows(np.array([want]), n, p)[0].hex()
+        assert sanov_oracle.moves_against_the_minimizer(pi, p, want) == []
+        tied = [
+            (i, j)
+            for i, j in itertools.permutations(range(len(w)), 2)
+            if want[i] and sanov_oracle.unit_move_sign(want, p, i, j) == 0
+        ]
+        assert tied and all(j < i for i, j in tied)
+
+    @pytest.mark.parametrize(
+        "w7, want",
+        [(1 - 2**-50, (21, 2, 2, 2, 1, 3, 2, 0)), (1 + 2**-50, (21, 1, 2, 2, 1, 3, 2, 1))],
+    )
+    def test_near_ties_are_decided_exactly(self, w7, want):
+        # the exact tie above with p_7 moved by a few ulps: the two increments
+        # differ by about 1e-16 of their size, which only exact arithmetic sees
+        pi, p = ConstraintSet("lower", 0, 0.625), make_distribution([4, 4, 6, 4, 3, 7, 6, w7])
+        d, t_got = sanov_exponent(pi, p, 33)
+        assert t_got.counts == want
+        assert sanov_oracle.moves_against_the_minimizer(pi, p, want) == []
+        assert all(sanov_oracle.unit_move_sign(want, p, i, j) for i, j in ((1, 7), (7, 1)) if want[i])
+
+    @pytest.mark.parametrize(
+        "k, n, t, want",
+        [
+            (20, 30, 0.5, (15, 0, 0, 0, 0, *[1] * 15)),
+            (30, 60, 0.5, (30, *[1] * 28, 2)),
+            (3, 300_000, 150_001 / 300_000, (150_001, 74_999, 75_000)),
+        ],
+    )
+    def test_wide_uniform_alphabets(self, k, n, t, want):
+        # every permutation of the minimizer's counts off symbol 0 ties: a
+        # search over the tied types took 1.1 s at k = 20
+        pi, p = ConstraintSet("lower", 0, t), make_distribution([1] * k)
+        start = time.perf_counter()
+        d, t_got = sanov_exponent(pi, p, n)
+        assert time.perf_counter() - start < 1.0
+        assert t_got.counts == want
+        assert d.hex() == _kl_rows(np.array([want]), n, p)[0].hex()
+        assert sanov_oracle.moves_against_the_minimizer(pi, p, want) == []
+
     @pytest.mark.parametrize("k", range(2, 13))
     def test_table_rows_are_the_kl_rows(self, k):
-        # the search sums its table rows in C order, as _kl_rows sums its
-        # rows: pairwise from k = 8, so the bits match at every k
+        # a C-order table row, the minimizer's terms and _kl_rows are all
+        # summed pairwise from k = 8, so the bits match at every k
         rng = np.random.default_rng(k)
         for _ in range(20):
             n = int(rng.integers(1, 60))
