@@ -68,10 +68,12 @@ class Occupancy:
         return sum(self.counts)
 
 
-def partition_function(sys: EnergySystem) -> float:
-    """Z = sum_j exp(-beta * eps_j), max-shifted for overflow safety."""
+def log_partition_function(sys: EnergySystem) -> float:
+    """ln Z = ln sum_j exp(-beta * eps_j), in nats: the log of the
+    ground-shifted sum, less beta times the ground level, so it stays finite
+    where Z itself would underflow or overflow."""
     weights = _level_weights(sys.levels, sys.beta)
-    return float(weights.sum() * math.exp(-sys.beta * float(sys.levels.min())))
+    return math.log(weights.sum()) - sys.beta * float(sys.levels.min())
 
 
 def _level_weights(levels: np.ndarray, beta: float) -> np.ndarray:
@@ -96,14 +98,17 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
 
     Mean energy decreases strictly in beta from the arithmetic mean of the
     levels (beta = 0) toward the ground level, so the target must lie in
-    (min level, arithmetic mean]. A target within ``tol`` of that mean gives
-    beta = 0; any other is solved by the tilt solver that Chernoff's lam* uses.
+    (min level, arithmetic mean]; a NaN target is refused as invalid. A
+    target within ``tol`` of that mean gives beta = 0; any other is solved by
+    the tilt solver that Chernoff's lam* uses.
     """
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     levels = np.asarray(levels, dtype=np.float64)
     uniform_mean = mean_energy(EnergySystem(levels, 0.0))
     lo_energy = float(levels.min())
+    if math.isnan(target_mean):
+        raise ValidationError("target mean must be a number")
     if not lo_energy < target_mean <= uniform_mean:
         raise InfeasibleError(
             f"target mean {target_mean} outside ({lo_energy}, {uniform_mean}]"

@@ -27,7 +27,7 @@ from .boltzmann import EnergySystem, boltzmann_distribution, mean_energy, solve_
 from .detection import sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
-from .testing import BinaryHypothesis, _stein_and_np, chernoff_lambda_star
+from .testing import BinaryHypothesis, chernoff_lambda_star, stein_errors
 from .types_method import (
     ENUMERATION_CAP,
     ConstraintSet,
@@ -111,9 +111,7 @@ def _run_sanov(args):
     p = parse_distribution(args.p)
     pi = ConstraintSet(mode=args.mode, symbol=args.symbol, threshold=args.threshold)
     d_star, minimizer = sanov_exponent(pi, p, args.n, cap=args.cap)
-    # the float sum of an event's terms can round above 1: clamp log2 P at 0,
-    # as testing._log2_prob does for stein, and + 0.0 prints a rate of 0, not -0
-    log2_prob = min(sanov_exact_log2_prob(pi, p, args.n, cap=args.cap), 0.0)
+    log2_prob = sanov_exact_log2_prob(pi, p, args.n, cap=args.cap)
     header = [
         "n",
         "symbol",
@@ -133,6 +131,7 @@ def _run_sanov(args):
             d_star,
             ";".join(str(c) for c in minimizer.counts),
             2.0**log2_prob,
+            # + 0.0 prints a rate of 0 (P = 1) as 0, not -0
             -log2_prob / args.n + 0.0,
         ]
     ]
@@ -141,16 +140,16 @@ def _run_sanov(args):
 
 def _run_stein(args):
     h = BinaryHypothesis(parse_distribution(args.p1), parse_distribution(args.p2))
-    report, np_log2_beta = _stein_and_np(h, args.n, args.delta, args.epsilon, args.cap)
-    np_beta = 2.0**np_log2_beta
-    # log2 beta is at most 0, and + 0.0 prints an exponent of 0 (beta = 1) as
-    # 0, not -0
-    stein_exponent = report.exponent + 0.0
-    np_exponent = -np_log2_beta / args.n + 0.0
+    r = stein_errors(h, args.n, args.delta, args.epsilon, args.cap)
+    # every linear column is 2 ** its log2, every exponent -log2 / n; log2 is
+    # at most 0, and + 0.0 prints an exponent of 0 (a probability of 1) as 0,
+    # not -0
+    alpha, beta, np_beta = (2.0**x for x in (r.log2_alpha, r.log2_beta, r.np_log2_beta))
+    stein_exponent, np_exponent = (-x / args.n + 0.0 for x in (r.log2_beta, r.np_log2_beta))
     underflowed = [
         name
         for name, linear, exponent in (
-            ("beta_n", report.beta_n, stein_exponent),
+            ("beta_n", beta, stein_exponent),
             ("np_min_beta", np_beta, np_exponent),
         )
         if linear == 0.0 and math.isfinite(exponent)
@@ -161,10 +160,10 @@ def _run_stein(args):
             "(below 2^-1074); the exponent columns hold their log2 / n",
             file=sys.stderr,
         )
-    if report.alpha_n == 0.0 and math.isfinite(report.log2_alpha):
+    if alpha == 0.0 and math.isfinite(r.log2_alpha):
         print(
             "errexp: warning: alpha_n underflowed to 0 (below 2^-1074); "
-            f"log2 alpha_n = {report.log2_alpha!r}",
+            f"log2 alpha_n = {r.log2_alpha!r}",
             file=sys.stderr,
         )
     header = [
@@ -182,18 +181,18 @@ def _run_stein(args):
     ]
     rows = [
         [
-            report.n,
-            report.delta,
-            args.epsilon,
-            report.alpha_n,
-            report.beta_n,
+            r.n,
+            r.delta,
+            r.epsilon,
+            alpha,
+            beta,
             stein_exponent,
             np_beta,
             np_exponent,
             # + 0.0 prints a log2 of 0 (a probability of 1) as 0, not -0
-            report.log2_alpha + 0.0,
-            report.log2_beta + 0.0,
-            np_log2_beta + 0.0,
+            r.log2_alpha + 0.0,
+            r.log2_beta + 0.0,
+            r.np_log2_beta + 0.0,
         ]
     ]
     return header, rows

@@ -66,6 +66,8 @@ def q_function(x: float) -> float:
 
 def q_chernoff_bound(x: float) -> float:
     """exp(-x^2 / 2), an upper bound on Q(x) for x >= 0."""
+    if not math.isfinite(x):
+        raise ValidationError("x must be finite")
     if x < 0:
         raise ValidationError("the Chernoff bound on Q requires x >= 0")
     return math.exp(-0.5 * x * x)
@@ -84,6 +86,8 @@ def chernoff_error_bound(dim: int, amplitude: float) -> float:
     """exp(-N * m^2 / 8), always >= analytic_error."""
     if dim < 1:
         raise ValidationError("dim must be positive")
+    if not math.isfinite(amplitude):
+        raise ValidationError("amplitude must be finite")
     if amplitude < 0:
         raise ValidationError("amplitude must be >= 0")
     return math.exp(-dim * amplitude * amplitude / 8.0)

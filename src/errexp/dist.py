@@ -382,7 +382,8 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
 
 def log_factorial(k: int) -> float:
     """ln k!; compensated summation for small k, lgamma above the cutoff."""
-    if k < 0 or k != int(k):
+    # int() raises on inf and nan, so they are refused first
+    if k < 0 or not math.isfinite(k) or k != int(k):
         raise ValidationError("log_factorial requires a nonnegative integer")
     k = int(k)
     if k <= _LOG_FACT_CUTOFF:

@@ -1,9 +1,10 @@
 """Asymptotic binary hypothesis testing.
 
-Exact Stein-region error probabilities, the exact randomized Neyman-Pearson
-optimum, and Chernoff information by the Boltzmann tilt solver. All error
-probabilities are computed exactly over type classes: the log likelihood
-ratio is type-measurable, so no Monte Carlo is involved.
+Exact log2 error probabilities of the Stein region and of the randomized
+Neyman-Pearson optimum, from one pass over the types, and Chernoff
+information by the Boltzmann tilt solver. All error probabilities are
+computed exactly over type classes: the log likelihood ratio is
+type-measurable, so no Monte Carlo is involved.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .types_method import (
     EmpiricalType,
     _check_delta,
     _exp2,
+    _log2_prob,
     _log2_sum_exp2,
     _log2q,
     _rows_walk,
@@ -50,15 +52,17 @@ class BinaryHypothesis:
 
 @dataclass(frozen=True)
 class SteinReport:
-    """Exact error probabilities of the two-sided LLR acceptance region."""
+    """Exact log2 error probabilities of the two-sided LLR acceptance region
+    and of the randomized Neyman-Pearson optimum at level epsilon, from one
+    pass over the n-types. Each is at most 0, and finite wherever the
+    probability is positive, however far below the double range."""
 
     n: int
     delta: float
-    alpha_n: float
-    beta_n: float
-    exponent: float  # -(1/n) log2 beta_n, bits
-    log2_alpha: float  # log2 alpha_n, finite where alpha_n underflows to 0
-    log2_beta: float  # log2 beta_n, finite where beta_n underflows to 0
+    epsilon: float
+    log2_alpha: float  # log2 P1(reject) of the region
+    log2_beta: float  # log2 P2(accept) of the region
+    np_log2_beta: float  # log2 of the least P2(accept) with P1(reject) <= epsilon
 
 
 @dataclass(frozen=True)
@@ -123,35 +127,6 @@ def _type_scores(h: BinaryHypothesis, n: int, walk):
     return llr, lp1, lp2
 
 
-def _log2_prob(log2_terms: np.ndarray, where=None, tail=()) -> float:
-    """log2 of a probability from its terms' log2 values, as
-    ``_log2_sum_exp2`` selects them, clamped at 0: a float sum of terms whose
-    exact total is at most 1 can round above 1."""
-    return min(_log2_sum_exp2(log2_terms, where, tail), 0.0)
-
-
-def _stein_report(h: BinaryHypothesis, n: int, delta: float, scores) -> SteinReport:
-    llr, lp1, lp2 = scores
-    d = kl_divergence(h.p1, h.p2)
-    member = llr >= d - delta
-    member &= llr <= d + delta
-    log2_beta = _log2_prob(lp2, member)
-    # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
-    # of an alpha below the rounding of 1
-    log2_alpha = _log2_prob(lp1, np.logical_not(member, out=member))
-    alpha, beta = 2.0**log2_alpha, 2.0**log2_beta
-    exponent = math.inf if log2_beta == -math.inf else -log2_beta / n
-    return SteinReport(
-        n=n,
-        delta=delta,
-        alpha_n=alpha,
-        beta_n=beta,
-        exponent=exponent,
-        log2_alpha=log2_alpha,
-        log2_beta=log2_beta,
-    )
-
-
 def _np_threshold(epsilon: float, llr: np.ndarray, w: np.ndarray):
     """(t, gamma) of the NP test with p1 weights ``w``, or None where the
     whole p1 mass is within epsilon.
@@ -197,39 +172,43 @@ def _np_log2_min_beta(epsilon: float, scores) -> float:
 
 
 def stein_errors(
-    h: BinaryHypothesis, n: int, delta: float, cap: int = ENUMERATION_CAP
+    h: BinaryHypothesis,
+    n: int,
+    delta: float,
+    epsilon: float,
+    cap: int = ENUMERATION_CAP,
 ) -> SteinReport:
-    """Exact alpha_n and beta_n of the Stein acceptance region."""
-    _check_delta(delta)
-    walk = _walk_types(n, h.p1.alphabet_size, cap)
-    return _stein_report(h, n, delta, _type_scores(h, n, walk))
-
-
-def neyman_pearson_min_beta(
-    h: BinaryHypothesis, n: int, epsilon: float, cap: int = ENUMERATION_CAP
-) -> float:
-    """Exact minimal beta over randomized tests with alpha <= epsilon.
+    """log2 of the exact errors of the Stein region |avg LLR - D(p1||p2)| <=
+    delta, and of the Neyman-Pearson optimum at level epsilon.
 
     The optimal test is a threshold t on the likelihood ratio (the
     Neyman-Pearson lemma): it accepts every type above t, rejects every type
     below, and accepts the tie class at t with the probability that makes
     alpha exactly epsilon. t is found by weighted selection on the p1 mass
-    below candidate thresholds, without sorting the types.
+    below candidate thresholds, without sorting the types. Both arguments
+    are checked before anything is enumerated, and one type pass serves
+    both tests.
     """
-    _check_epsilon(epsilon)
-    walk = _walk_types(n, h.p1.alphabet_size, cap)
-    return 2.0 ** _np_log2_min_beta(epsilon, _type_scores(h, n, walk))
-
-
-def _stein_and_np(
-    h: BinaryHypothesis, n: int, delta: float, epsilon: float, cap: int
-) -> tuple[SteinReport, float]:
-    """:func:`stein_errors` and log2 of :func:`neyman_pearson_min_beta` from
-    one type pass; both arguments are checked before anything is enumerated."""
     _check_delta(delta)
     _check_epsilon(epsilon)
     scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
-    return _stein_report(h, n, delta, scores), _np_log2_min_beta(epsilon, scores)
+    llr, lp1, lp2 = scores
+    d = kl_divergence(h.p1, h.p2)
+    member = llr >= d - delta
+    member &= llr <= d + delta
+    log2_beta = _log2_prob(lp2, member)
+    # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
+    # of an alpha below the rounding of 1
+    log2_alpha = _log2_prob(lp1, np.logical_not(member, out=member))
+    # the NP pass overwrites log2 P1, so it runs after alpha is summed
+    return SteinReport(
+        n=n,
+        delta=delta,
+        epsilon=epsilon,
+        log2_alpha=log2_alpha,
+        log2_beta=log2_beta,
+        np_log2_beta=_np_log2_min_beta(epsilon, scores),
+    )
 
 
 def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffReport:

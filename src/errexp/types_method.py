@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, log_factorial, log_factorial_table
+from .dist import LN2, DiscreteDistribution, entropy, log_factorial, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
@@ -344,8 +344,6 @@ def type_class_size(t: EmpiricalType):
 
 def type_class_size_bounds(t: EmpiricalType):
     """Two-sided bound on log2 |T(P)|: (nH - log2 count_types, nH)."""
-    from .dist import entropy
-
     n_h = t.n * entropy(t.distribution())
     return n_h - math.log2(count_types(t.n, t.alphabet_size)), n_h
 
@@ -419,31 +417,35 @@ def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
     return m + math.log2(float(_exp2(terms, out=terms).sum()))
 
 
+def _log2_prob(log2_terms: np.ndarray, where=None, tail=()) -> float:
+    """log2 of a probability from its terms' log2 values, as
+    ``_log2_sum_exp2`` selects them, clamped at 0: a float sum of terms whose
+    exact total is at most 1 can round above 1."""
+    return min(_log2_sum_exp2(log2_terms, where, tail), 0.0)
+
+
 def _check_delta(delta: float) -> None:
     if not delta > 0:
         raise ValidationError("delta must be positive")
 
 
-def deviation_probability_exact(
+def deviation_exact_log2_prob(
     n: int,
     p: DiscreteDistribution,
     delta: float,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """Exact P(D(P_hat_n || p) >= delta) by summing over type classes.
+    """Exact log2 P(D(P_hat_n || p) >= delta) by summing over type classes.
 
     D(type || p) is summed over the symbols in order from the
     :func:`_kl_table` terms, the terms :func:`sanov_exponent` scores types
-    with.
+    with. -inf where no type deviates.
     """
     _check_delta(delta)
     walk = _walk_types(n, p.alphabet_size, cap)
     log2q = _log2q(p)
     (lp,), (kl,) = _walk_scores(walk, n, [log2q], tables=[_kl_table(log2q, n)])
-    deviating = kl >= delta
-    if not deviating.any():
-        return 0.0
-    return min(1.0, 2.0 ** _log2_sum_exp2(lp, deviating))
+    return _log2_prob(lp, kl >= delta)
 
 
 def _sanov_range(pi: ConstraintSet, p: DiscreteDistribution, n: int, cap: int):
@@ -551,23 +553,13 @@ def sanov_exponent(
     return float(d_star), EmpiricalType(tuple(c), n)
 
 
-def sanov_exact_prob(
-    pi: ConstraintSet,
-    p: DiscreteDistribution,
-    n: int,
-    cap: int = ENUMERATION_CAP,
-) -> float:
-    """Exact P(P_hat_n in Pi): 2 to the :func:`sanov_exact_log2_prob`."""
-    return min(1.0, 2.0 ** sanov_exact_log2_prob(pi, p, n, cap))
-
-
 def sanov_exact_log2_prob(
     pi: ConstraintSet,
     p: DiscreteDistribution,
     n: int,
     cap: int = ENUMERATION_CAP,
 ) -> float:
-    """Exact log2 P(P_hat_n in Pi), safe below 2**-1000.
+    """Exact log2 P(P_hat_n in Pi), at most 0, safe below 2**-1000.
 
     The event depends on the count m of the constrained symbol a only, so
     its probability is the Binomial(n, p_a) mass of the kept range of m:
@@ -594,4 +586,5 @@ def sanov_exact_log2_prob(
     rest = np.r_[0:lo, hi + 1 : n + 1].astype(np.int64)
     # the doubles of p need not sum to 1: the total mass is (sum p)^n
     log2_total = n * math.log1p(math.fsum([*probs, -1.0])) / LN2
-    return log2_total + math.log1p(-(2.0 ** (log2_mass(rest) - log2_total))) / LN2
+    # the float sum can round above 1, and log2 P above 0
+    return min(log2_total + math.log1p(-(2.0 ** (log2_mass(rest) - log2_total))) / LN2, 0.0)

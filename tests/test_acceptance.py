@@ -18,7 +18,7 @@ from errexp import (
     Occupancy,
     chernoff_lambda_star,
     count_types,
-    deviation_probability_exact,
+    deviation_exact_log2_prob,
     enumerate_types,
     kl_divergence,
     log_multiplicity_exact,
@@ -26,12 +26,12 @@ from errexp import (
     make_distribution,
     maxent_verify,
     mean_energy,
-    neyman_pearson_min_beta,
     q_chernoff_bound,
     q_function,
-    sanov_exact_prob,
+    sanov_exact_log2_prob,
     sanov_exponent,
     solve_beta,
+    stein_errors,
     sweep,
     tilted,
     TiltedFamily,
@@ -39,7 +39,6 @@ from errexp import (
     type_class_size,
     type_class_size_bounds,
 )
-from errexp.types_method import sanov_exact_log2_prob
 import maxent_oracle
 from np_oracle import (
     berry_esseen_gap_bounds,
@@ -137,7 +136,8 @@ def test_criterion_03_stein_exponent_convergence():
     details = []
     for n in (100, 500, 2000):
         start = time.perf_counter()
-        log2_beta = math.log2(neyman_pearson_min_beta(h, n, eps))
+        # the Stein band is computed alongside; its delta is arbitrary here
+        log2_beta = stein_errors(h, n, 0.1, eps).np_log2_beta
         elapsed += time.perf_counter() - start
         oracle = np_log2_beta_binomial(p1[0], p2[0], n, eps)
         worst_rel = max(worst_rel, abs(log2_beta - oracle) / abs(oracle))
@@ -211,7 +211,7 @@ def test_criterion_05_bound_sandwiches_randomized_suite():
                 violations += 1
         delta = float(rng.uniform(0.01, 1.0))
         instances += 1
-        if deviation_probability_exact(n, q, delta) > c * 2.0 ** (-n * delta) * (
+        if 2.0 ** deviation_exact_log2_prob(n, q, delta) > c * 2.0 ** (-n * delta) * (
             1 + 1e-12
         ):
             violations += 1
@@ -221,7 +221,7 @@ def test_criterion_05_bound_sandwiches_randomized_suite():
             float(rng.uniform(0.0, 1.0)),
         )
         d_star, _ = sanov_exponent(pi, q, n)
-        prob = sanov_exact_prob(pi, q, n)
+        prob = 2.0 ** sanov_exact_log2_prob(pi, q, n)
         instances += 1
         if not (
             2.0 ** (-n * d_star) / c * (1 - 1e-9)
@@ -239,7 +239,7 @@ def test_criterion_05_bound_sandwiches_randomized_suite():
 def test_criterion_06_sanov_convergence():
     p = make_distribution([0.5, 0.5])
     pi = ConstraintSet("lower", 1, 0.75)
-    rate10 = -math.log2(sanov_exact_prob(pi, p, 10)) / 10
+    rate10 = -sanov_exact_log2_prob(pi, p, 10) / 10
     exact10 = math.log2(1024 / 56) / 10
     rate400 = -sanov_exact_log2_prob(pi, p, 400) / 400
     ok = abs(rate10 - exact10) <= 1e-12 and abs(rate400 - 0.188722) <= 0.03

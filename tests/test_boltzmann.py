@@ -1,6 +1,7 @@
 import math
 
 import maxent_oracle
+import mpmath
 import numpy as np
 import pytest
 from row_oracle import log2_multinomial
@@ -13,9 +14,9 @@ from errexp import (
     boltzmann_distribution,
     log_multiplicity_exact,
     log_multiplicity_stirling,
+    log_partition_function,
     maxent_verify,
     mean_energy,
-    partition_function,
     solve_beta,
 )
 from errexp import boltzmann
@@ -25,18 +26,28 @@ from errexp.types_method import _enumerate_counts
 
 class TestPartitionFunction:
     def test_degenerate_pair(self):
-        assert partition_function(EnergySystem(np.array([0.0, 0.0]), 3.0)) == 2.0
+        assert log_partition_function(EnergySystem(np.array([0.0, 0.0]), 3.0)) == math.log(2.0)
 
     def test_two_levels(self):
-        z = partition_function(EnergySystem(np.array([0.0, 1.0]), math.log(2)))
-        assert z == pytest.approx(1.5, rel=1e-14)
+        ln_z = log_partition_function(EnergySystem(np.array([0.0, 1.0]), math.log(2)))
+        assert ln_z == pytest.approx(math.log(1.5), rel=1e-14)
 
     def test_infinite_temperature_counts_states(self):
-        assert partition_function(EnergySystem(np.array([0.0, 1.0, 2.0]), 0.0)) == 3.0
+        ln_z = log_partition_function(EnergySystem(np.array([0.0, 1.0, 2.0]), 0.0))
+        assert ln_z == math.log(3.0)
 
     def test_large_beta_no_overflow(self):
-        z = partition_function(EnergySystem(np.array([100.0, 101.0]), 5.0))
-        assert 0.0 < z < math.inf
+        ln_z = log_partition_function(EnergySystem(np.array([100.0, 101.0]), 5.0))
+        assert ln_z == pytest.approx(math.log1p(math.exp(-5.0)) - 500.0, rel=1e-14)
+
+    @pytest.mark.parametrize("levels", [(1000.0, 1001.0), (-1000.0, -999.0)])
+    def test_beyond_the_double_range_matches_mpmath(self, levels):
+        # Z is e^-1000 (1 + e^-1), which underflows to 0, and e^1000 (1 +
+        # e^-1), which overflows; ln Z is about -+999.69
+        ln_z = log_partition_function(EnergySystem(np.array(levels), 1.0))
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.fsum(mpmath.exp(-mpmath.mpf(e)) for e in levels)))
+        assert ln_z == pytest.approx(want, rel=1e-15)
 
 
 class TestBoltzmannDistribution:
@@ -104,6 +115,11 @@ class TestSolveBeta:
             solve_beta([0, 1], 0.9)
         with pytest.raises(InfeasibleError):
             solve_beta([0, 1], 0.0)
+
+    def test_nan_target_is_refused(self):
+        # nan fails every comparison: it was reported as an infeasible target
+        with pytest.raises(ValidationError):
+            solve_beta([0, 1, 2], math.nan)
 
 
 class TestMultiplicity:

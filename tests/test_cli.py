@@ -15,7 +15,6 @@ from errexp import (
     ConstraintSet,
     ValidationError,
     make_distribution,
-    neyman_pearson_min_beta,
     stein_errors,
 )
 from errexp import cli, testing, types_method
@@ -222,6 +221,12 @@ class TestExitCodes:
         assert status == 3
         assert err.strip() != ""
 
+    def test_nan_mean_is_2(self):
+        # nan fails every comparison: it was reported as an infeasible target
+        status, out, err = run_cli(["boltzmann", "--levels", "0,1,2", "--mean", "nan"])
+        assert status == 2 and out == ""
+        assert "target mean" in err
+
     def test_resource_cap_is_4(self):
         status, _, err = run_cli(
             ["types", "--n", "200", "--alphabet", "5", "--cap", "100"]
@@ -285,11 +290,11 @@ class TestExitCodes:
         assert header[8:] == ["log2_alpha_n", "log2_beta_n", "np_log2_beta"]
         row = {k: float(v) for k, v in zip(header, rows[0])}
         h = BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 3]))
-        report, np_log2_beta = testing._stein_and_np(h, n, delta, epsilon, cap=10**7)
+        report = stein_errors(h, n, delta, epsilon, cap=10**7)
         assert (row["beta_n"], row["np_min_beta"]) == (0.0, 0.0)
         assert row["log2_alpha_n"] == report.log2_alpha
         assert row["log2_beta_n"] == report.log2_beta
-        assert row["np_log2_beta"] == np_log2_beta
+        assert row["np_log2_beta"] == report.np_log2_beta
         assert all(math.isfinite(row[k]) for k in header[8:])
         assert row["log2_beta_n"] < -1074 and row["np_log2_beta"] < -1074
 
@@ -674,10 +679,10 @@ class TestSharedTypePass:
         assert status == 0
         header, rows = parse_csv(out)
         row = {k: float(v) for k, v in zip(header, rows[0])}
-        report = stein_errors(h, 40, 0.1)
-        assert (row["alpha_n"], row["beta_n"]) == (report.alpha_n, report.beta_n)
-        assert row["stein_exponent_bits"] == report.exponent
-        assert row["np_min_beta"] == neyman_pearson_min_beta(h, 40, 0.07)
+        report = stein_errors(h, 40, 0.1, 0.07)
+        assert (row["alpha_n"], row["beta_n"]) == (2.0**report.log2_alpha, 2.0**report.log2_beta)
+        assert row["stein_exponent_bits"] == -report.log2_beta / 40
+        assert row["np_min_beta"] == 2.0**report.np_log2_beta
 
 
 class TestSubnormalProbabilities:

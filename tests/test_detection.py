@@ -64,6 +64,12 @@ class TestChernoffBoundOnQ:
         with pytest.raises(ValidationError):
             q_chernoff_bound(-0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # nan < 0 is False: a nan argument returned nan
+        with pytest.raises(ValidationError):
+            q_chernoff_bound(x)
+
 
 class TestAnalyticError:
     def test_zero_amplitude(self):
@@ -102,6 +108,12 @@ class TestChernoffErrorBound:
                 assert analytic_error(dim, float(m)) <= chernoff_error_bound(
                     dim, float(m)
                 )
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        # nan < 0 is False: a nan amplitude returned nan
+        with pytest.raises(ValidationError):
+            chernoff_error_bound(4, amplitude)
 
 
 class TestSimulation:

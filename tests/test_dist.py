@@ -251,6 +251,12 @@ class TestLogFactorial:
         with pytest.raises(ValidationError):
             log_factorial(-1)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_rejected(self, k):
+        # int() of these raised OverflowError and ValueError
+        with pytest.raises(ValidationError):
+            log_factorial(k)
+
     def test_increments_match_log(self):
         # tolerance is relative to ln k!: the increment of two ~1e7 doubles
         # cannot be tighter than their ulp

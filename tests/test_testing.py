@@ -14,7 +14,6 @@ from errexp import (
     chernoff_lambda_star,
     kl_divergence,
     make_distribution,
-    neyman_pearson_min_beta,
     stein_errors,
     stein_region_membership,
     tilted,
@@ -23,6 +22,10 @@ from errexp import (
 from np_oracle import np_log2_beta_binomial, stein_moments, strassen_gap
 
 D_HALF_QUARTER = 0.2075187496394219
+
+# stein_errors computes the Stein band and the NP optimum together; a test of
+# one passes an arbitrary parameter of the other
+ANY_DELTA, ANY_EPSILON = 0.1, 0.05
 
 
 def chernoff_oracle(h):
@@ -108,26 +111,28 @@ class TestSteinRegion:
         with pytest.raises(ValidationError):
             stein_region_membership(EmpiricalType((1, 1), 2), bernoulli_pair, math.nan)
         with pytest.raises(ValidationError):
-            stein_errors(bernoulli_pair, 20, math.nan)
+            stein_errors(bernoulli_pair, 20, math.nan, ANY_EPSILON)
 
 
 class TestSteinErrors:
     def test_identical_hypotheses_keep_beta_high(self):
         h = BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 1]))
-        report = stein_errors(h, 50, 0.1)
-        assert report.beta_n > 0.9
-        assert report.exponent < 0.01
+        report = stein_errors(h, 50, 0.1, ANY_EPSILON)
+        assert 2.0**report.log2_beta > 0.9
+        assert -report.log2_beta / 50 < 0.01
 
     def test_exponent_within_widened_band(self, bernoulli_pair):
-        report = stein_errors(bernoulli_pair, 500, 0.05)
-        assert report.alpha_n < 0.5
-        slack = abs(math.log2(1.0 - report.alpha_n)) / 500
-        assert D_HALF_QUARTER - 0.05 - slack <= report.exponent
-        assert report.exponent <= D_HALF_QUARTER + 0.05 + slack
+        report = stein_errors(bernoulli_pair, 500, 0.05, ANY_EPSILON)
+        alpha, exponent = 2.0**report.log2_alpha, -report.log2_beta / 500
+        assert alpha < 0.5
+        slack = abs(math.log2(1.0 - alpha)) / 500
+        assert D_HALF_QUARTER - 0.05 - slack <= exponent
+        assert exponent <= D_HALF_QUARTER + 0.05 + slack
 
     def test_alpha_decreases_with_n(self, bernoulli_pair):
         alphas = [
-            stein_errors(bernoulli_pair, n, 0.02).alpha_n for n in (100, 500, 2000)
+            2.0 ** stein_errors(bernoulli_pair, n, 0.02, ANY_EPSILON).log2_alpha
+            for n in (100, 500, 2000)
         ]
         assert alphas[0] > alphas[1] > alphas[2]
 
@@ -135,7 +140,7 @@ class TestSteinErrors:
     def test_alpha_far_below_the_rounding_of_one(self, n, delta):
         # 1 - (accepted p1 mass) gave 2.46e-14 and 0.0 here
         h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
-        alpha = stein_errors(h, n, delta).alpha_n
+        alpha = 2.0 ** stein_errors(h, n, delta, ANY_EPSILON).log2_alpha
         exact = stein_alpha_k4_mp(h, n, delta)
         assert exact < 1e-16
         assert alpha == pytest.approx(exact, rel=1e-12, abs=0.0)
@@ -229,7 +234,7 @@ class TestNeymanPearson:
             h = BinaryHypothesis(p1, p2)
             n = int(rng.integers(2, 9))
             eps = float(rng.uniform(0.02, 0.45))
-            mine = neyman_pearson_min_beta(h, n, eps)
+            mine = 2.0 ** stein_errors(h, n, ANY_DELTA, eps).np_log2_beta
             oracle = brute_force_np_beta(p1.probs, p2.probs, n, eps)
             assert mine == pytest.approx(oracle, abs=1e-10)
 
@@ -246,13 +251,13 @@ class TestNeymanPearson:
             cases.append((h, float(rng.uniform(0.02, 0.45))))
         for h, eps in cases:
             for n in (100, 500, 2000):
-                mine = math.log2(neyman_pearson_min_beta(h, n, eps))
+                mine = stein_errors(h, n, ANY_DELTA, eps).np_log2_beta
                 oracle = np_log2_beta_binomial(h.p1.probs[0], h.p2.probs[0], n, eps)
                 assert mine == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_monotone_in_epsilon(self, bernoulli_pair):
         betas = [
-            neyman_pearson_min_beta(bernoulli_pair, 40, eps)
+            2.0 ** stein_errors(bernoulli_pair, 40, ANY_DELTA, eps).np_log2_beta
             for eps in (0.05, 0.1, 0.2, 0.4)
         ]
         assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
@@ -260,7 +265,7 @@ class TestNeymanPearson:
     def test_exponent_approaches_kl(self, bernoulli_pair):
         gaps = []
         for n in (100, 500, 2000):
-            beta = neyman_pearson_min_beta(bernoulli_pair, n, 0.05)
+            beta = 2.0 ** stein_errors(bernoulli_pair, n, ANY_DELTA, 0.05).np_log2_beta
             gaps.append(abs(-math.log2(beta) / n - D_HALF_QUARTER))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -272,7 +277,7 @@ class TestNeymanPearson:
         d, v, _ = stein_moments(bernoulli_pair.p1.probs, bernoulli_pair.p2.probs)
         errors = []
         for n in (100, 500, 2000):
-            beta = neyman_pearson_min_beta(bernoulli_pair, n, eps)
+            beta = 2.0 ** stein_errors(bernoulli_pair, n, ANY_DELTA, eps).np_log2_beta
             gap = d + math.log2(beta) / n
             errors.append(math.sqrt(n) * (gap - strassen_gap(v, n, eps)))
         assert abs(errors[0]) > abs(errors[1]) > abs(errors[2])
@@ -280,7 +285,13 @@ class TestNeymanPearson:
 
     def test_epsilon_range(self, bernoulli_pair):
         with pytest.raises(ValidationError):
-            neyman_pearson_min_beta(bernoulli_pair, 10, 0.5)
+            stein_errors(bernoulli_pair, 10, ANY_DELTA, 0.5)
+
+    @pytest.mark.parametrize("epsilon", [0.0, math.nan])
+    def test_epsilon_is_refused_before_enumeration(self, bernoulli_pair, epsilon):
+        # a cap of 1 type would refuse the walk; the bad epsilon comes first
+        with pytest.raises(ValidationError):
+            stein_errors(bernoulli_pair, 10, ANY_DELTA, epsilon, cap=1)
 
 
 class TestChernoff:

@@ -2,8 +2,9 @@
 
 ``type_pass_oracle`` keeps the earlier pass: whole T-long score vectors, one
 column at a time, reduced with fresh masks and compactions. The library
-fills the scores block by block and reduces them in place; every
-``SteinReport`` field, the Neyman-Pearson log2 beta and the deviation
+fills the scores block by block and reduces them in place; every field of
+the oracle's ``SteinReport`` (its linear fields as 2 ** log2 and its
+exponent as -log2 beta / n), the Neyman-Pearson log2 beta and the deviation
 probability must agree with the oracle's ``float.hex`` for float.hex.
 """
 
@@ -13,9 +14,15 @@ import numpy as np
 import pytest
 import type_pass_oracle as oracle
 
-from errexp import BinaryHypothesis, deviation_probability_exact, kl_divergence, make_distribution
+from errexp import (
+    BinaryHypothesis,
+    deviation_exact_log2_prob,
+    kl_divergence,
+    make_distribution,
+    stein_errors,
+)
 from errexp import types_method
-from errexp.testing import _stein_and_np, _type_scores
+from errexp.testing import _type_scores
 from errexp.types_method import _exp2, _walk_types, count_types
 
 # the largest n per alphabet size that keeps each case to a few thousand types
@@ -27,18 +34,24 @@ def _bits(x) -> str:
 
 
 def _assert_same_pass(h, n, delta, epsilon):
-    report, np_log2_beta = _stein_and_np(h, n, delta, epsilon, cap=10**7)
+    report = stein_errors(h, n, delta, epsilon, cap=10**7)
     scores = oracle.type_scores(h, n)
     walk = _walk_types(n, h.p1.alphabet_size, cap=10**7)
     for got, want in zip(_type_scores(h, n, walk), scores):
         assert got.tobytes() == want.tobytes()
     want = oracle.stein_report(h, n, delta, scores)
+    linear = {
+        "alpha_n": 2.0**report.log2_alpha,
+        "beta_n": 2.0**report.log2_beta,
+        "exponent": -report.log2_beta / n,
+    }
     for field in dataclasses.fields(want):
-        assert _bits(getattr(report, field.name)) == _bits(getattr(want, field.name)), field.name
-    assert _bits(np_log2_beta) == _bits(oracle.np_log2_min_beta(epsilon, scores))
+        got = linear.get(field.name, getattr(report, field.name, None))
+        assert _bits(got) == _bits(getattr(want, field.name)), field.name
+    assert _bits(report.np_log2_beta) == _bits(oracle.np_log2_min_beta(epsilon, scores))
     for p in (h.p1, h.p2):
         for deviation in (0.5 * delta, 2.0 * delta):
-            got = deviation_probability_exact(n, p, deviation)
+            got = 2.0 ** deviation_exact_log2_prob(n, p, deviation)
             assert _bits(got) == _bits(oracle.deviation_probability_exact(n, p, deviation))
 
 

@@ -23,7 +23,7 @@ from errexp import (
     EmpiricalType,
     ResourceCapError,
     ValidationError,
-    deviation_probability_exact,
+    deviation_exact_log2_prob,
     kl_divergence,
     make_distribution,
     stein_errors,
@@ -31,7 +31,7 @@ from errexp import (
     type_class_log_prob,
 )
 from errexp.dist import log_factorial_table
-from errexp.testing import _stein_and_np, _type_scores
+from errexp.testing import _type_scores
 from errexp.types_method import (
     _enumerate_counts,
     _kl_terms,
@@ -98,7 +98,7 @@ def test_deviation_matches_the_count_matrix(seed):
     rng = np.random.default_rng(10_000 + seed)
     for p in (p1, p2):
         delta = float(rng.uniform(1e-3, 0.6))
-        got = deviation_probability_exact(n, p, delta)
+        got = 2.0 ** deviation_exact_log2_prob(n, p, delta)
         want = _reference_deviation(n, p, delta)
         if k <= 7:
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -164,7 +164,7 @@ def test_boundary_type_at_k8():
     assert band[i]
     assert stein_region_membership(t, h, delta)
     # the band is what stein_errors sums: beta is its log2 P2 mass
-    assert stein_errors(h, n, delta).log2_beta == min(_log2_sum_exp2(lp2, band), 0.0)
+    assert stein_errors(h, n, delta, 0.05).log2_beta == min(_log2_sum_exp2(lp2, band), 0.0)
 
 
 class TestCap:
@@ -184,13 +184,13 @@ class TestCap:
 
     def test_stein_and_np(self):
         h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
-        peak = self._peak_of_refusal(lambda: _stein_and_np(h, self.N, 0.1, 0.05, cap=10**7))
+        peak = self._peak_of_refusal(lambda: stein_errors(h, self.N, 0.1, 0.05, cap=10**7))
         assert peak < 100_000
 
     def test_deviation(self):
         p = make_distribution([1, 2, 3, 4])
         peak = self._peak_of_refusal(
-            lambda: deviation_probability_exact(self.N, p, 0.1, cap=10**7)
+            lambda: deviation_exact_log2_prob(self.N, p, 0.1, cap=10**7)
         )
         assert peak < 100_000
 
@@ -206,7 +206,7 @@ class TestCap:
 
     def test_bad_delta_is_refused_first(self):
         with pytest.raises(ValidationError):
-            deviation_probability_exact(self.N, make_distribution([1, 1]), 0.0, cap=1)
+            deviation_exact_log2_prob(self.N, make_distribution([1, 1]), 0.0, cap=1)
 
 
 def test_stein_and_np_peak_memory_per_type():
@@ -214,10 +214,10 @@ def test_stein_and_np_peak_memory_per_type():
     # T x k float temporaries; the materialized pass took 96 bytes per type
     h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
     n = 100
-    _stein_and_np(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
+    stein_errors(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
     tracemalloc.start()
     try:
-        _stein_and_np(h, n, 0.1, 0.05, cap=10**7)
+        stein_errors(h, n, 0.1, 0.05, cap=10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,10 +230,10 @@ def test_stein_and_np_peak_memory_within_the_score_vectors():
     # the NP weights overwrite log2 P1 (56.6 bytes per type before them)
     h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
     n = 100
-    _stein_and_np(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
+    stein_errors(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
     tracemalloc.start()
     try:
-        _stein_and_np(h, n, 0.1, 0.05, cap=10**7)
+        stein_errors(h, n, 0.1, 0.05, cap=10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

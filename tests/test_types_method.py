@@ -18,23 +18,18 @@ from errexp import (
     ResourceCapError,
     ValidationError,
     count_types,
-    deviation_probability_exact,
+    deviation_exact_log2_prob,
     empirical_type,
     enumerate_types,
     kl_divergence,
     make_distribution,
-    sanov_exact_prob,
+    sanov_exact_log2_prob,
     sanov_exponent,
     type_class_log_prob,
     type_class_size,
     type_class_size_bounds,
 )
-from errexp.types_method import (
-    _enumerate_counts,
-    _kl_table,
-    _log2q,
-    sanov_exact_log2_prob,
-)
+from errexp.types_method import _enumerate_counts, _kl_table, _log2q
 
 
 class TestEmpiricalType:
@@ -209,26 +204,26 @@ class TestDeviationProbability:
         p = make_distribution([1, 1])
         types = enumerate_types(6, 2)
         worst = max(kl_divergence(t.distribution(), p) for t in types)
-        assert deviation_probability_exact(6, p, worst + 0.1) == 0.0
+        assert deviation_exact_log2_prob(6, p, worst + 0.1) == -math.inf
 
     def test_all_types_qualify(self):
         # p is not a 7-type, so every empirical type deviates
         p = make_distribution([1, 2])
-        assert deviation_probability_exact(7, p, 1e-12) == pytest.approx(1.0)
+        assert 2.0 ** deviation_exact_log2_prob(7, p, 1e-12) == pytest.approx(1.0)
 
     def test_corollary_bound(self):
         p = make_distribution([1, 1])
-        exact = deviation_probability_exact(10, p, 0.3)
+        exact = 2.0 ** deviation_exact_log2_prob(10, p, 0.3)
         assert exact <= count_types(10, 2) * 2.0 ** (-10 * 0.3)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValidationError):
-            deviation_probability_exact(5, make_distribution([1, 1]), 0.0)
+            deviation_exact_log2_prob(5, make_distribution([1, 1]), 0.0)
 
     def test_nan_delta_is_refused(self):
         # nan <= 0 is False: a nan delta summed nothing and returned 0.0
         with pytest.raises(ValidationError):
-            deviation_probability_exact(10, make_distribution([1, 2]), math.nan)
+            deviation_exact_log2_prob(10, make_distribution([1, 2]), math.nan)
 
 
 class TestSanov:
@@ -250,20 +245,27 @@ class TestSanov:
 
     def test_full_space_probability(self):
         p = make_distribution([2, 1])
-        assert sanov_exact_prob(ConstraintSet("lower", 0, 0.0), p, 12) == pytest.approx(
-            1.0
-        )
+        log2_prob = sanov_exact_log2_prob(ConstraintSet("lower", 0, 0.0), p, 12)
+        assert 2.0**log2_prob == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "pi", [ConstraintSet("lower", 0, 0.0), ConstraintSet("upper", 0, 1.0)]
+    )
+    def test_certain_event_log2_prob_is_zero(self, pi):
+        # the float sum of the event's terms rounds above 1 (log2 P was
+        # 1.04e-14); a log2 probability is clamped at 0
+        assert sanov_exact_log2_prob(pi, make_distribution([2, 8]), 130) == 0.0
 
     def test_binomial_tail_n10(self):
         p = make_distribution([1, 1])
-        prob = sanov_exact_prob(ConstraintSet("lower", 1, 0.75), p, 10)
+        prob = 2.0 ** sanov_exact_log2_prob(ConstraintSet("lower", 1, 0.75), p, 10)
         assert prob == pytest.approx(56 / 1024, abs=1e-12)
 
     def test_rate_converges(self):
         p = make_distribution([1, 1])
         pi = ConstraintSet("lower", 1, 0.75)
-        rate10 = -math.log2(sanov_exact_prob(pi, p, 10)) / 10
-        rate40 = -math.log2(sanov_exact_prob(pi, p, 40)) / 40
+        rate10 = -sanov_exact_log2_prob(pi, p, 10) / 10
+        rate40 = -sanov_exact_log2_prob(pi, p, 40) / 40
         d_star = 0.18872187554086717
         assert abs(rate40 - d_star) < abs(rate10 - d_star)
 
@@ -282,7 +284,7 @@ class TestSanov:
                 d_star, _ = sanov_exponent(pi, p, n)
             except InfeasibleError:
                 continue
-            prob = sanov_exact_prob(pi, p, n)
+            prob = 2.0 ** sanov_exact_log2_prob(pi, p, n)
             c = count_types(n, k)
             assert prob <= c * 2.0 ** (-n * d_star) * (1 + 1e-9)
             assert prob >= 2.0 ** (-n * d_star) / c * (1 - 1e-9)

@@ -19,13 +19,12 @@ import pytest
 from errexp import (
     BinaryHypothesis,
     ConstraintSet,
-    deviation_probability_exact,
+    deviation_exact_log2_prob,
     kl_divergence,
     make_distribution,
-    neyman_pearson_min_beta,
+    sanov_exact_log2_prob,
     stein_errors,
 )
-from errexp.types_method import sanov_exact_log2_prob
 
 # decisions (band membership, deviation) must not hinge on rounding: every
 # type's statistic must clear the edge by this much in bits
@@ -89,9 +88,9 @@ def test_stein_and_neyman_pearson(seed):
         g1, g2 = by_ratio.get(key, (0, 0))
         by_ratio[key] = (g1 + m1, g2 + m2)
 
-    report = stein_errors(h, n, delta)
-    assert report.alpha_n == pytest.approx(float(Fraction(alpha, scale)), rel=1e-12)
-    assert math.log2(report.beta_n) == pytest.approx(_log2(Fraction(beta, scale)), rel=1e-12)
+    report = stein_errors(h, n, delta, eps)
+    assert 2.0**report.log2_alpha == pytest.approx(float(Fraction(alpha, scale)), rel=1e-12)
+    assert report.log2_beta == pytest.approx(_log2(Fraction(beta, scale)), rel=1e-12)
 
     target = (1 - Fraction(eps)) * scale
     accepted, np_beta = 0, Fraction(0)
@@ -102,7 +101,7 @@ def test_stein_and_neyman_pearson(seed):
             break
         accepted += g1
         np_beta += g2
-    got = neyman_pearson_min_beta(h, n, eps)
+    got = 2.0**report.np_log2_beta
     assert got == pytest.approx(float(np_beta / scale), rel=1e-12)
 
 
@@ -138,6 +137,6 @@ def test_sanov_and_deviation(seed):
     assert got == pytest.approx(_log2(Fraction(at_least, scale)), rel=1e-12)
     got = sanov_exact_log2_prob(upper, p, n)
     assert got == pytest.approx(_log2(Fraction(sum(masses) - at_least, scale)), rel=1e-12)
-    got = deviation_probability_exact(n, p, delta)
+    got = 2.0 ** deviation_exact_log2_prob(n, p, delta)
     assert 0.0 < got < 1.0
     assert got == pytest.approx(float(Fraction(deviating, scale)), rel=1e-12)
