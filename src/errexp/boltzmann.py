@@ -42,6 +42,10 @@ class EnergySystem:
             raise ValidationError("need at least 2 energy levels")
         if not np.all(np.isfinite(levels)):
             raise ValidationError("energy levels must be finite")
+        # the weights are taken relative to the ground level; Python floats
+        # overflow to inf here without NumPy's warning
+        if math.isinf(float(levels.max()) - float(levels.min())):
+            raise ValidationError("energy levels must span less than the double range")
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValidationError("beta must be finite and >= 0")
         levels.flags.writeable = False

@@ -382,13 +382,17 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
 
 def log_factorial(k: int) -> float:
     """ln k!; compensated summation for small k, lgamma above the cutoff."""
-    # int() raises on inf and nan, so they are refused first
-    if k < 0 or not math.isfinite(k) or k != int(k):
-        raise ValidationError("log_factorial requires a nonnegative integer")
-    k = int(k)
-    if k <= _LOG_FACT_CUTOFF:
-        return _small_log_fact_table()[k]
-    return math.lgamma(k + 1.0)
+    try:
+        # int() raises on inf and nan, so they are refused first
+        if k < 0 or not math.isfinite(k) or k != int(k):
+            raise ValidationError("log_factorial requires a nonnegative integer")
+        k = int(k)
+        if k <= _LOG_FACT_CUTOFF:
+            return _small_log_fact_table()[k]
+        return math.lgamma(k + 1.0)
+    except OverflowError:
+        # k itself, k + 1.0 or ln k! lies beyond the double range
+        raise ValidationError("log_factorial requires ln k! within the double range") from None
 
 
 @lru_cache(maxsize=1)

@@ -1,10 +1,19 @@
 """Asymptotic binary hypothesis testing.
 
 Exact log2 error probabilities of the Stein region and of the randomized
-Neyman-Pearson optimum, from one pass over the types, and Chernoff
-information by the Boltzmann tilt solver. All error probabilities are
-computed exactly over type classes: the log likelihood ratio is
-type-measurable, so no Monte Carlo is involved.
+Neyman-Pearson optimum, and Chernoff information by the Boltzmann tilt
+solver. All error probabilities are computed exactly over type classes: the
+log likelihood ratio is type-measurable, so no Monte Carlo is involved.
+
+Below four symbols of positive p1, one walk scores every type. From four
+up, the walk covers only the prefixes (c_0, ..., c_{k-3}): under a prefix
+with remainder r the LLR is linear in the split of r between the last two
+symbols, so the r + 1 types of the prefix are one run, whose mass is the
+prefix's mass under the law with those two symbols merged times a
+Binomial(r, theta) term. Ranges of a run are summed from left and right
+cumulative tables of those terms, with cuts where the band or the NP
+bracket crosses the run and every type near a cut judged by its own walk
+score (:class:`_Runs`).
 """
 
 from __future__ import annotations
@@ -19,8 +28,10 @@ from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
     EmpiricalType,
+    _capped_count,
     _check_delta,
     _exp2,
+    _log2_binomial_tables,
     _log2_prob,
     _log2_sum_exp2,
     _log2q,
@@ -28,6 +39,18 @@ from .types_method import (
     _walk_scores,
     _walk_types,
 )
+
+# an alphabet with at least this many symbols of positive p1 is summed by
+# runs; below it the binomial tables would be about as large as the types
+_RUN_SYMBOLS = 4
+
+# a walk score is within 4 units of roundoff of |prefix LLR| + r max|w|, over
+# n, of its value on the reals, and a cut computed on the reals within about
+# 10 of those units plus n |edge|; a cut is trusted this far from the edge
+_CUT_ROUNDING = 32 * 2.0**-53
+
+# the NP bracket is at least 2^-40 of the score range wide
+_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -171,6 +194,200 @@ def _np_log2_min_beta(epsilon: float, scores) -> float:
     return _log2_prob(lp2, llr > pivot, tail=[tie])
 
 
+def _log2_range(left, right, a, b) -> np.ndarray:
+    """log2 of the sums over [a, b) of binomial rows, from the tables of
+    :func:`_log2_binomial_tables` at flat indices a < b, each taken from the
+    side whose difference cancels least."""
+    la, lb, ra, rb = left[a], left[b], right[a], right[b]
+    from_left = lb <= ra
+    top = np.where(from_left, lb, ra)
+    # the tables rise to the right on the left side and to the left on the
+    # right side, so the ratio is at most 1
+    ratio = np.minimum(np.where(from_left, la, rb) - top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log1p(-_exp2(ratio, out=ratio)) / LN2
+
+
+class _Runs:
+    """The n-types of an alphabet with positive p1 on every symbol, as runs.
+
+    A run is a prefix (c_0, ..., c_{k-3}) with remainder r and its r + 1
+    types, which split r between the last two symbols; x counts the one of
+    the larger LLR weight. A type's walk score is ((S + c_{k-2} w_{k-2}) +
+    c_{k-1} w_{k-1}) / n, the bits of :func:`_type_scores`, with S the
+    prefix's partial sum; on the reals it is (base + x step) / n, rising in
+    x with a step all runs share. Its P_h mass is the prefix's mass under p_h
+    with the last two symbols merged times the Binomial(r, theta_h) term at
+    x, theta_h the share of the x symbol in the merged one. One walk over
+    the C(n + k - 2, k - 2) prefixes scores every run, and the per-h tables
+    of :func:`_log2_binomial_tables` sum any range of one.
+    """
+
+    def __init__(self, h: BinaryHypothesis, n: int, support: np.ndarray, cap: int):
+        log2qs = [_log2q(h.p1)[support], _log2q(h.p2)[support]]
+        w = log2qs[0] - log2qs[1]
+        k = w.size
+        self.n = n
+        self.last = w[-2], w[-1]
+        self.rising = bool(w[-2] >= w[-1])
+        self.step = float(abs(w[-2] - w[-1]))
+        merged, thetas = [], []
+        for p, log2q in zip((h.p1, h.p2), log2qs):
+            q = p.probs[support]
+            log2_s = math.log2(q[-2] + q[-1])
+            merged.append(np.r_[log2q[:-2], log2_s])
+            up, down = (log2q[-2], log2q[-1]) if self.rising else (log2q[-1], log2q[-2])
+            thetas.append((up - log2_s, down - log2_s))
+        self.tables = [[t.ravel() for t in ts] for ts in _log2_binomial_tables(n, thetas)]
+        # the merged symbol weighs 0 in the LLR, and 1 in a sum that gives r
+        weights = [np.r_[w[:-2], 0.0], np.r_[np.zeros(k - 2), 1.0]]
+        walk = _walk_types(n, k - 1, cap)
+        (self.lp1, self.lp2), (self.partial, r) = _walk_scores(walk, n, merged, weights=weights)
+        self.r = r.astype(np.int64)
+        self.row = self.r * (n + 2)
+        # base on the reals, widened by the rounding of the scores (tol is
+        # the widest), in units of the step where it is not 0
+        base = self.partial + self.r * min(self.last)
+        tol = np.abs(self.partial) + self.r * max(abs(w[-2]), abs(w[-1]))
+        tol *= _CUT_ROUNDING
+        self.tol = float(tol.max())
+        self.high, self.low = base + tol, base - tol
+        if self.step:
+            self.high /= self.step
+            self.low /= self.step
+
+    def _clip(self, x: np.ndarray) -> np.ndarray:
+        # x within 0..r + 1, as counts
+        np.maximum(x, 0.0, out=x)
+        return np.minimum(x, self.r + 1.0, out=x).astype(np.int64)
+
+    def below(self, edge: float) -> np.ndarray:
+        """Per run, the least x whose score may reach ``edge``: every type
+        before it scores below ``edge``, whatever its rounding."""
+        reach = self.n * edge - _CUT_ROUNDING * abs(self.n * edge)
+        if self.step == 0.0:
+            # a run is one tie class on the reals
+            return np.where(self.high < reach, self.r + 1, 0)
+        return self._clip(np.ceil(reach / self.step - self.high))
+
+    def above(self, edge: float) -> np.ndarray:
+        """Per run, the least x from which every type scores above ``edge``,
+        whatever its rounding."""
+        reach = self.n * edge + _CUT_ROUNDING * abs(self.n * edge)
+        if self.step == 0.0:
+            return np.where(self.low > reach, 0, self.r + 1)
+        return self._clip(np.floor(reach / self.step - self.low) + 1.0)
+
+    def types(self, lo: np.ndarray, hi: np.ndarray):
+        """(avg LLR, log2 P1, log2 P2) of the types lo <= x < hi of each run,
+        in run order."""
+        width = hi - lo
+        run = np.flatnonzero(width)
+        width = width[run]
+        start = lo[run] - (np.cumsum(width) - width)
+        run = np.repeat(run, width)
+        x = np.repeat(start, width)
+        x += np.arange(run.size)
+        cell = self.row[run]
+        cell += x
+        # c_{k-2} into x, c_{k-1} into r
+        r = self.r[run]
+        if not self.rising:
+            np.subtract(r, x, out=x)
+        r -= x
+        llr = self.partial[run]
+        llr += x * self.last[0]
+        llr += r * self.last[1]
+        llr /= self.n
+        del x, r
+        (terms1, _, _), (terms2, _, _) = self.tables
+        lp1 = self.lp1[run]
+        lp1 += terms1[cell]
+        lp2 = self.lp2[run]
+        lp2 += terms2[cell]
+        return llr, lp1, lp2
+
+    def band(self, lower: float, upper: float):
+        """(a1, a2, a3, a4) per run, in order: the types with x < a1 score
+        below ``lower``, those with x >= a4 above ``upper``, and those with
+        a2 <= x < a3 between them, whatever their rounding; the others are
+        judged by their own score."""
+        a1, a2 = self.below(lower), self.above(lower)
+        a3, a4 = self.below(upper), self.above(upper)
+        a2 = np.maximum(a2, a1)
+        a3 = np.maximum(a3, a2)
+        return a1, a2, a3, np.maximum(a4, a3)
+
+    def stein(self, lower: float, upper: float):
+        """(log2 alpha, log2 beta) of the band lower <= avg LLR <= upper."""
+        a1, a2, a3, a4 = self.band(lower, upper)
+        (_, left1, right1), (_, left2, right2) = self.tables
+        inner = np.flatnonzero(a2 < a3)
+        row = self.row[inner]
+        beta = [self.lp2[inner] + _log2_range(left2, right2, row + a2[inner], row + a3[inner])]
+        alpha = [self.lp1 + left1[self.row + a1], self.lp1 + right1[self.row + a4]]
+        for lo, hi in ((a1, a2), (a3, a4)):
+            llr, lp1, lp2 = self.types(lo, hi)
+            member = llr >= lower
+            member &= llr <= upper
+            beta.append(lp2[member])
+            alpha.append(lp1[~member])
+        return _log2_prob(np.concatenate(alpha)), _log2_prob(np.concatenate(beta))
+
+    def np_log2_min_beta(self, epsilon: float) -> float:
+        """log2 of the NP optimum, selected by :func:`_np_threshold` among
+        the types of a bracket of scores that holds the threshold; the P1
+        mass below the bracket and the P2 mass above it come from the
+        tables."""
+        # a bracket around every score
+        span = self.low.min(), self.high.max()
+        if self.step:
+            span = span[0] * self.step, (span[1] + self.r.max()) * self.step
+        whole = span[0] / self.n - 1.0, span[1] / self.n + 1.0
+        (_, left1, _), (_, _, right2) = self.tables
+        for lower, upper in (self._bracket(epsilon, *whole), whole):
+            a1, a4 = self.below(lower), self.above(upper)
+            below = 2.0 ** _log2_sum_exp2(self.lp1 + left1[self.row + a1])
+            llr, lp1, lp2 = self.types(a1, a4)
+            threshold = _np_threshold(epsilon - below, llr, _exp2(lp1, out=lp1))
+            if threshold is None or not lower <= threshold[0] <= upper:
+                # the threshold lies outside the bracket: take every type
+                continue
+            pivot, gamma = threshold
+            tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
+            above = self.lp2 + right2[self.row + a4]
+            return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
+        # the whole p1 mass is within epsilon: reject every type
+        return -math.inf
+
+    def _bracket(self, epsilon: float, lower: float, upper: float):
+        """Scores (lower, upper) that hold the NP threshold: the P1 mass at
+        or below lower is at most epsilon and that at or below upper exceeds
+        it. The types up to the cut above a score hold all that score at or
+        below it, so the bisection keeps a lower score of P1 mass within
+        epsilon; an upper score of mass beyond it may hold types within
+        rounding of it whose scores lie above it, so it is widened by that
+        rounding. The bisection stops once at most one type per run on
+        average lies between the cuts: a tie class larger than that (every
+        type, where p1 = p2) is bracketed after ``_BISECTIONS`` steps."""
+        weights = _exp2(self.lp1, out=np.empty_like(self.lp1))
+        (_, left1, _), _ = self.tables
+        # the P1 share of each run below x
+        shares = _exp2(left1, out=np.empty_like(left1))
+        lo, hi = np.zeros_like(self.r), self.r + 1
+        for _ in range(_BISECTIONS):
+            t = 0.5 * (lower + upper)
+            if (hi - lo).sum() <= self.r.size or not lower < t < upper:
+                break
+            x = self.above(t)
+            if weights @ shares[self.row + x] <= epsilon:
+                lower, lo = t, x
+            else:
+                upper, hi = t, x
+        # twice the rounding of a score near upper
+        return lower, upper + 2.0 * (self.tol + _CUT_ROUNDING * abs(self.n * upper)) / self.n
+
+
 def stein_errors(
     h: BinaryHypothesis,
     n: int,
@@ -185,12 +402,36 @@ def stein_errors(
     Neyman-Pearson lemma): it accepts every type above t, rejects every type
     below, and accepts the tie class at t with the probability that makes
     alpha exactly epsilon. t is found by weighted selection on the p1 mass
-    below candidate thresholds, without sorting the types. Both arguments
-    are checked before anything is enumerated, and one type pass serves
-    both tests.
+    below candidate thresholds, without sorting the types. Both arguments,
+    and ``cap`` against the number of n-types, are checked before anything
+    is enumerated, and one walk serves both tests.
+
+    Types with mass where p1 = 0 have no p1 mass, lie outside the band and
+    are rejected first, so they are left out. Below four other symbols the
+    walk scores every type. From four up it scores the prefixes and
+    :class:`_Runs` sums runs of types from binomial tables: the band is cut
+    from each run, and t is selected, as above, among the types of a bracket
+    of scores found by bisection on the p1 mass below it, the masses
+    outside the bracket coming from the tables. Each type is judged on the
+    walk's score either way, so both paths test the same band and the same
+    ratio; the sums differ in their last bits.
     """
     _check_delta(delta)
     _check_epsilon(epsilon)
+    support = h.p1.probs > 0
+    if np.count_nonzero(support) >= _RUN_SYMBOLS:
+        _capped_count(n, h.p1.alphabet_size, cap)
+        runs = _Runs(h, n, support, cap)
+        d = kl_divergence(h.p1, h.p2)
+        log2_alpha, log2_beta = runs.stein(d - delta, d + delta)
+        return SteinReport(
+            n=n,
+            delta=delta,
+            epsilon=epsilon,
+            log2_alpha=log2_alpha,
+            log2_beta=log2_beta,
+            np_log2_beta=runs.np_log2_min_beta(epsilon),
+        )
     scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
     llr, lp1, lp2 = scores
     d = kl_divergence(h.p1, h.p2)

@@ -16,7 +16,10 @@ binomial rows of a Sanov event) are scored by the same code through a
 one-step walk (``_rows_walk``), so one function defines how a type is
 scored. Its bit reference is ``tests/row_oracle.py``, the row kernels of
 the (T, k) count matrix. That matrix (``_enumerate_counts``, the same walk)
-serves :func:`enumerate_types` and the test oracles.
+serves :func:`enumerate_types` and the test oracles. Where a sum over the
+types splits into binomial ranges over one count (the Stein and
+Neyman-Pearson runs of ``testing``), ``_log2_binomial_tables`` gives every
+range of every row r <= n from two cumulative tables.
 
 A Sanov event constrains one symbol a, so it depends on the count of a
 alone. Its probability is a binomial range sum over the merged alphabet
@@ -151,6 +154,16 @@ def count_types(n: int, alphabet_size: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
+def _capped_count(n: int, alphabet_size: int, cap: int) -> int:
+    """The number of n-types, or ResourceCapError if it exceeds ``cap``."""
+    total = count_types(n, alphabet_size)
+    if total > cap:
+        raise ResourceCapError(
+            f"{total} types exceeds the enumeration cap of {cap}"
+        )
+    return total
+
+
 def _walk_types(n: int, alphabet_size: int, cap: int):
     """Walk the n-types in lexicographic order, one column at a time.
 
@@ -172,11 +185,7 @@ def _walk_types(n: int, alphabet_size: int, cap: int):
     are more than ``cap`` types; a caller creates the walk before it builds
     anything of size n.
     """
-    total = count_types(n, alphabet_size)
-    if total > cap:
-        raise ResourceCapError(
-            f"{total} types exceeds the enumeration cap of {cap}"
-        )
+    total = _capped_count(n, alphabet_size, cap)
 
     def steps():
         # rem[i] is what the i-th distinct prefix leaves for the later columns
@@ -317,6 +326,59 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
         scores[:, start : start + acc.shape[1]] = acc[:-1]
         start += acc.shape[1]
     return list(scores[: len(log2qs)]), list(scores[len(log2qs) :])
+
+
+def _log2_binomial_tables(n: int, thetas):
+    """log2 of the Binomial(r, theta) terms and of their left and right sums,
+    for every r <= n, one triple per (log2 theta, log2 (1 - theta)) in
+    ``thetas``.
+
+    Each triple is ``(terms, left, right)``, each (n + 1, n + 2):
+    ``terms[r, x]`` is log2 of C(r, x) theta^x (1 - theta)^(r - x), -inf for
+    x > r; ``left[r, x]`` is log2 of the sum of the terms of row r below x,
+    and ``right[r, x]`` of those at x and above, so a range [a, b) of row r is
+    either side's difference. A row whose terms all lie within 2^960 of its
+    largest is summed in doubles scaled by that term, each sum of m terms
+    to m ulps; a row whose terms span more (theta near 0 or 1 at large r)
+    is summed in log2 instead, so no far-tail mass is lost.
+    """
+    log_fact = log_factorial_table(n)
+    r = np.arange(n + 1)[:, None]
+    x = np.arange(n + 2)
+    rest = np.maximum(r - x, 0)
+    log2_choose = log_fact[r] - log_fact[np.minimum(x, n)]
+    log2_choose -= log_fact[rest]
+    log2_choose /= LN2
+    outside = x > r
+    log2_choose[outside] = -np.inf
+    out = []
+    for log2_theta, log2_rest in thetas:
+        terms = x * log2_theta + rest * log2_rest
+        terms += log2_choose
+        # the terms rise, then fall, in x: the least of a row is at an end
+        shift = terms.max(axis=1, keepdims=True)
+        far = np.minimum(terms[:, 0], terms.diagonal()) < shift[:, 0] - 960.0
+        lin = terms - shift
+        # 2**x is slow where it flushes to 0; below -960 only the far rows
+        # have terms, and they are summed again below
+        np.maximum(lin, -1000.0, out=lin)
+        np.exp2(lin, out=lin)
+        lin[outside] = 0.0
+        left = np.empty_like(terms)
+        left[:, 0] = 0.0
+        np.cumsum(lin[:, :-1], axis=1, out=left[:, 1:])
+        right = np.cumsum(lin[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(divide="ignore"):
+            # an empty sum is -inf
+            np.log2(left, out=left)
+            np.log2(right, out=right)
+        left += shift
+        right += shift
+        if far.any():
+            left[far, 1:] = np.logaddexp2.accumulate(terms[far, :-1], axis=1)
+            right[far] = np.logaddexp2.accumulate(terms[far, ::-1], axis=1)[:, ::-1]
+        out.append((terms, left, right))
+    return out
 
 
 def enumerate_types(

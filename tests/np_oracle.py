@@ -5,7 +5,8 @@ randomized NP optimum for a binary alphabet in mpmath: the type with j
 copies of symbol 0 has Binomial(n, p) mass, so the optimum is a walk over
 n + 1 binomial terms. ``np_log2_beta_types`` does the same for any
 alphabet over the enumerated n-types, with ties decided in exact rational
-arithmetic. ``stein_moments``, ``berry_esseen_gap_bounds`` and
+arithmetic, and ``stein_log2_errors_types`` sums the Stein errors of a given
+band exactly over them. ``stein_moments``, ``berry_esseen_gap_bounds`` and
 ``strassen_gap`` give the finite-n theory that the exponent gap
 D + (1/n) log2 beta is checked against:
 
@@ -149,6 +150,49 @@ def np_log2_beta_types(p1, p2, n: int, epsilon: float) -> float:
             accepted += g1
             beta += g2
         return float(mpmath.log(beta, 2))
+
+
+def _exact_masses(p, n: int, k: int):
+    """Each n-type's probability under ``p`` (its doubles taken as exact), as
+    an integer numerator over one power-of-two denominator, in
+    :func:`types` order; None for a type with mass where p is 0."""
+    fracs = [Fraction(float(x)) for x in p]
+    # every denominator is a power of two
+    shift = [f.denominator.bit_length() - 1 for f in fracs]
+    top = n * max(shift)
+    powers = [[f.numerator**c for c in range(n + 1)] for f in fracs]
+    fact = [math.factorial(c) for c in range(n + 1)]
+    masses = []
+    for counts in types(n, k):
+        if any(c and not f for c, f in zip(counts, fracs)):
+            masses.append(None)
+            continue
+        num = fact[n] // math.prod(fact[c] for c in counts)
+        num *= math.prod(pw[c] for pw, c in zip(powers, counts))
+        masses.append(num << (top - sum(c * e for c, e in zip(counts, shift))))
+    return masses, top
+
+
+def _log2_exact(num: int, log2_den: int) -> float:
+    if num == 0:
+        return -math.inf
+    with mpmath.workdps(_DPS):
+        return float(mpmath.log(mpmath.mpf(num), 2) - log2_den)
+
+
+def stein_log2_errors_types(p1, p2, n: int, member) -> tuple[float, float]:
+    """(log2 alpha, log2 beta) of the Stein band over the n-types, exactly.
+
+    ``member`` holds, in :func:`types` order, whether each type lies in the
+    band; alpha is the p1 mass of the others and beta the p2 mass of those,
+    each summed exactly over the doubles of ``p1`` and ``p2`` and rounded
+    once.
+    """
+    k = len(p1)
+    (m1, top1), (m2, top2) = _exact_masses(p1, n, k), _exact_masses(p2, n, k)
+    alpha = sum(m for m, inside in zip(m1, member) if m is not None and not inside)
+    beta = sum(m for m, inside in zip(m2, member) if m is not None and inside)
+    return _log2_exact(alpha, top1), _log2_exact(beta, top2)
 
 
 def stein_moments(p1: np.ndarray, p2: np.ndarray) -> tuple[float, float, float]:

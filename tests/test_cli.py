@@ -498,6 +498,14 @@ class TestExitCodes:
         )
         assert (status, out, err) == (2, "", "errexp: seed must fit in 64 unsigned bits\n")
 
+    @pytest.mark.parametrize("target", [["--mean", "0"], ["--beta", "1"]])
+    def test_boltzmann_levels_spanning_beyond_the_double_range_are_2(self, target):
+        # the span overflowed to inf: --mean exited 3 with a nan bound and
+        # --beta 0 after a RuntimeWarning
+        status, out, err = run_cli(["boltzmann", "--levels=-1e308,1e308", *target])
+        assert (status, out) == (2, "")
+        assert err == "errexp: energy levels must span less than the double range\n"
+
     def test_kl_of_weights_whose_sum_overflows(self):
         # refused with "got np.float64(0.0)" while the sum overflowed
         status, out, _ = run_cli(["kl", "--p", "1e308,1e308", "--q", "1,1"])
@@ -549,6 +557,18 @@ class TestSharedParser:
         assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
         for argv, got in zip(self.SEQUENCE, reused):
             assert got == self.run_fresh(argv), argv
+
+
+def test_python_m_errexp_matches_main():
+    argv = ["stein", "--p1", "1,2,3,4", "--p2", "4,3,2,1", "--n", "20", "--delta", "0.1"]
+    status, out, err = TestSharedParser.run_in_process(argv)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "errexp", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out.encode(), err.encode())
+    assert status == 0
 
 
 def full_parse(argv):
@@ -637,27 +657,41 @@ class TestParsePaths:
 
 
 class TestSharedTypePass:
-    def test_stein_enumerates_and_scores_once(self, monkeypatch):
-        # one walk scores every type; no count matrix, no one-row scoring
+    @staticmethod
+    def _count_calls(monkeypatch, argv):
         modules = {
             "_walk_types": testing,
             "_enumerate_counts": types_method,
             "_rows_walk": testing,
         }
-        calls = dict.fromkeys(modules, 0)
+        calls = {name: [] for name in modules}
         for name, module in modules.items():
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        status, _, _ = run_cli(
-            ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
-        )
+        status, _, _ = run_cli(argv)
         assert status == 0
-        assert calls == {"_walk_types": 1, "_enumerate_counts": 0, "_rows_walk": 0}
+        return calls
+
+    def test_stein_enumerates_and_scores_once(self, monkeypatch):
+        # one walk scores every type; no count matrix, no one-row scoring
+        calls = self._count_calls(
+            monkeypatch, ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
+        )
+        assert calls == {"_walk_types": [(30, 3, 10**7)], "_enumerate_counts": [], "_rows_walk": []}
+
+    def test_stein_walks_the_prefixes_once_at_k4(self, monkeypatch):
+        # from four symbols one walk scores the prefixes, over the alphabet
+        # with the last two symbols merged; the runs come from tables
+        calls = self._count_calls(
+            monkeypatch,
+            ["stein", "--p1", "1,2,3,4", "--p2", "4,3,2,1", "--n", "30", "--delta", "0.1"],
+        )
+        assert calls == {"_walk_types": [(30, 3, 10**7)], "_enumerate_counts": [], "_rows_walk": []}
 
     def test_stein_never_sorts(self, monkeypatch):
         # the NP threshold is found by selection, not from a global order

@@ -257,6 +257,13 @@ class TestLogFactorial:
         with pytest.raises(ValidationError):
             log_factorial(k)
 
+    @pytest.mark.parametrize("k", [10**306, 10**400])
+    def test_beyond_the_double_range_rejected(self, k):
+        # ln k! overflows a double at 10**306; 10**400 is no double at all,
+        # and both raised a bare OverflowError
+        with pytest.raises(ValidationError):
+            log_factorial(k)
+
     def test_increments_match_log(self):
         # tolerance is relative to ln k!: the increment of two ~1e7 doubles
         # cannot be tighter than their ulp

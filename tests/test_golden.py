@@ -23,6 +23,10 @@ The Stein alpha pins were retaken when alpha became the log-space sum of
 the rejected p1 mass instead of 1 minus the accepted mass; the comment above
 ``STEIN_GOLDEN`` gives both errors against an exact-fraction sum.
 
+The Stein and Neyman-Pearson pins of four or more symbols with positive p1
+were retaken when those sums became sums over runs of types; the comments
+above ``NP_GOLDEN`` and ``STEIN_GOLDEN`` give both errors.
+
 The ``solve_beta`` pins are the inverse temperatures the Boltzmann module's
 own bracket-and-bisect loop returned on the same platform; the shared tilt
 solver must reproduce them, and raise the same errors, bit for bit.
@@ -120,6 +124,19 @@ DEVIATION_CASES = {
 # of p1 on every accepted type, so 1 - epsilon of the float p1 mass gave
 # beta almost exactly; alpha = epsilon leaves in beta the error of the
 # float p1 total (1.2e-14 and 5.4e-15 below 1).
+#
+# From four symbols of positive p1 up, the optimum is summed by runs of
+# types from binomial tables, selected among the types of a bracket of
+# scores; relative errors against ``np_oracle.np_log2_beta_types`` (walk ->
+# runs, old hex): k5_n30 7.8e-15 -> 6.5e-15 (0x1.05cd77906e361p-3),
+# k5_ties_zero 5.0e-15 -> 3.8e-15 (0x1.86411ba3c6a31p-11). Two are farther,
+# left as the runs give them: k4_ties 1.8e-14 -> 2.5e-14
+# (0x1.d6f20d4252190p-6) and k4_n100 9.4e-14 -> 1.1e-13
+# (0x1.82792613e6414p-55). There both sums carry the rounding of each
+# type's log2 probability, a few ulps of log2 n!, of about the same
+# mass-weighted size on both paths (P1: 1.2e-14 on the runs against 9.5e-15
+# on the walk at k4_ties, 1.6e-13 on both at k4_n100); with exactly rounded
+# type probabilities the walk's selection is 0 and 1.5e-14 off.
 NP_GOLDEN = {
     "k1_n5": "0x1.e666666666666p-1",
     "k2_identical": "0x1.e6666666665f7p-1",
@@ -130,10 +147,10 @@ NP_GOLDEN = {
     "k3_n150": "0x1.5caa58e19aee7p-62",
     "k3_zero_in_both": "0x1.81f4d98addc79p-4",
     "k3_zero_in_p1": "0x1.e66666666663ep-31",
-    "k4_n100": "0x1.82792613e6414p-55",
-    "k4_ties": "0x1.d6f20d4252190p-6",
-    "k5_n30": "0x1.05cd77906e361p-3",
-    "k5_ties_zero": "0x1.86411ba3c6a31p-11",
+    "k4_n100": "0x1.82792613e63b0p-55",
+    "k4_ties": "0x1.d6f20d42521c3p-6",
+    "k5_n30": "0x1.05cd77906e367p-3",
+    "k5_ties_zero": "0x1.86411ba3c6a39p-11",
 }
 
 # alpha_n is the log-space sum of the rejected p1 mass, not 1 - accepted;
@@ -144,15 +161,24 @@ NP_GOLDEN = {
 # k3_n100 1.6e-13 -> 1.8e-14 (0x1.7f490b7b634f0p-4), k4_ties 5.3e-15 ->
 # 2.9e-15 (0x1.857efa4a52cb4p-2), k5_n20 3.9e-15 -> 2.2e-15
 # (0x1.2d711f39835f9p-1); k3_zero_in_p1 rejects only types with p1 mass 0,
-# so alpha is exactly 0 (was 0x1.9000000000000p-48)
+# so alpha is exactly 0 (was 0x1.9000000000000p-48).
+#
+# From four symbols of positive p1 up, the band's errors are summed by
+# runs of types from binomial tables; relative errors against an
+# exact-fraction sum over the same band (walk -> runs, old hex):
+# k4_ties beta 2.6e-15 -> 1.9e-15 (0x1.31978d42732c0p-6) and its exponent
+# 5.8e-16 -> 3.9e-16 (0x1.261ecbbdc8193p-3), alpha unchanged;
+# k5_n20 alpha 2.3e-15 -> 9.4e-16 (0x1.2d711f3983619p-1), beta 1.2e-15 ->
+# 0 (0x1.14303a9aa29a2p-5) and its exponent 3.4e-16 -> 0
+# (0x1.f4c94a4cf6633p-3)
 STEIN_GOLDEN = {
     "k1_n5": ("0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0"),
     "k2_n100": ("0x1.efbcbcc756b5bp-2", "0x1.ab2dfa5326e59p-20", "0x1.8a78b0a89c59dp-3"),
     "k2_n2000": ("0x1.270f6d0aff13bp-8", "0x1.f2f043a5823fap-327", "0x1.4ddcb7990cbf1p-3"),
     "k3_n100": ("0x1.7f490b7b6304bp-4", "0x1.339c1850d0d5ep-39", "0x1.8ca5970e8f1bdp-2"),
     "k3_zero_in_p1": ("0x0.0p+0", "0x1.fffffffffffd4p-31", "0x1.0000000000001p+0"),
-    "k4_ties": ("0x1.857efa4a52c7cp-2", "0x1.31978d42732c0p-6", "0x1.261ecbbdc8193p-3"),
-    "k5_n20": ("0x1.2d711f3983619p-1", "0x1.14303a9aa29a2p-5", "0x1.f4c94a4cf6633p-3"),
+    "k4_ties": ("0x1.857efa4a52c7cp-2", "0x1.31978d42732c4p-6", "0x1.261ecbbdc8192p-3"),
+    "k5_n20": ("0x1.2d711f3983612p-1", "0x1.14303a9aa299cp-5", "0x1.f4c94a4cf6636p-3"),
 }
 
 SANOV_EXPONENT_GOLDEN = {

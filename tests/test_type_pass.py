@@ -2,17 +2,24 @@
 
 ``type_pass_oracle`` keeps the earlier pass: whole T-long score vectors, one
 column at a time, reduced with fresh masks and compactions. The library
-fills the scores block by block and reduces them in place; every field of
-the oracle's ``SteinReport`` (its linear fields as 2 ** log2 and its
-exponent as -log2 beta / n), the Neyman-Pearson log2 beta and the deviation
-probability must agree with the oracle's ``float.hex`` for float.hex.
+fills the scores block by block and reduces them in place; the type scores
+and the deviation probability must agree with the oracle's ``float.hex``
+for float.hex at every k. So must every field of the oracle's
+``SteinReport`` (its linear fields as 2 ** log2 and its exponent as -log2
+beta / n) and the Neyman-Pearson log2 beta wherever fewer than four symbols
+have positive p1. From four up, ``stein_errors`` sums runs of types from
+binomial tables instead (``tests/test_run_path.py``), which moves last
+bits: there its errors must match the exact-fraction sums of ``np_oracle``
+over the band the oracle's scores give, at 1e-12 relative.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import type_pass_oracle as oracle
+from np_oracle import np_log2_beta_types, stein_log2_errors_types
 
 from errexp import (
     BinaryHypothesis,
@@ -33,12 +40,32 @@ def _bits(x) -> str:
     return float(x).hex()
 
 
+def _assert_exact(got, want):
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) * math.log(2.0) <= 1e-12, (got, want)
+
+
 def _assert_same_pass(h, n, delta, epsilon):
     report = stein_errors(h, n, delta, epsilon, cap=10**7)
     scores = oracle.type_scores(h, n)
     walk = _walk_types(n, h.p1.alphabet_size, cap=10**7)
     for got, want in zip(_type_scores(h, n, walk), scores):
         assert got.tobytes() == want.tobytes()
+    for p in (h.p1, h.p2):
+        for deviation in (0.5 * delta, 2.0 * delta):
+            got = 2.0 ** deviation_exact_log2_prob(n, p, deviation)
+            assert _bits(got) == _bits(oracle.deviation_probability_exact(n, p, deviation))
+    if np.count_nonzero(h.p1.probs) >= 4:
+        d = kl_divergence(h.p1, h.p2)
+        band = (scores[0] >= d - delta) & (scores[0] <= d + delta)
+        log2_alpha, log2_beta = stein_log2_errors_types(h.p1.probs, h.p2.probs, n, band)
+        _assert_exact(report.log2_alpha, log2_alpha)
+        _assert_exact(report.log2_beta, log2_beta)
+        want = np_log2_beta_types(h.p1.probs, h.p2.probs, n, epsilon)
+        _assert_exact(report.np_log2_beta, want)
+        return
     want = oracle.stein_report(h, n, delta, scores)
     linear = {
         "alpha_n": 2.0**report.log2_alpha,
@@ -49,10 +76,6 @@ def _assert_same_pass(h, n, delta, epsilon):
         got = linear.get(field.name, getattr(report, field.name, None))
         assert _bits(got) == _bits(getattr(want, field.name)), field.name
     assert _bits(report.np_log2_beta) == _bits(oracle.np_log2_min_beta(epsilon, scores))
-    for p in (h.p1, h.p2):
-        for deviation in (0.5 * delta, 2.0 * delta):
-            got = 2.0 ** deviation_exact_log2_prob(n, p, deviation)
-            assert _bits(got) == _bits(oracle.deviation_probability_exact(n, p, deviation))
 
 
 def _weights(rng, k, zeros=()):

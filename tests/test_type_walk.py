@@ -163,8 +163,12 @@ def test_boundary_type_at_k8():
     band = _band(h, llr, delta)
     assert band[i]
     assert stein_region_membership(t, h, delta)
-    # the band is what stein_errors sums: beta is its log2 P2 mass
-    assert stein_errors(h, n, delta, 0.05).log2_beta == min(_log2_sum_exp2(lp2, band), 0.0)
+    # the band is what stein_errors sums: beta is its log2 P2 mass. At k = 8
+    # it is summed by runs, to within 1e-13 of the walk's sum, and this
+    # type alone is 9e-6 of it
+    walk_beta = min(_log2_sum_exp2(lp2, band), 0.0)
+    assert 2.0 ** (lp2[i] - walk_beta) > 1e-6
+    assert stein_errors(h, n, delta, 0.05).log2_beta == pytest.approx(walk_beta, rel=1e-13)
 
 
 class TestCap:
@@ -209,35 +213,39 @@ class TestCap:
             deviation_exact_log2_prob(self.N, make_distribution([1, 1]), 0.0, cap=1)
 
 
-def test_stein_and_np_peak_memory_per_type():
-    # the walk keeps T-length score vectors, no (T, k) count matrix and no
-    # T x k float temporaries; the materialized pass took 96 bytes per type
-    h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
-    n = 100
+def _stein_peak(h, n):
     stein_errors(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
     tracemalloc.start()
     try:
         stein_errors(h, n, 0.1, 0.05, cap=10**7)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / count_types(n, 4) <= 64
+
+
+def test_stein_and_np_peak_memory_per_type():
+    # the walk (below four symbols) keeps T-length score vectors, no (T, k)
+    # count matrix and no T x k float temporaries; the materialized pass took
+    # 96 bytes per type
+    h = BinaryHypothesis(make_distribution([1, 2, 3]), make_distribution([3, 2, 1]))
+    assert _stein_peak(h, 500) / count_types(500, 3) <= 64
 
 
 def test_stein_and_np_peak_memory_within_the_score_vectors():
     # the three score vectors take 24 bytes per type; the blocked fill adds
     # block-sized buffers only, the reductions one compaction at a time and
-    # the NP weights overwrite log2 P1 (56.6 bytes per type before them)
+    # the NP weights overwrite log2 P1 (40.0 bytes per type here)
+    h = BinaryHypothesis(make_distribution([1, 2, 3]), make_distribution([3, 2, 1]))
+    assert _stein_peak(h, 500) / count_types(500, 3) <= 42
+
+
+def test_stein_and_np_peak_memory_by_runs():
+    # from four symbols nothing per type is kept: vectors per prefix, the
+    # (n + 1, n + 2) binomial tables and the types of the NP bracket. At
+    # k = 4, n = 200 (1,373,701 types) the type pass peaked at 54,951,749
+    # traced bytes (40 per type); the runs take 4,906,171
     h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
-    n = 100
-    stein_errors(h, n, 0.1, 0.05, cap=10**7)  # warm the log-factorial cache
-    tracemalloc.start()
-    try:
-        stein_errors(h, n, 0.1, 0.05, cap=10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / count_types(n, 4) <= 42
+    assert _stein_peak(h, 200) <= 54_951_749 / 8
 
 
 def test_one_type_peak_memory_without_a_table_stack():
