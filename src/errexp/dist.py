@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -408,6 +409,15 @@ def _small_log_fact_table() -> tuple:
         acc = t
         vals.append(acc)
     return tuple(vals)
+
+
+@lru_cache(maxsize=64)
+def log_factorial_residual(n: int) -> float:
+    """ln n! - log_factorial(n), the rounding left in the double, from ln n!
+    to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(math.factorial(n)).ln() - Decimal(log_factorial(n)))
 
 
 @lru_cache(maxsize=64)

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, TiltedFamily, _solve_tilt, kl_divergence
+from .dist import (
+    LN2,
+    DiscreteDistribution,
+    TiltedFamily,
+    _solve_tilt,
+    kl_divergence,
+    log_factorial_residual,
+)
 from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
     ENUMERATION_CAP,
@@ -51,6 +58,10 @@ _CUT_ROUNDING = 32 * 2.0**-53
 
 # the NP bracket is at least 2^-40 of the score range wide
 _BISECTIONS = 40
+
+# a bracket holding more than this share of the types (a tie class wider
+# than about one type per run) leaves the NP optimum to the walk
+_BRACKET_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -243,6 +254,13 @@ class _Runs:
         weights = [np.r_[w[:-2], 0.0], np.r_[np.zeros(k - 2), 1.0]]
         walk = _walk_types(n, k - 1, cap)
         (self.lp1, self.lp2), (self.partial, r) = _walk_scores(walk, n, merged, weights=weights)
+        # each prefix's log2 multinomial holds the double ln n!, whose
+        # rounding every type shares; the NP tie fraction amplifies such a
+        # common error by the p1 mass below the tie over the tie's own, so
+        # it is added back
+        residual = log_factorial_residual(n) / LN2
+        self.lp1 += residual
+        self.lp2 += residual
         self.r = r.astype(np.int64)
         self.row = self.r * (n + 2)
         # base on the reals, widened by the rounding of the scores (tol is
@@ -334,42 +352,42 @@ class _Runs:
             alpha.append(lp1[~member])
         return _log2_prob(np.concatenate(alpha)), _log2_prob(np.concatenate(beta))
 
-    def np_log2_min_beta(self, epsilon: float) -> float:
+    def np_log2_min_beta(self, epsilon: float):
         """log2 of the NP optimum, selected by :func:`_np_threshold` among
         the types of a bracket of scores that holds the threshold; the P1
         mass below the bracket and the P2 mass above it come from the
-        tables."""
-        # a bracket around every score
-        span = self.low.min(), self.high.max()
-        if self.step:
-            span = span[0] * self.step, (span[1] + self.r.max()) * self.step
-        whole = span[0] / self.n - 1.0, span[1] / self.n + 1.0
+        tables. None where the bracket holds more than ``_BRACKET_SHARE``
+        of the types or misses the threshold."""
+        lower, upper = self._bracket(epsilon)
+        a1, a4 = self.below(lower), self.above(upper)
+        if (a4 - a1).sum() > _BRACKET_SHARE * (self.r.sum() + self.r.size):
+            return None
         (_, left1, _), (_, _, right2) = self.tables
-        for lower, upper in (self._bracket(epsilon, *whole), whole):
-            a1, a4 = self.below(lower), self.above(upper)
-            below = 2.0 ** _log2_sum_exp2(self.lp1 + left1[self.row + a1])
-            llr, lp1, lp2 = self.types(a1, a4)
-            threshold = _np_threshold(epsilon - below, llr, _exp2(lp1, out=lp1))
-            if threshold is None or not lower <= threshold[0] <= upper:
-                # the threshold lies outside the bracket: take every type
-                continue
-            pivot, gamma = threshold
-            tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
-            above = self.lp2 + right2[self.row + a4]
-            return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
-        # the whole p1 mass is within epsilon: reject every type
-        return -math.inf
+        below = 2.0 ** _log2_sum_exp2(self.lp1 + left1[self.row + a1])
+        llr, lp1, lp2 = self.types(a1, a4)
+        threshold = _np_threshold(epsilon - below, llr, _exp2(lp1, out=lp1))
+        if threshold is None or not lower <= threshold[0] <= upper:
+            return None
+        pivot, gamma = threshold
+        tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
+        above = self.lp2 + right2[self.row + a4]
+        return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
 
-    def _bracket(self, epsilon: float, lower: float, upper: float):
+    def _bracket(self, epsilon: float):
         """Scores (lower, upper) that hold the NP threshold: the P1 mass at
         or below lower is at most epsilon and that at or below upper exceeds
         it. The types up to the cut above a score hold all that score at or
         below it, so the bisection keeps a lower score of P1 mass within
         epsilon; an upper score of mass beyond it may hold types within
         rounding of it whose scores lie above it, so it is widened by that
-        rounding. The bisection stops once at most one type per run on
-        average lies between the cuts: a tie class larger than that (every
-        type, where p1 = p2) is bracketed after ``_BISECTIONS`` steps."""
+        rounding. The bisection starts around every score and stops once at
+        most one type per run on average lies between the cuts: a tie class
+        larger than that (every type, where p1 = p2) stays whole in the
+        bracket after ``_BISECTIONS`` steps."""
+        lower, upper = self.low.min(), self.high.max()
+        if self.step:
+            lower, upper = lower * self.step, (upper + self.r.max()) * self.step
+        lower, upper = lower / self.n - 1.0, upper / self.n + 1.0
         weights = _exp2(self.lp1, out=np.empty_like(self.lp1))
         (_, left1, _), _ = self.tables
         # the P1 share of each run below x
@@ -380,7 +398,11 @@ class _Runs:
             if (hi - lo).sum() <= self.r.size or not lower < t < upper:
                 break
             x = self.above(t)
-            if weights @ shares[self.row + x] <= epsilon:
+            # a multiply and a sum: from about 10^4 prefixes "@" hands the
+            # dot product to threaded BLAS, which took 400x longer on a
+            # 2-vCPU VM
+            mass = np.multiply(weights, shares[self.row + x]).sum()
+            if mass <= epsilon:
                 lower, lo = t, x
             else:
                 upper, hi = t, x
@@ -412,9 +434,12 @@ def stein_errors(
     :class:`_Runs` sums runs of types from binomial tables: the band is cut
     from each run, and t is selected, as above, among the types of a bracket
     of scores found by bisection on the p1 mass below it, the masses
-    outside the bracket coming from the tables. Each type is judged on the
-    walk's score either way, so both paths test the same band and the same
-    ratio; the sums differ in their last bits.
+    outside the bracket coming from the tables. Where a tie class keeps the
+    bracket wide (p1 = p2 ties every type) or the bracket misses t, the NP
+    optimum comes from the walk instead. Each type is judged on the walk's
+    score either way, so both paths test the same band and the same ratio;
+    the sums differ in their last bits, the runs' with the rounding of
+    ln n! added back.
     """
     _check_delta(delta)
     _check_epsilon(epsilon)
@@ -424,13 +449,19 @@ def stein_errors(
         runs = _Runs(h, n, support, cap)
         d = kl_divergence(h.p1, h.p2)
         log2_alpha, log2_beta = runs.stein(d - delta, d + delta)
+        np_log2_beta = runs.np_log2_min_beta(epsilon)
+        # the walk below keeps T-long scores; the runs are not needed by then
+        del runs
+        if np_log2_beta is None:
+            walk = _walk_types(n, h.p1.alphabet_size, cap)
+            np_log2_beta = _np_log2_min_beta(epsilon, _type_scores(h, n, walk))
         return SteinReport(
             n=n,
             delta=delta,
             epsilon=epsilon,
             log2_alpha=log2_alpha,
             log2_beta=log2_beta,
-            np_log2_beta=runs.np_log2_min_beta(epsilon),
+            np_log2_beta=np_log2_beta,
         )
     scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
     llr, lp1, lp2 = scores

@@ -17,6 +17,7 @@ from errexp import (
     make_distribution,
     tilted,
 )
+from errexp.dist import log_factorial_residual
 
 
 def weights(min_size=2, max_size=5):
@@ -263,6 +264,15 @@ class TestLogFactorial:
         # and both raised a bare OverflowError
         with pytest.raises(ValidationError):
             log_factorial(k)
+
+    @pytest.mark.parametrize("k", [0, 1, 60, 100, 256, 257, 400, 3000])
+    def test_residual_is_the_rounding_of_the_double(self, k):
+        # both sides of the compensated-sum / lgamma cutoff
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.factorial(k)) - mpmath.mpf(log_factorial(k))
+        got = log_factorial_residual(k)
+        assert abs(got) <= 4 * math.ulp(log_factorial(k))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
 
     def test_increments_match_log(self):
         # tolerance is relative to ln k!: the increment of two ~1e7 doubles

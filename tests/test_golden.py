@@ -127,16 +127,15 @@ DEVIATION_CASES = {
 #
 # From four symbols of positive p1 up, the optimum is summed by runs of
 # types from binomial tables, selected among the types of a bracket of
-# scores; relative errors against ``np_oracle.np_log2_beta_types`` (walk ->
-# runs, old hex): k5_n30 7.8e-15 -> 6.5e-15 (0x1.05cd77906e361p-3),
-# k5_ties_zero 5.0e-15 -> 3.8e-15 (0x1.86411ba3c6a31p-11). Two are farther,
-# left as the runs give them: k4_ties 1.8e-14 -> 2.5e-14
-# (0x1.d6f20d4252190p-6) and k4_n100 9.4e-14 -> 1.1e-13
-# (0x1.82792613e6414p-55). There both sums carry the rounding of each
-# type's log2 probability, a few ulps of log2 n!, of about the same
-# mass-weighted size on both paths (P1: 1.2e-14 on the runs against 9.5e-15
-# on the walk at k4_ties, 1.6e-13 on both at k4_n100); with exactly rounded
-# type probabilities the walk's selection is 0 and 1.5e-14 off.
+# scores, with the rounding of ln n! that every type shares added back.
+# Relative errors against ``np_oracle.np_log2_beta_types`` (walk -> runs,
+# old hex): k4_n100 9.4e-14 -> 0 (0x1.82792613e6414p-55), k4_ties 1.8e-14
+# -> 8.6e-15 (0x1.d6f20d4252190p-6), k5_n30 7.8e-15 -> 4.6e-15
+# (0x1.05cd77906e361p-3), k5_ties_zero 5.0e-15 -> 3.6e-15
+# (0x1.86411ba3c6a31p-11). The tie fraction gamma amplifies a relative
+# error common to the p1 masses by about the p1 mass below the tie over the
+# tie's: at k4_n100 the double ln 100! alone, 0.36 ulp low, put the walk
+# 9.4e-14 off.
 NP_GOLDEN = {
     "k1_n5": "0x1.e666666666666p-1",
     "k2_identical": "0x1.e6666666665f7p-1",
@@ -147,10 +146,10 @@ NP_GOLDEN = {
     "k3_n150": "0x1.5caa58e19aee7p-62",
     "k3_zero_in_both": "0x1.81f4d98addc79p-4",
     "k3_zero_in_p1": "0x1.e66666666663ep-31",
-    "k4_n100": "0x1.82792613e63b0p-55",
-    "k4_ties": "0x1.d6f20d42521c3p-6",
-    "k5_n30": "0x1.05cd77906e367p-3",
-    "k5_ties_zero": "0x1.86411ba3c6a39p-11",
+    "k4_n100": "0x1.82792613e6691p-55",
+    "k4_ties": "0x1.d6f20d425213ep-6",
+    "k5_n30": "0x1.05cd77906e39ap-3",
+    "k5_ties_zero": "0x1.86411ba3c6a6cp-11",
 }
 
 # alpha_n is the log-space sum of the rejected p1 mass, not 1 - accepted;
@@ -164,12 +163,12 @@ NP_GOLDEN = {
 # so alpha is exactly 0 (was 0x1.9000000000000p-48).
 #
 # From four symbols of positive p1 up, the band's errors are summed by
-# runs of types from binomial tables; relative errors against an
+# runs of types from binomial tables; errors in ulps against an
 # exact-fraction sum over the same band (walk -> runs, old hex):
-# k4_ties beta 2.6e-15 -> 1.9e-15 (0x1.31978d42732c0p-6) and its exponent
-# 5.8e-16 -> 3.9e-16 (0x1.261ecbbdc8193p-3), alpha unchanged;
-# k5_n20 alpha 2.3e-15 -> 9.4e-16 (0x1.2d711f3983619p-1), beta 1.2e-15 ->
-# 0 (0x1.14303a9aa29a2p-5) and its exponent 3.4e-16 -> 0
+# k4_ties alpha -20 -> 10 (0x1.857efa4a52c7cp-2), beta -14 -> 13
+# (0x1.31978d42732c0p-6) and its exponent 3 -> -3, as close
+# (0x1.261ecbbdc8193p-3); k5_n20 alpha 12 -> 5 (0x1.2d711f3983619p-1),
+# beta 6 -> 0 (0x1.14303a9aa29a2p-5) and its exponent -3 -> 0
 # (0x1.f4c94a4cf6633p-3)
 STEIN_GOLDEN = {
     "k1_n5": ("0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0"),
@@ -177,7 +176,7 @@ STEIN_GOLDEN = {
     "k2_n2000": ("0x1.270f6d0aff13bp-8", "0x1.f2f043a5823fap-327", "0x1.4ddcb7990cbf1p-3"),
     "k3_n100": ("0x1.7f490b7b6304bp-4", "0x1.339c1850d0d5ep-39", "0x1.8ca5970e8f1bdp-2"),
     "k3_zero_in_p1": ("0x0.0p+0", "0x1.fffffffffffd4p-31", "0x1.0000000000001p+0"),
-    "k4_ties": ("0x1.857efa4a52c7cp-2", "0x1.31978d42732c4p-6", "0x1.261ecbbdc8192p-3"),
+    "k4_ties": ("0x1.857efa4a52c9ap-2", "0x1.31978d42732dbp-6", "0x1.261ecbbdc818dp-3"),
     "k5_n20": ("0x1.2d711f3983612p-1", "0x1.14303a9aa299cp-5", "0x1.f4c94a4cf6636p-3"),
 }
 

@@ -12,10 +12,12 @@ scorer, so they must judge and score each type exactly as the enumerated
 sums do, at every k.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from np_oracle import stein_log2_errors_types
 from row_oracle import _kl_rows, avg_llr_rows, type_log_probs
 
 from errexp import (
@@ -163,12 +165,13 @@ def test_boundary_type_at_k8():
     band = _band(h, llr, delta)
     assert band[i]
     assert stein_region_membership(t, h, delta)
-    # the band is what stein_errors sums: beta is its log2 P2 mass. At k = 8
-    # it is summed by runs, to within 1e-13 of the walk's sum, and this
-    # type alone is 9e-6 of it
-    walk_beta = min(_log2_sum_exp2(lp2, band), 0.0)
-    assert 2.0 ** (lp2[i] - walk_beta) > 1e-6
-    assert stein_errors(h, n, delta, 0.05).log2_beta == pytest.approx(walk_beta, rel=1e-13)
+    # the band is what stein_errors sums: beta is its P2 mass, summed by runs
+    # at k = 8 and held to the exact sum over the band at 1e-12 relative;
+    # this type alone is 9e-6 of it, far above that
+    _, want = stein_log2_errors_types(h.p1.probs, h.p2.probs, n, band)
+    assert 2.0 ** (lp2[i] - want) > 1e-6
+    got = stein_errors(h, n, delta, 0.05).log2_beta
+    assert abs(got - want) * math.log(2.0) <= 1e-12
 
 
 class TestCap:
@@ -239,11 +242,18 @@ def test_stein_and_np_peak_memory_within_the_score_vectors():
     assert _stein_peak(h, 500) / count_types(500, 3) <= 42
 
 
+def test_stein_and_np_peak_memory_per_type_where_every_type_ties():
+    # p1 = p2 ties every type, so the NP bracket cannot narrow and the NP
+    # optimum comes from the walk; the runs are gone by then
+    h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([1, 2, 3, 4]))
+    assert _stein_peak(h, 100) / count_types(100, 4) <= 42
+
+
 def test_stein_and_np_peak_memory_by_runs():
     # from four symbols nothing per type is kept: vectors per prefix, the
     # (n + 1, n + 2) binomial tables and the types of the NP bracket. At
     # k = 4, n = 200 (1,373,701 types) the type pass peaked at 54,951,749
-    # traced bytes (40 per type); the runs take 4,906,171
+    # traced bytes (40 per type); the runs take 4,906,187
     h = BinaryHypothesis(make_distribution([1, 2, 3, 4]), make_distribution([4, 3, 2, 1]))
     assert _stein_peak(h, 200) <= 54_951_749 / 8
 
