@@ -94,7 +94,14 @@ def boltzmann_distribution(sys: EnergySystem) -> DiscreteDistribution:
 def mean_energy(sys: EnergySystem) -> float:
     """Average energy under the Boltzmann occupation."""
     w = _level_weights(sys.levels, sys.beta)
-    return float((sys.levels * w).sum() / w.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((sys.levels * w).sum())
+    if math.isfinite(total):
+        return total / float(w.sum())
+    # the sum overflowed: above the ground level every level lies within the
+    # span, which the system keeps finite, and the normalized weights sum to 1
+    ground = float(sys.levels.min())
+    return ground + float(((sys.levels - ground) * (w / w.sum())).sum())
 
 
 def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:

@@ -31,11 +31,9 @@ from .testing import BinaryHypothesis, chernoff_lambda_star, stein_errors
 from .types_method import (
     ENUMERATION_CAP,
     ConstraintSet,
-    enumerate_types,
     sanov_exact_log2_prob,
     sanov_exponent,
-    type_class_size,
-    type_class_size_bounds,
+    type_classes,
 )
 
 _EXIT_OK = 0
@@ -90,20 +88,12 @@ def _run_kl(args):
 
 def _run_types(args):
     header = ["counts", "n", "log2_size", "exact_size", "lower_log2", "upper_log2"]
-    rows = []
-    for t in enumerate_types(args.n, args.alphabet, cap=args.cap):
-        log2_size, exact = type_class_size(t)
-        lower, upper = type_class_size_bounds(t)
-        rows.append(
-            [
-                ";".join(str(c) for c in t.counts),
-                t.n,
-                log2_size,
-                "" if exact is None else exact,
-                lower,
-                upper,
-            ]
-        )
+    # the cap is checked by this call; the rows then stream to the writer
+    classes = type_classes(args.n, args.alphabet, cap=args.cap)
+    rows = (
+        [";".join(map(str, c)), args.n, log2_size, "" if exact is None else exact, lower, upper]
+        for c, log2_size, exact, lower, upper in classes
+    )
     return header, rows
 
 
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_types = subs.add_parser("types", help="enumerate n-types with class sizes and bounds (log2)")
     p_types.add_argument("--n", type=int, required=True, help="sequence length")
     p_types.add_argument("--alphabet", type=int, required=True, help="alphabet size")
-    p_types.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="enumeration cap")
+    p_types.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="types cap (bounds time)")
     p_types.set_defaults(func=_run_types)
 
     p_sanov = subs.add_parser(

@@ -4,19 +4,18 @@ Everything here is exact: probabilities are accumulated in log2 space with
 max-shift summation, so large-deviation events with probabilities far below
 double-precision range still get accurate exponents. Type-class sums walk
 the n-types, up to a resource cap, in lexicographic order one symbol at a
-time (``_walk_types``). Every per-type score they reduce (log2 Q^n(T(P)),
-D(P || p), the average log-likelihood ratio) is a sum over symbols j of a
-term that depends on the count c_j alone, so ``_walk_scores`` accumulates it
-during the walk, from c_j * w_j for the linear terms and from a (k, n + 1)
-table for ln c_j! and the D terms, and never forms the (T, k) count matrix.
-The walk's last two columns come in blocks of ``_BLOCK`` types, which are
-summed in block-sized buffers and written into the score vectors, so the
-scores are the only arrays of size T. Given count rows (one type, or the
-binomial rows of a Sanov event) are scored by the same code through a
+time (``_walk_types``). Every per-type score (log2 Q^n(T(P)), D(P || p), the
+average log-likelihood ratio, and the log2 |T(P)| and nH of
+:func:`type_classes`) is a sum over symbols j of a term that depends on the
+count c_j alone, so the one scorer, ``_score_blocks``, accumulates it during
+the walk, from c_j * w_j for the linear terms and from a (k, n + 1) table
+for ln c_j! and the D and entropy terms, and yields the scores of
+``_BLOCK`` types at a time; the (T, k) count matrix is never formed.
+``_walk_scores`` collects them into T-long vectors, and
+:func:`type_classes` streams them with memory flat in T. Given count rows
+(one type, or the binomial rows of a Sanov event) are scored through a
 one-step walk (``_rows_walk``), so one function defines how a type is
-scored. Its bit reference is ``tests/row_oracle.py``, the row kernels of
-the (T, k) count matrix. That matrix (``_enumerate_counts``, the same walk)
-serves :func:`enumerate_types` and the test oracles. Where a sum over the
+scored; its bit reference is ``tests/row_oracle.py``. Where a sum over the
 types splits into binomial ranges over one count (the Stein and
 Neyman-Pearson runs of ``testing``), ``_log2_binomial_tables`` gives every
 range of every row r <= n from two cumulative tables.
@@ -40,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, entropy, log_factorial, log_factorial_table
+from .dist import LN2, DiscreteDistribution, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
@@ -56,10 +55,6 @@ _BLOCK = 2**13
 
 # 2**x is +0.0 below x = -1075; _exp2 does not evaluate it below this
 _EXP2_FLOOR = -1100.0
-
-# exact type-class sizes above this are reported in log2 only
-_NATIVE_INT_MAX = 2**63 - 1
-
 
 @dataclass(frozen=True)
 class EmpiricalType:
@@ -229,48 +224,18 @@ def _rows_walk(rows):
     return len(counts), iter([(0, None, list(enumerate(counts.T)))])
 
 
-def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
-    """All count vectors summing to n, lexicographically ascending, (T, k).
-
-    The matrix is column-major (Fortran order), so the row reductions of the
-    test oracles (``tests/row_oracle.py``, and the row KL) run as k
-    contiguous vector passes, summing the columns in order as
-    :func:`_walk_scores` does: from k = 8 NumPy sums a C-order row pairwise
-    instead, and results can move in their last bits.
-    """
-    total, steps = _walk_types(n, alphabet_size, cap)
-    out = np.empty((alphabet_size, total), dtype=np.int64)
-    prefix, start = [], 0
-    for lo, width, columns in steps:
-        # prefix is empty while width is None (the one parent is the empty prefix)
-        counts = [np.repeat(c[lo : lo + width.size], width) for c in prefix]
-        counts += [c for _, c in columns]
-        if columns[-1][0] < alphabet_size - 1:
-            prefix = counts
-            continue
-        stop = start + counts[-1].size
-        out[:, start:stop] = counts
-        start = stop
-    return out.T
-
-
-def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
-    """Per-type scores from one walk, in the walk's order.
+def _score_blocks(walk, n: int, log2qs, weights=(), tables=()):
+    """Per-type scores from one walk, a block of types at a time, in order.
 
     ``walk`` is ``(T, steps)`` from :func:`_walk_types` or :func:`_rows_walk`.
-    Returns ``(lps, sums)``. ``lps`` holds, for each log2 q in ``log2qs``,
-    log2 Q^n(T(P)) of every type. ``sums`` holds, for each weight vector w,
-    the sum over symbols j of c_j * w[j], a -inf weight counting as -inf
-    where c_j > 0 and as 0 elsewhere, then for each (k, n + 1) table the sum
-    of table[j, c_j]. Each sum runs over the columns in order, so the scores
-    carry the bits of ``type_log_probs`` and ``guarded_row_dot`` of
-    ``tests/row_oracle.py`` on the column-major count matrix.
-
-    The result vectors are the rows of one array allocated once. Each block
-    of complete types is summed in a block-sized array, one row per score
-    plus the log2 multinomial sum, and then copied into it, so nothing else
-    of size T is formed.
-    """
+    A block has a column per type and a row per score: log2 Q^n(T(P)) for
+    each log2 q in ``log2qs``; for each weight vector w, the sum over symbols
+    j of c_j * w[j], a -inf weight counting as -inf where c_j > 0 and as 0
+    elsewhere; for each (k, n + 1) table, the sum of table[j, c_j]. Each sum
+    runs over the columns in order, so the scores carry the bits of
+    ``type_log_probs`` and ``guarded_row_dot`` of ``tests/row_oracle.py`` on
+    the column-major count matrix. Nothing of size T is formed, and no block
+    is reused after it is yielded."""
     k = len(log2qs[0])
     total, steps = walk
     log_fact = log_factorial_table(n)
@@ -287,9 +252,8 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
     impossible = [row.nonzero()[0] for row in neg] if neg.any() else None
     w[neg] = 0.0
     rows, scaled = len(w[0]) + len(tabs[0]), len(w[0])
-    scores = np.empty((rows - 1, total))
     term_buf = np.empty(rows * min(total, _BLOCK))
-    prefix, start = None, 0
+    prefix = None
 
     def column_terms(j, counts):
         # c_j * w[j], 0 for a -inf w[j] and c_j = 0, then the table entries; a
@@ -323,8 +287,18 @@ def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
         np.subtract(log_fact[n], log2_mult, out=log2_mult)
         log2_mult /= LN2
         acc[: len(log2qs)] += log2_mult
-        scores[:, start : start + acc.shape[1]] = acc[:-1]
-        start += acc.shape[1]
+        yield acc[:-1]
+
+
+def _walk_scores(walk, n: int, log2qs, weights=(), tables=()):
+    """The :func:`_score_blocks` scores as ``(lps, sums)``, ``lps`` the
+    log2 Q^n(T(P)) vectors and ``sums`` the rest: the rows of one array
+    allocated once and filled block by block."""
+    scores = np.empty((len(log2qs) + len(weights) + len(tables), walk[0]))
+    start = 0
+    for block in _score_blocks(walk, n, log2qs, weights, tables):
+        scores[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
     return list(scores[: len(log2qs)]), list(scores[len(log2qs) :])
 
 
@@ -381,33 +355,58 @@ def _log2_binomial_tables(n: int, thetas):
     return out
 
 
+def _exact_size(counts) -> int | None:
+    """n! / prod c_j!, or None where it exceeds a native 64-bit integer."""
+    size, total = 1, 0
+    for c in counts:
+        total += c
+        size *= math.comb(total, c)
+    return size if size < 2**63 else None
+
+
+def _class_rows(walk, n: int, k: int):
+    """The :func:`type_classes` rows of ``walk``'s types, from one pass:
+    log2 |T(P)| is the score under log2 q = 0, the counts sum unit weights,
+    and -H sums (c/n) log2 (c/n), the :func:`_kl_terms` of log2 q = 0."""
+    plogp = _kl_terms(np.arange(n + 1) / n, 0.0)
+    log2_types = math.log2(count_types(n, k))
+    for block in _score_blocks(walk, n, [np.zeros(k)], np.eye(k), [[plogp] * k]):
+        # -H as entropy() gives it: 0.0, not -0.0, for a point mass
+        n_h = n * (0.0 - block[-1])
+        # the lists live as long as the loop's zip, one block's at a time
+        counts = block[1:-1].T.astype(np.int64)
+        for c, log2_size, lower, upper in zip(
+            counts.tolist(), block[0].tolist(), (n_h - log2_types).tolist(), n_h.tolist()
+        ):
+            exact = _exact_size(c) if log2_size < 64 else None
+            yield tuple(c), log2_size, exact, lower, upper
+
+
+def type_classes(n: int, alphabet_size: int, cap: int = ENUMERATION_CAP):
+    """``(counts, log2 |T(P)|, exact |T(P)| or None, nH - log2 count_types,
+    nH)`` for every n-type, in lexicographic count order: the class size,
+    exact where it fits a native 64-bit integer, in its sandwich (Cover &
+    Thomas, Thm 11.1.3), H the type's entropy in bits. Bad arguments, or
+    more than ``cap`` types, raise at the call; the rows then stream from
+    one walk, so memory stays flat in T and ``cap`` bounds the time."""
+    return _class_rows(_walk_types(n, alphabet_size, cap), n, alphabet_size)
+
+
 def enumerate_types(
     n: int, alphabet_size: int, cap: int = ENUMERATION_CAP
 ) -> list[EmpiricalType]:
     """Every n-type over the alphabet, in lexicographic count order."""
-    counts = _enumerate_counts(n, alphabet_size, cap)
-    return [EmpiricalType(tuple(int(c) for c in r), n) for r in counts]
+    return [EmpiricalType(row[0], n) for row in type_classes(n, alphabet_size, cap)]
 
 
 def type_class_size(t: EmpiricalType):
-    """Size of the type class T(P) as (log2 value, exact int or None).
-
-    The exact multinomial coefficient n!/(prod counts!) is included whenever
-    it fits a native 64-bit integer.
-    """
-    log2_size = (
-        log_factorial(t.n) - sum(log_factorial(c) for c in t.counts)
-    ) / math.log(2.0)
-    exact = math.factorial(t.n)
-    for c in t.counts:
-        exact //= math.factorial(c)
-    return log2_size, exact if exact <= _NATIVE_INT_MAX else None
+    """(log2 |T(P)|, exact |T(P)| or None), as :func:`type_classes` gives it."""
+    return next(_class_rows(_rows_walk([t.counts]), t.n, t.alphabet_size))[1:3]
 
 
 def type_class_size_bounds(t: EmpiricalType):
-    """Two-sided bound on log2 |T(P)|: (nH - log2 count_types, nH)."""
-    n_h = t.n * entropy(t.distribution())
-    return n_h - math.log2(count_types(t.n, t.alphabet_size)), n_h
+    """The bounds (nH - log2 count_types, nH) on log2 |T(P)| of :func:`type_classes`."""
+    return next(_class_rows(_rows_walk([t.counts]), t.n, t.alphabet_size))[3:]
 
 
 def _log2q(q: DiscreteDistribution) -> np.ndarray:

@@ -7,8 +7,9 @@ the Sanov binomial rows) through a one-step walk. The functions here are the
 row-matrix kernels it replaced, verbatim: log2 multinomial coefficients, the
 guarded row dot product, type log-probabilities and the average log
 likelihood ratio of each row. On the column-major matrix of
-``_enumerate_counts`` their row sums run over the columns in order, as the
-walk sums them, so the two must agree bit for bit. A single C-order row of
+``_enumerate_counts`` (below: the walk's steps assembled into the (T, k)
+matrix, which ``src/`` no longer builds) their row sums run over the
+columns in order, as the walk sums them, so the two must agree bit for bit. A single C-order row of
 8 or more symbols is summed pairwise by NumPy instead, and may differ from
 the walk in its last bits.
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from errexp.dist import DiscreteDistribution
 from errexp.testing import _llr_weights
-from errexp.types_method import _kl_terms, _log2q
+from errexp.types_method import _kl_terms, _log2q, _walk_types
 
 _LN2 = math.log(2.0)
 
@@ -76,3 +77,28 @@ def avg_llr_rows(counts: np.ndarray, h) -> np.ndarray:
 def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
     """D(type || p) in bits for each row of a counts matrix."""
     return _kl_terms(counts / n, _log2q(p)).sum(axis=1)
+
+
+def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:
+    """All count vectors summing to n, lexicographically ascending, (T, k).
+
+    The matrix is column-major (Fortran order), so the row reductions of the
+    test oracles (``tests/row_oracle.py``, and the row KL) run as k
+    contiguous vector passes, summing the columns in order as
+    :func:`_walk_scores` does: from k = 8 NumPy sums a C-order row pairwise
+    instead, and results can move in their last bits.
+    """
+    total, steps = _walk_types(n, alphabet_size, cap)
+    out = np.empty((alphabet_size, total), dtype=np.int64)
+    prefix, start = [], 0
+    for lo, width, columns in steps:
+        # prefix is empty while width is None (the one parent is the empty prefix)
+        counts = [np.repeat(c[lo : lo + width.size], width) for c in prefix]
+        counts += [c for _, c in columns]
+        if columns[-1][0] < alphabet_size - 1:
+            prefix = counts
+            continue
+        stop = start + counts[-1].size
+        out[:, start:stop] = counts
+        start = stop
+    return out.T

@@ -21,13 +21,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from row_oracle import _kl_rows, type_log_probs
+from row_oracle import _enumerate_counts, _kl_rows, type_log_probs
 
 from errexp import ConstraintSet, DiscreteDistribution, EmpiricalType, InfeasibleError
 from errexp.dist import log_factorial_table
 from errexp.types_method import (
     ENUMERATION_CAP,
-    _enumerate_counts,
     _log2_sum_exp2,
     _log2q,
 )

@@ -4,7 +4,7 @@ import maxent_oracle
 import mpmath
 import numpy as np
 import pytest
-from row_oracle import log2_multinomial
+from row_oracle import _enumerate_counts, log2_multinomial
 
 from errexp import (
     EnergySystem,
@@ -21,7 +21,6 @@ from errexp import (
 )
 from errexp import boltzmann
 from errexp.dist import log_factorial_table
-from errexp.types_method import _enumerate_counts
 
 
 class TestPartitionFunction:

@@ -235,6 +235,61 @@ class TestExitCodes:
         assert err.strip() != ""
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kl", "--p", ",", "--q", "1,1"], "empty distribution"),
+            (["boltzmann", "--levels", "abc", "--beta", "1"], "cannot parse list 'abc'"),
+            (["boltzmann", "--levels", ",", "--beta", "1"], "empty list"),
+            (["boltzmann", "--levels", "1", "--beta", "1"], "need at least 2 energy levels"),
+            (["boltzmann", "--levels", "1,inf", "--beta", "1"], "energy levels must be finite"),
+            (["detect", "--dims", "0", "--amplitudes", "1"], "dim and trials must be positive"),
+            (
+                ["detect", "--dims", "1", "--amplitudes", "-1"],
+                "amplitude must be finite and >= 0",
+            ),
+            (
+                ["detect", "--dims", "1", "--amplitudes", "inf"],
+                "amplitude must be finite and >= 0",
+            ),
+            (
+                ["detect", "--dims", "1", "--amplitudes", "1", "--trials", "0"],
+                "dim and trials must be positive",
+            ),
+            (
+                ["stein", "--p1", "1,1", "--p2", "1,1,1", "--n", "5", "--delta", "0.1"],
+                "hypotheses must share an alphabet",
+            ),
+            (
+                ["sanov", "--p", "1,1", "--n", "5", "--symbol", "-1", "--threshold", "0.5"],
+                "symbol index must be nonnegative",
+            ),
+            (
+                ["sanov", "--p", "1,1", "--n", "5", "--symbol", "0", "--threshold", "1.5"],
+                "threshold must lie in [0, 1]",
+            ),
+            (["types", "--n", "0", "--alphabet", "2"], "n and alphabet_size must be positive"),
+        ],
+    )
+    def test_refusals_are_2_before_output(self, argv, message):
+        status, out, err = run_cli(argv)
+        assert (status, out, err) == (2, "", f"errexp: {message}\n")
+
+    def test_boltzmann_mean_past_the_double_range(self):
+        # the levels' sum overflows; the mean is taken above the ground level
+        status, out, err = run_cli(["boltzmann", "--levels=1e308,1e308", "--beta", "1"])
+        assert status == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [float(r[4]) for r in rows] == [1e308, 1e308]
+
+    def test_boltzmann_target_above_an_overflowing_uniform_mean_is_3(self):
+        # the uniform mean read inf, so this target passed the feasibility check
+        status, out, err = run_cli(
+            ["boltzmann", "--levels=1e308,1.5e308,1e308", "--mean", "1.2e308"]
+        )
+        assert status == 3 and out == ""
+        assert err == "errexp: target mean 1.2e+308 outside (1e+308, 1.1666666666666667e+308]\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["chernoff", "--p1", "3,7", "--p2", "9,2", "--tol", "1e-300"],
@@ -658,14 +713,9 @@ class TestParsePaths:
 
 class TestSharedTypePass:
     @staticmethod
-    def _count_calls(monkeypatch, argv):
-        modules = {
-            "_walk_types": testing,
-            "_enumerate_counts": types_method,
-            "_rows_walk": testing,
-        }
-        calls = {name: [] for name in modules}
-        for name, module in modules.items():
+    def _count_calls(monkeypatch, argv, module=testing):
+        calls = {"_walk_types": [], "_rows_walk": []}
+        for name in calls:
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -682,7 +732,7 @@ class TestSharedTypePass:
         calls = self._count_calls(
             monkeypatch, ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"]
         )
-        assert calls == {"_walk_types": [(30, 3, 10**7)], "_enumerate_counts": [], "_rows_walk": []}
+        assert calls == {"_walk_types": [(30, 3, 10**7)], "_rows_walk": []}
 
     def test_stein_walks_the_prefixes_once_at_k4(self, monkeypatch):
         # from four symbols one walk scores the prefixes, over the alphabet
@@ -691,7 +741,15 @@ class TestSharedTypePass:
             monkeypatch,
             ["stein", "--p1", "1,2,3,4", "--p2", "4,3,2,1", "--n", "30", "--delta", "0.1"],
         )
-        assert calls == {"_walk_types": [(30, 3, 10**7)], "_enumerate_counts": [], "_rows_walk": []}
+        assert calls == {"_walk_types": [(30, 3, 10**7)], "_rows_walk": []}
+
+    def test_types_walks_once(self, monkeypatch):
+        # every row of errexp types comes from one walk over the n-types,
+        # none from scoring a single type
+        calls = self._count_calls(
+            monkeypatch, ["types", "--n", "30", "--alphabet", "4"], module=types_method
+        )
+        assert calls == {"_walk_types": [(30, 4, 10**7)], "_rows_walk": []}
 
     def test_stein_never_sorts(self, monkeypatch):
         # the NP threshold is found by selection, not from a global order

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 import sanov_oracle
 from np_oracle import np_log2_beta_types
-from row_oracle import avg_llr_rows, type_log_probs
+from row_oracle import _enumerate_counts, avg_llr_rows, type_log_probs
 
 from errexp import (
     BinaryHypothesis,
@@ -54,7 +54,7 @@ from errexp import (
     stein_errors,
 )
 from errexp.dist import log_factorial_table
-from errexp.types_method import _enumerate_counts, _log2q
+from errexp.types_method import _log2q
 
 # (p1 weights, p2 weights, n, epsilon)
 NP_CASES = {

@@ -76,6 +76,7 @@ PUBLIC = [
     "type_class_log_prob",
     "type_class_size",
     "type_class_size_bounds",
+    "type_classes",
 ]
 
 

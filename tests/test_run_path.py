@@ -15,10 +15,12 @@ import mpmath
 import numpy as np
 import pytest
 from np_oracle import np_log2_beta_types, stein_log2_errors_types
+from row_oracle import _enumerate_counts
 
 from errexp import BinaryHypothesis, kl_divergence, make_distribution, stein_errors
-from errexp.testing import _Runs, _type_scores
-from errexp.types_method import _enumerate_counts, _log2_binomial_tables, _walk_types
+from errexp import testing
+from errexp.testing import _np_log2_min_beta, _Runs, _type_scores
+from errexp.types_method import _log2_binomial_tables, _walk_types
 
 _CAP = 10**7
 _LN2 = math.log(2.0)
@@ -179,6 +181,37 @@ def test_band_edge_on_a_type(w1, w2, n):
 )
 def test_binomial_rows_beyond_the_double_range(w1, w2, n, delta):
     _assert_run_path(_hypothesis(w1, w2), n, delta, 0.1)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_np_from_the_walk_where_the_bracket_misses_the_threshold(monkeypatch, side):
+    # a bracket wholly on one side of the NP threshold holds no threshold
+    # among its types, so the NP optimum comes from the walk, whose last
+    # bits differ from the runs' here
+    h = _hypothesis([1, 8, 5, 2], [9, 9, 1, 1])
+    n, epsilon = 40, 0.05
+    walk = _np_log2_min_beta(epsilon, _type_scores(h, n, _walk_types(n, 4, cap=_CAP)))
+    assert walk.hex() == "-0x1.9d2a09efeacf2p+4"
+    assert stein_errors(h, n, 0.1, epsilon).np_log2_beta != walk
+    bracket, threshold = _Runs._bracket, testing._np_threshold
+    found = []
+
+    def missed(self, eps):
+        lower, upper = bracket(self, eps)
+        width = upper - lower
+        if side == "above":
+            return upper + width, upper + 2 * width
+        return lower - 2 * width, lower - width
+
+    def recorded(*args):
+        found.append(threshold(*args))
+        return found[-1]
+
+    monkeypatch.setattr(_Runs, "_bracket", missed)
+    monkeypatch.setattr(testing, "_np_threshold", recorded)
+    assert stein_errors(h, n, 0.1, epsilon).np_log2_beta.hex() == walk.hex()
+    # the bracket's types were searched and held no threshold; then the walk's
+    assert len(found) == 2 and found[0] is None
 
 
 @pytest.mark.parametrize("log2_theta", [-1.0, math.log2(0.3), math.log2(1e-12), math.log2(1 - 1e-9)])

@@ -1,24 +1,26 @@
 """The type walk scores every n-type as the materialized count matrix does.
 
 ``_walk_scores`` sums per-symbol term tables while it walks the types; the
-reference is the (T, k) count matrix of ``_enumerate_counts`` reduced row by
-row by the kernels of ``row_oracle``. Stein and Neyman-Pearson scores must
+reference is the (T, k) count matrix of ``row_oracle._enumerate_counts``
+reduced row by row by the kernels of ``row_oracle``. Stein and Neyman-Pearson scores must
 agree byte for byte at every k. The deviation probability reduces a
 selection of rows, which is C-order, and from k = 8 NumPy sums C-order rows
 pairwise, so there it may move in its last bits.
 
 The one-type functions score a type through a one-step walk of the same
 scorer, so they must judge and score each type exactly as the enumerated
-sums do, at every k.
+sums do, at every k; the class size and its bounds as ``type_classes``
+streams them.
 """
 
+import collections
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from np_oracle import stein_log2_errors_types
-from row_oracle import _kl_rows, avg_llr_rows, type_log_probs
+from row_oracle import _enumerate_counts, _kl_rows, avg_llr_rows, type_log_probs
 
 from errexp import (
     BinaryHypothesis,
@@ -31,11 +33,13 @@ from errexp import (
     stein_errors,
     stein_region_membership,
     type_class_log_prob,
+    type_class_size,
+    type_class_size_bounds,
+    type_classes,
 )
 from errexp.dist import log_factorial_table
 from errexp.testing import _type_scores
 from errexp.types_method import (
-    _enumerate_counts,
     _kl_terms,
     _log2_sum_exp2,
     _log2q,
@@ -141,13 +145,21 @@ def test_one_type_functions_score_as_the_walk(k):
     n = _N_SMALL[k]
     d = kl_divergence(h.p1, h.p2)
     llr, lp1, lp2 = _type_scores(h, n, _walk_types(n, k, cap=10**6))
-    for row, x, l1, l2 in zip(_enumerate_counts(n, k, cap=10**6), llr, lp1, lp2):
+    classes = type_classes(n, k, cap=10**6)
+    counts = _enumerate_counts(n, k, cap=10**6)
+    for row, x, l1, l2, cls in zip(counts, llr, lp1, lp2, classes, strict=True):
         t = EmpiricalType(tuple(row), n)
         delta = abs(float(x) - d)
         if delta > 0:
             assert stein_region_membership(t, h, delta) == _band(h, x, delta), t.counts
         assert type_class_log_prob(t, h.p1).hex() == float(l1).hex(), t.counts
         assert type_class_log_prob(t, h.p2).hex() == float(l2).hex(), t.counts
+        # the class size and its bounds, scored alone, carry the walk's bits
+        cls_counts, log2_size, exact, lower, upper = cls
+        assert cls_counts == t.counts
+        got = type_class_size(t)
+        assert (got[0].hex(), got[1]) == (log2_size.hex(), exact), t.counts
+        assert [x.hex() for x in type_class_size_bounds(t)] == [lower.hex(), upper.hex()]
 
 
 def test_boundary_type_at_k8():
@@ -202,14 +214,15 @@ class TestCap:
         assert peak < 100_000
 
     def test_enumeration(self):
-        peak = self._peak_of_refusal(lambda: _enumerate_counts(self.N, self.K, cap=10**7))
+        # type_classes refuses when called, before a row is asked for
+        peak = self._peak_of_refusal(lambda: type_classes(self.N, self.K, cap=10**7))
         assert peak < 100_000
 
     def test_at_the_cap_is_allowed(self):
         total = count_types(20, 4)
-        assert _enumerate_counts(20, 4, cap=total).shape == (total, 4)
+        assert sum(1 for _ in type_classes(20, 4, cap=total)) == total
         with pytest.raises(ResourceCapError):
-            _enumerate_counts(20, 4, cap=total - 1)
+            type_classes(20, 4, cap=total - 1)
 
     def test_bad_delta_is_refused_first(self):
         with pytest.raises(ValidationError):
@@ -272,3 +285,21 @@ def test_one_type_peak_memory_without_a_table_stack():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _class_rows_peak(n, k):
+    collections.deque(type_classes(n, k), maxlen=0)  # warm the caches
+    tracemalloc.start()
+    try:
+        collections.deque(type_classes(n, k), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_type_classes_peak_memory_flat_in_the_types():
+    # the rows stream from the walk a block at a time: 12,341 and 39,711
+    # types, each more than one block, peak alike (3.2 and 3.3 MB); a
+    # materialized count matrix and a list of types grew 3.1x
+    assert count_types(40, 4) > 8192
+    assert _class_rows_peak(60, 4) <= 1.25 * _class_rows_peak(40, 4)

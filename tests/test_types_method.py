@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import sanov_oracle
-from row_oracle import _kl_rows
+from row_oracle import _enumerate_counts, _kl_rows
 
 from errexp import (
     ConstraintSet,
@@ -28,8 +28,9 @@ from errexp import (
     type_class_log_prob,
     type_class_size,
     type_class_size_bounds,
+    type_classes,
 )
-from errexp.types_method import _enumerate_counts, _kl_table, _log2q
+from errexp.types_method import _kl_table, _log2q
 
 
 class TestEmpiricalType:
@@ -109,6 +110,17 @@ class TestTypeClassSize:
         log2_size, exact = type_class_size(EmpiricalType((300, 300), 600))
         assert exact is None
         assert log2_size > 63
+
+    def test_exact_sizes_up_to_the_64_bit_edge(self):
+        # C(67, c) lies between 2^60 and 2^64 for c = 25..42 and crosses 2^63
+        # between c = 29 and 30: below it every size is exact, above it None,
+        # streamed and one type at a time alike
+        n = 67
+        for counts, _, exact, _, _ in type_classes(n, 2):
+            size = math.comb(n, counts[0])
+            want = size if size < 2**63 else None
+            assert exact == want, counts
+            assert type_class_size(EmpiricalType(counts, n))[1] == want, counts
 
     def test_bounds_contain_log_size(self):
         lower, upper = type_class_size_bounds(EmpiricalType((2, 2), 4))
