@@ -24,7 +24,7 @@ PROB_ATOL = 1e-12
 # below this k, ln k! is a compensated running sum; above, math.lgamma
 _LOG_FACT_CUTOFF = 256
 
-# iteration cap of the tilt solver's bracket growth and of its bisection
+# iteration cap of the tilt solver's bracket growth
 _TILT_MAX_ITER = 200
 
 # cap on the Newton steps that place the tilt solver's certified bracket
@@ -145,7 +145,7 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 class TiltedFamily:
     """Geometric interpolation between two same-alphabet distributions.
 
-    ``at(1)`` recovers p1 and ``at(0)`` recovers p2 when supports match.
+    ``tilted(family, 1)`` recovers p1 and ``tilted(family, 0)`` recovers p2.
     """
 
     p1: DiscreteDistribution
@@ -154,9 +154,6 @@ class TiltedFamily:
     def __post_init__(self):
         if self.p1.alphabet_size != self.p2.alphabet_size:
             raise ValidationError("tilted family requires a shared alphabet")
-
-    def at(self, lam: float) -> DiscreteDistribution:
-        return tilted(self, lam)
 
 
 def tilted(family: TiltedFamily, lam: float) -> DiscreteDistribution:
@@ -190,7 +187,18 @@ def _tilt_mean(log_base, energy: np.ndarray, beta: float) -> float:
     # largest weight is exactly 1
     log_w = log_base - beta * energy
     w = np.exp(log_w - log_w.max())
-    return float((energy * w).sum() / w.sum())
+    return _weighted_mean(energy, w, w.sum())
+
+
+def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
+    # sum(energy * w) / z; where that sum overflows (silently inside
+    # _solve_tilt), on the energies scaled by their largest magnitude, as the
+    # mean itself lies within the double range
+    total = (energy * w).sum()
+    if math.isfinite(total):
+        return float(total / z)
+    scale = float(np.abs(energy).max())
+    return float((energy / scale * w).sum() / z) * scale
 
 
 def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray, scale: float):
@@ -203,7 +211,7 @@ def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray,
     log_w = log_base - beta * energy
     w = np.exp(log_w - log_w.max())
     z = w.sum()
-    mean = float((energy * w).sum() / z)
+    mean = _weighted_mean(energy, w, z)
     dev = scaled - mean / scale
     return mean, float((dev * dev * w).sum() / z) * scale * scale
 
@@ -317,6 +325,9 @@ def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale):
     return a, b, evals
 
 
+# one error state per solve: entering it costs a few percent of a solve
+# where each mean evaluation would enter its own
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
@@ -348,7 +359,7 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
     a, b, n = _certified_bracket(log_base, energy, target, hi, moments, scaled, scale)
     evals += n
     lo, mean_lo, mean_hi = 0.0, None, moments[0]
-    for _ in range(_TILT_MAX_ITER):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -30,6 +30,7 @@ from .dist import (
     _solve_tilt,
     kl_divergence,
     log_factorial_residual,
+    tilted,
 )
 from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
@@ -66,22 +67,16 @@ _BRACKET_SHARE = 0.25
 
 @dataclass(frozen=True)
 class BinaryHypothesis:
-    """Two candidate sources over a shared alphabet, with positive priors."""
+    """Two candidate sources over a shared alphabet."""
 
     p1: DiscreteDistribution
     p2: DiscreteDistribution
-    priors: tuple = (0.5, 0.5)
 
     def __post_init__(self):
         if self.p1.alphabet_size != self.p2.alphabet_size:
             raise ValidationError("hypotheses must share an alphabet")
         if math.isinf(kl_divergence(self.p1, self.p2)):
             raise ValidationError("D(p1||p2) must be finite")
-        pi1, pi2 = self.priors
-        # written so that a NaN prior fails it
-        if not (pi1 > 0 and pi2 > 0 and abs(pi1 + pi2 - 1.0) <= 1e-12):
-            raise ValidationError("priors must be positive and sum to 1")
-        object.__setattr__(self, "priors", (float(pi1), float(pi2)))
 
 
 @dataclass(frozen=True)
@@ -515,7 +510,7 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
             "the equalizing tilt falls outside [0, 1]"
         )
 
-    p_star = TiltedFamily(h.p1, h.p2).at(lam)
+    p_star = tilted(TiltedFamily(h.p1, h.p2), lam)
     # D >= 0; a float sum of near-cancelling terms can round below it
     d1 = max(0.0, kl_divergence(p_star, h.p1))
     d2 = max(0.0, kl_divergence(p_star, h.p2))
@@ -527,14 +522,3 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
         iterations=iterations,
         residual=residual,
     )
-
-
-def bayesian_error_exponent(h: BinaryHypothesis, n: int) -> float:
-    """Best achievable Bayesian error exponent in bits.
-
-    Independent of both n and the priors: any fixed positive prior pair
-    yields the same exponent, the Chernoff information of (p1, p2).
-    """
-    if n < 1:
-        raise ValidationError("n must be positive")
-    return chernoff_lambda_star(h).c_info

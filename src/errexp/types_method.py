@@ -56,23 +56,36 @@ _BLOCK = 2**13
 # 2**x is +0.0 below x = -1075; _exp2 does not evaluate it below this
 _EXP2_FLOOR = -1100.0
 
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int, or ValidationError where it is not an integral number."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be an integer")
+
+
 @dataclass(frozen=True)
 class EmpiricalType:
-    """Occupancy counts of a length-n sequence over a finite alphabet."""
+    """Occupancy counts of a length-n sequence over a finite alphabet: also
+    the occupancy of energy levels by n particles (``boltzmann``)."""
 
     counts: tuple
     n: int
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_integer(c, "each count") for c in self.counts)
+        n = _integer(self.n, "n")
         if len(counts) < 1:
             raise ValidationError("type needs at least one symbol")
         if any(c < 0 for c in counts):
             raise ValidationError("counts must be nonnegative")
-        if self.n < 1 or sum(counts) != self.n:
+        if n < 1 or sum(counts) != n:
             raise ValidationError("counts must sum to the sequence length n")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def alphabet_size(self) -> int:
@@ -100,6 +113,7 @@ class ConstraintSet:
     def __post_init__(self):
         if self.mode not in ("lower", "upper"):
             raise ValidationError("mode must be 'lower' or 'upper'")
+        object.__setattr__(self, "symbol", _integer(self.symbol, "symbol index"))
         if self.symbol < 0:
             raise ValidationError("symbol index must be nonnegative")
         if not 0.0 <= self.threshold <= 1.0:
@@ -242,11 +256,8 @@ def _score_blocks(walk, n: int, log2qs, weights=(), tables=()):
     # a row per score: the products c_j * w[j], then the table look-ups, the
     # last of them ln c_j! for the multinomial sum
     w = np.array([*log2qs, *weights]).reshape(-1, k).T.copy()
-    if tables:
-        tabs = np.array([*tables, [log_fact] * k]).transpose(1, 0, 2).copy()
-    else:
-        # ln c_j! alone is one row for every symbol, looked up in place
-        tabs = [log_fact[None]] * k
+    # the tables of each symbol, looked up in place: no copy of size k * n
+    tabs = list(zip(*tables, [log_fact] * k))
     # a -inf weight enters the product as 0, and its positive counts as -inf
     neg = w == -np.inf
     impossible = [row.nonzero()[0] for row in neg] if neg.any() else None
@@ -266,7 +277,8 @@ def _score_blocks(walk, n: int, log2qs, weights=(), tables=()):
             out[impossible[j][:, None], counts > 0] = -np.inf
         # the counts lie in 0..n, so "clip" never clips; it skips the
         # bounds check of the default mode
-        tabs[j].take(counts, axis=1, mode="clip", out=out[scaled:])
+        for row, table in enumerate(tabs[j], scaled):
+            table.take(counts, mode="clip", out=out[row])
         return out
 
     for lo, width, columns in steps:
@@ -400,13 +412,11 @@ def enumerate_types(
 
 
 def type_class_size(t: EmpiricalType):
-    """(log2 |T(P)|, exact |T(P)| or None), as :func:`type_classes` gives it."""
-    return next(_class_rows(_rows_walk([t.counts]), t.n, t.alphabet_size))[1:3]
-
-
-def type_class_size_bounds(t: EmpiricalType):
-    """The bounds (nH - log2 count_types, nH) on log2 |T(P)| of :func:`type_classes`."""
-    return next(_class_rows(_rows_walk([t.counts]), t.n, t.alphabet_size))[3:]
+    """``(log2 |T(P)|, exact |T(P)| or None, nH - log2 count_types, nH)``, the
+    row :func:`type_classes` gives the type: the class size and its sandwich.
+    |T(P)| = n! / prod c_j! is also the multiplicity of an occupancy of n
+    particles, and nH * ln 2 its Stirling form n ln n - sum c_j ln c_j."""
+    return next(_class_rows(_rows_walk([t.counts]), t.n, t.alphabet_size))[1:]
 
 
 def _log2q(q: DiscreteDistribution) -> np.ndarray:

@@ -7,17 +7,16 @@ import pytest
 from row_oracle import _enumerate_counts, log2_multinomial
 
 from errexp import (
+    EmpiricalType,
     EnergySystem,
     InfeasibleError,
-    Occupancy,
     ValidationError,
     boltzmann_distribution,
-    log_multiplicity_exact,
-    log_multiplicity_stirling,
     log_partition_function,
     maxent_verify,
     mean_energy,
     solve_beta,
+    type_class_size,
 )
 from errexp import boltzmann
 from errexp.dist import log_factorial_table
@@ -120,43 +119,57 @@ class TestSolveBeta:
         with pytest.raises(ValidationError):
             solve_beta([0, 1, 2], math.nan)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", range(60, 301, 20))
+    def test_wide_levels_land_on_the_closed_form(self, exponent):
+        # on (0, s, 2s) the mean s/2 holds where x = exp(-beta s) solves
+        # 3x^2 + x - 1 = 0; from s = 1e60 the root lay below the 2^-200 that
+        # a capped bisection reached, and the solve raised ConvergenceError
+        s = 10.0**exponent
+        beta = solve_beta([0, s, 2 * s], s / 2, tol=1e-12 * s)
+        assert beta * s == pytest.approx(-math.log((math.sqrt(13) - 1) / 6), rel=1e-9)
+        mean = mean_energy(EnergySystem(np.array([0, s, 2 * s]), beta))
+        assert abs(mean - s / 2) <= 1e-15 * s
+
+
+def _multiplicity_bits(counts):
+    """log2 of the multiplicity N! / prod N_j! of an occupancy and its
+    Stirling form (N ln N - sum N_j ln N_j) / ln 2: the type-class size of
+    the occupancy as an N-type and its upper bound nH."""
+    log2_size, _, _, n_h = type_class_size(EmpiricalType(counts, sum(counts)))
+    return log2_size, n_h
+
 
 class TestMultiplicity:
     def test_single_level(self):
-        assert log_multiplicity_exact(Occupancy((7, 0, 0))) == 0.0
+        assert _multiplicity_bits((7, 0, 0))[0] == 0.0
 
     def test_choose(self):
-        assert log_multiplicity_exact(Occupancy((2, 2))) == pytest.approx(math.log(6))
+        assert _multiplicity_bits((2, 2))[0] == pytest.approx(math.log2(6))
 
     def test_multinomial(self):
-        assert log_multiplicity_exact(Occupancy((1, 2, 3))) == pytest.approx(
-            math.log(60)
-        )
+        assert _multiplicity_bits((1, 2, 3))[0] == pytest.approx(math.log2(60))
 
     def test_stirling_balanced_pair(self):
-        occ = Occupancy((500, 500))
-        stirling = log_multiplicity_stirling(occ)
-        exact = log_multiplicity_exact(occ)
-        assert stirling == pytest.approx(1000 * math.log(2), rel=1e-12)
+        exact, stirling = _multiplicity_bits((500, 500))
+        assert stirling == pytest.approx(1000.0, rel=1e-12)
         assert abs(stirling - exact) / exact < 0.01
 
     def test_stirling_zero_convention(self):
-        assert log_multiplicity_stirling(Occupancy((5, 0))) == 0.0
+        assert _multiplicity_bits((5, 0))[1] == 0.0
 
     def test_stirling_three_levels(self):
-        occ = Occupancy((100, 200, 300))
-        exact = log_multiplicity_exact(occ)
-        assert abs(log_multiplicity_stirling(occ) - exact) / exact < 0.02
+        exact, stirling = _multiplicity_bits((100, 200, 300))
+        assert abs(stirling - exact) / exact < 0.02
 
     def test_stirling_relative_error_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             counts = tuple(int(c) for c in rng.integers(100, 2000, rng.integers(2, 6)))
-            occ = Occupancy(counts)
-            exact = log_multiplicity_exact(occ)
+            exact, stirling = _multiplicity_bits(counts)
             if exact == 0.0:
                 continue
-            assert abs(log_multiplicity_stirling(occ) - exact) / exact < 0.01
+            assert abs(stirling - exact) / exact < 0.01
 
 
 def gibbs_bound(sys):

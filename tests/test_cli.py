@@ -281,6 +281,16 @@ class TestExitCodes:
         _, rows = parse_csv(out)
         assert [float(r[4]) for r in rows] == [1e308, 1e308]
 
+    @pytest.mark.filterwarnings("error")
+    def test_boltzmann_solve_where_the_weighted_sum_overflows(self):
+        # the levels' weighted sum overflows near beta = 0: the mean of the
+        # shortcut and of the solver overflowed with NumPy's warning, exit 5
+        status, out, err = run_cli(["boltzmann", "--levels=0,1.6e308,1.6e308", "--mean", "1e308"])
+        assert (status, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert 0.0 < float(rows[0][3]) < 1e-300
+        assert [float(r[4]) for r in rows] == [1e308] * 3
+
     def test_boltzmann_target_above_an_overflowing_uniform_mean_is_3(self):
         # the uniform mean read inf, so this target passed the feasibility check
         status, out, err = run_cli(

@@ -39,14 +39,12 @@ PUBLIC = [
     "EmpiricalType",
     "EnergySystem",
     "InfeasibleError",
-    "Occupancy",
     "ResourceCapError",
     "SteinReport",
     "SweepRow",
     "TiltedFamily",
     "ValidationError",
     "analytic_error",
-    "bayesian_error_exponent",
     "boltzmann_distribution",
     "chernoff_error_bound",
     "chernoff_lambda_star",
@@ -57,8 +55,6 @@ PUBLIC = [
     "enumerate_types",
     "kl_divergence",
     "log_factorial",
-    "log_multiplicity_exact",
-    "log_multiplicity_stirling",
     "log_partition_function",
     "make_distribution",
     "maxent_verify",
@@ -75,7 +71,6 @@ PUBLIC = [
     "tilted",
     "type_class_log_prob",
     "type_class_size",
-    "type_class_size_bounds",
     "type_classes",
 ]
 

@@ -10,7 +10,6 @@ from errexp import (
     DegenerateHypothesisError,
     EmpiricalType,
     ValidationError,
-    bayesian_error_exponent,
     chernoff_lambda_star,
     kl_divergence,
     make_distribution,
@@ -76,19 +75,6 @@ class TestBinaryHypothesis:
     def test_infinite_kl_rejected(self):
         with pytest.raises(ValidationError):
             BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 0]))
-
-    def test_bad_priors(self):
-        with pytest.raises(ValidationError):
-            BinaryHypothesis(
-                make_distribution([1, 1]), make_distribution([1, 3]), priors=(1.0, 0.0)
-            )
-
-    @pytest.mark.parametrize(
-        "priors", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)]
-    )
-    def test_nan_priors_rejected(self, priors):
-        with pytest.raises(ValidationError, match="priors must be positive"):
-            BinaryHypothesis(make_distribution([1, 1]), make_distribution([1, 3]), priors=priors)
 
 
 class TestSteinRegion:
@@ -386,13 +372,7 @@ class TestChernoff:
 
 
 class TestBayesianExponent:
-    def test_prior_independence(self):
-        p1 = make_distribution([1, 1])
-        p2 = make_distribution([1, 3])
-        a = bayesian_error_exponent(BinaryHypothesis(p1, p2, priors=(0.5, 0.5)), 10)
-        b = bayesian_error_exponent(BinaryHypothesis(p1, p2, priors=(0.9, 0.1)), 10)
-        assert a == b
-
+    # the best Bayesian error exponent is the Chernoff information
     def test_symmetric_value(self):
         h = BinaryHypothesis(make_distribution([1, 3]), make_distribution([3, 1]))
-        assert bayesian_error_exponent(h, 5) == pytest.approx(D_HALF_QUARTER, abs=1e-9)
+        assert chernoff_lambda_star(h).c_info == pytest.approx(D_HALF_QUARTER, abs=1e-9)

@@ -27,7 +27,6 @@ from errexp import (
     sanov_exponent,
     type_class_log_prob,
     type_class_size,
-    type_class_size_bounds,
     type_classes,
 )
 from errexp.types_method import _kl_table, _log2q
@@ -51,6 +50,20 @@ class TestEmpiricalType:
     def test_counts_must_sum_to_n(self):
         with pytest.raises(ValidationError):
             EmpiricalType((1, 1), 3)
+
+    @pytest.mark.parametrize(
+        "counts, n",
+        [((1.5, 1.5, 1), 4), ((1.5, 1.5, 1), 3), ((2.7, 1), 3), ((1, 1), 2.5), ((1, math.nan), 1)],
+    )
+    def test_non_integral_counts_and_n_are_refused(self, counts, n):
+        # int() truncated them: (1.5, 1.5, 1) was read as (1, 1, 1)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            EmpiricalType(counts, n)
+
+    def test_integral_floats_are_read_as_ints(self):
+        t = EmpiricalType((2.0, np.int64(1)), 3.0)
+        assert t.counts == (2, 1) and t.n == 3
+        assert all(type(x) is int for x in (*t.counts, t.n))
 
 
 class TestCountAndEnumerate:
@@ -96,7 +109,7 @@ class TestCountAndEnumerate:
 
 class TestTypeClassSize:
     def test_choose_4_2(self):
-        log2_size, exact = type_class_size(EmpiricalType((2, 2), 4))
+        log2_size, exact, _, _ = type_class_size(EmpiricalType((2, 2), 4))
         assert exact == 6
         assert log2_size == pytest.approx(math.log2(6), rel=1e-12)
 
@@ -107,7 +120,7 @@ class TestTypeClassSize:
         assert type_class_size(EmpiricalType((1, 2, 3), 6))[1] == 60
 
     def test_huge_size_reported_in_log_only(self):
-        log2_size, exact = type_class_size(EmpiricalType((300, 300), 600))
+        log2_size, exact, _, _ = type_class_size(EmpiricalType((300, 300), 600))
         assert exact is None
         assert log2_size > 63
 
@@ -123,18 +136,18 @@ class TestTypeClassSize:
             assert type_class_size(EmpiricalType(counts, n))[1] == want, counts
 
     def test_bounds_contain_log_size(self):
-        lower, upper = type_class_size_bounds(EmpiricalType((2, 2), 4))
+        lower, upper = type_class_size(EmpiricalType((2, 2), 4))[2:]
         assert lower == pytest.approx(4 - math.log2(5), abs=1e-12)
         assert upper == pytest.approx(4.0, abs=1e-12)
         assert lower <= math.log2(6) <= upper
 
     def test_bounds_degenerate_type(self):
-        lower, upper = type_class_size_bounds(EmpiricalType((4, 0), 4))
+        lower, upper = type_class_size(EmpiricalType((4, 0), 4))[2:]
         assert lower == pytest.approx(-math.log2(5), abs=1e-12)
         assert upper == 0.0
 
     def test_bounds_2_1(self):
-        lower, upper = type_class_size_bounds(EmpiricalType((2, 1), 3))
+        lower, upper = type_class_size(EmpiricalType((2, 1), 3))[2:]
         assert upper == pytest.approx(3 * 0.9182958340544896, abs=1e-12)
         assert lower <= math.log2(3) <= upper
 
@@ -206,8 +219,7 @@ class TestExactnessInvariants:
         for k in (2, 3):
             for n in (1, 3, 7, 10):
                 for t in enumerate_types(n, k):
-                    lower, upper = type_class_size_bounds(t)
-                    log2_size = type_class_size(t)[0]
+                    log2_size, _, lower, upper = type_class_size(t)
                     assert lower - 1e-9 <= log2_size <= upper + 1e-9
 
 
@@ -629,6 +641,12 @@ class TestSanovClosedForm:
             sanov_exponent(pi, p, n)
         with pytest.raises(ValidationError):
             sanov_exact_log2_prob(pi, p, n)
+
+    @pytest.mark.parametrize("symbol", [1.5, math.nan, "0"])
+    def test_non_integer_symbol_is_refused(self, symbol):
+        # 1.5 passed, and sanov_exponent then raised a bare TypeError
+        with pytest.raises(ValidationError, match="symbol index must be an integer"):
+            ConstraintSet("lower", symbol, 0.3)
 
     def test_symbol_outside_the_alphabet(self):
         with pytest.raises(ValidationError):
