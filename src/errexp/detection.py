@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .types_method import _integer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -34,10 +35,18 @@ class DetectionScenario:
     seed: int
 
     def __post_init__(self):
+        for name in ("dim", "trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.dim < 1 or self.trials < 1:
             raise ValidationError("dim and trials must be positive")
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
             raise ValidationError("amplitude must be finite and >= 0")
+        try:
+            shift = self.dim * self.amplitude
+        except OverflowError:  # an int dim beyond the double range
+            shift = math.inf
+        if not math.isfinite(shift):  # hypothesis 1 would always be decided 2
+            raise ValidationError("dim * amplitude must be finite")
         if not 0 <= self.seed <= _MASK64:
             raise ValidationError("seed must fit in 64 unsigned bits")
 
@@ -75,6 +84,7 @@ def q_chernoff_bound(x: float) -> float:
 
 def analytic_error(dim: int, amplitude: float) -> float:
     """Exact error probability Q(sqrt(N) * m / 2) of the optimal detector."""
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise ValidationError("dim must be positive")
     if amplitude < 0:
@@ -84,6 +94,7 @@ def analytic_error(dim: int, amplitude: float) -> float:
 
 def chernoff_error_bound(dim: int, amplitude: float) -> float:
     """exp(-N * m^2 / 8), always >= analytic_error."""
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise ValidationError("dim must be positive")
     if not math.isfinite(amplitude):
@@ -91,6 +102,14 @@ def chernoff_error_bound(dim: int, amplitude: float) -> float:
     if amplitude < 0:
         raise ValidationError("amplitude must be >= 0")
     return math.exp(-dim * amplitude * amplitude / 8.0)
+
+
+def _hypothesis_one(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``rng.integers(1, 3, size=count) == 1`` from raw words: for a range of
+    two that draw is 1 + the top bit of a 32-bit word, never rejected, and
+    PCG64 hands out the low half of each 64-bit word first."""
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    return np.asarray(raw, dtype="<u8").view("<u4")[:count] < 2**31
 
 
 def simulate_detection(s: DetectionScenario) -> float:
@@ -102,18 +121,20 @@ def simulate_detection(s: DetectionScenario) -> float:
     O(trials * N). At N = 1 the stream is the same as a one-column draw.
 
     Trials run in chunks of ``_CHUNK``; chunk i draws from a generator
-    seeded with SeedSequence(seed, spawn_key=(i,)), hypotheses first, as
-    int64 ``integers(1, 3)`` (an int8 draw gives a different sequence). The
-    result is reproducible for a given scenario, and a run with more trials
-    repeats the error pattern of a shorter one on their common prefix of
-    whole chunks; changing ``_CHUNK`` changes the result.
+    seeded with SeedSequence(seed, spawn_key=(i,)), hypotheses first, those
+    of int64 ``integers(1, 3)`` read from raw words (an int8 draw gives a
+    different sequence). The result is reproducible for a given scenario,
+    and a run with more trials repeats the error pattern of a shorter one
+    on their common prefix of whole chunks; changing ``_CHUNK`` changes it.
 
     A chunk is one in-place pass over one float buffer, about 11 bytes per
-    trial: hypothesis-2 trials threshold the scaled noise (not noise + 0.0,
-    which differs only in the sign of a zero), hypothesis-1 trials the noise
-    shifted by N*m.
+    trial, with two counts: the hypothesis-2 trials whose scaled noise
+    exceeds the threshold (not noise + 0.0, which differs only in the sign
+    of a zero), then the hypothesis-1 trials whose noise shifted by N*m
+    does not.
     """
-    threshold = s.dim * s.amplitude / 2.0
+    shift = s.dim * s.amplitude
+    threshold = shift / 2.0
     noise_scale = math.sqrt(s.dim)
     errors = 0
     for chunk_index, start in enumerate(range(0, s.trials, _CHUNK)):
@@ -121,14 +142,14 @@ def simulate_detection(s: DetectionScenario) -> float:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=s.seed, spawn_key=(chunk_index,))
         )
-        one = rng.integers(1, 3, size=count) == 1
+        one = _hypothesis_one(rng, count)
         stat = rng.standard_normal(count)
         stat *= noise_scale
-        decided_one = stat > threshold
-        stat += s.dim * s.amplitude
-        np.copyto(decided_one, stat > threshold, where=one)
-        decided_one ^= one  # now marks the errors
-        errors += int(np.count_nonzero(decided_one))
+        decided = stat > threshold
+        errors += int(np.count_nonzero(decided > one))  # hypothesis 2 decided 1
+        stat += shift
+        np.greater(stat, threshold, out=decided)
+        errors += int(np.count_nonzero(one > decided))  # hypothesis 1 decided 2
     return errors / s.trials
 
 

@@ -268,6 +268,12 @@ class TestExitCodes:
                 "threshold must lie in [0, 1]",
             ),
             (["types", "--n", "0", "--alphabet", "2"], "n and alphabet_size must be positive"),
+            (
+                # N*m overflowed: empirical_pe 0.4983 and 0.499, exit 0
+                ["detect", "--dims", "64", "--amplitudes", "1e307,3e306",
+                 "--trials", "10000", "--seed", "1"],
+                "dim * amplitude must be finite",
+            ),
         ],
     )
     def test_refusals_are_2_before_output(self, argv, message):

@@ -15,7 +15,7 @@ from errexp import (
     simulate_detection,
     sweep,
 )
-from errexp.detection import _CHUNK
+from errexp.detection import _CHUNK, _hypothesis_one
 
 import detection_oracle
 
@@ -116,6 +116,37 @@ class TestChernoffErrorBound:
             chernoff_error_bound(4, amplitude)
 
 
+class TestScenarioRefusals:
+    @pytest.mark.parametrize(
+        "dim, trials, seed, what",
+        [(2.5, 10, 0, "dim"), (2, 10.5, 0, "trials"), (2, 10, 1.5, "seed")],
+    )
+    def test_non_integral_counts_are_refused(self, dim, trials, seed, what):
+        # 2.5 simulated a fractional dimension; 10.5 and 1.5 raised a bare
+        # TypeError from range and SeedSequence
+        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+            DetectionScenario(dim, 1.0, trials, seed)
+
+    def test_integral_floats_become_ints(self):
+        s = DetectionScenario(4.0, 1.0, 10.0, 3.0)
+        assert (s.dim, s.trials, s.seed) == (4, 10, 3)
+        assert all(type(v) is int for v in (s.dim, s.trials, s.seed))
+
+    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    def test_analytics_refuse_a_fractional_dim(self, fn):
+        with pytest.raises(ValidationError, match="dim must be an integer"):
+            fn(2.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "dim, amplitude", [(64, 1e307), (64, 3e306), (2, 1.7e308), (10**400, 0.0)]
+    )
+    def test_shift_beyond_the_double_range_is_refused(self, dim, amplitude):
+        # N*m = inf decided every hypothesis-1 trial 2: an error rate near
+        # 1/2 against an analytic 0
+        with pytest.raises(ValidationError, match=r"dim \* amplitude must be finite"):
+            DetectionScenario(dim, amplitude, 10, 0)
+
+
 class TestSimulation:
     def test_coin_flip_regime(self):
         pe = simulate_detection(DetectionScenario(2, 0.0, 100_000, 7))
@@ -140,11 +171,14 @@ class TestSimulation:
         class Recording:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
+                self.bit_generator = self  # the hypotheses come as raw words
                 chunks.append(self)
 
-            def integers(self, *args, **kwargs):
-                self.hyp = self.rng.integers(*args, **kwargs)
-                return self.hyp.copy()
+            def random_raw(self, size):
+                words = self.rng.bit_generator.random_raw(size)
+                # one hypothesis per 32-bit half; every chunk here is even
+                self.hyp = words.view("<u4") < 2**31
+                return words.copy()
 
             def standard_normal(self, *args, **kwargs):
                 self.noise = self.rng.standard_normal(*args, **kwargs)
@@ -163,6 +197,22 @@ class TestSimulation:
         assert np.array_equal(chunks[0].noise, chunks[1].noise)
         # the partial chunk draws from its own stream
         assert not np.array_equal(chunks[1].hyp[:1000], chunks[2].hyp)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 1000, 50_000, _CHUNK])
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+    def test_raw_word_hypotheses_match_integers(self, count, seed):
+        # a NumPy release that changes the bounded draw or the order of the
+        # 32-bit halves fails here; the oracle test below still draws with
+        # integers(1, 3)
+        def generator():
+            return np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+            )
+
+        twin, rng = generator(), generator()
+        expected = twin.integers(1, 3, size=count) == 1
+        assert np.array_equal(_hypothesis_one(rng, count), expected)
+        assert twin.standard_normal(5).tobytes() == rng.standard_normal(5).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 4, 64, 1000])
     @pytest.mark.parametrize("amplitude", [0.0, 1e-9, 0.5, 2.0, 7.5])
