@@ -21,17 +21,14 @@ from .detection import (
 )
 from .dist import (
     DiscreteDistribution,
-    TiltedFamily,
     entropy,
     kl_divergence,
     log_factorial,
     make_distribution,
-    tilted,
 )
 from .errors import (
     ConvergenceError,
     DegenerateHypothesisError,
-    DegenerateSupportError,
     InfeasibleError,
     ResourceCapError,
     ValidationError,
@@ -66,7 +63,6 @@ __all__ = [
     "ConstraintSet",
     "ConvergenceError",
     "DegenerateHypothesisError",
-    "DegenerateSupportError",
     "DetectionScenario",
     "DiscreteDistribution",
     "EmpiricalType",
@@ -75,7 +71,6 @@ __all__ = [
     "ResourceCapError",
     "SteinReport",
     "SweepRow",
-    "TiltedFamily",
     "ValidationError",
     "analytic_error",
     "boltzmann_distribution",
@@ -101,7 +96,6 @@ __all__ = [
     "stein_errors",
     "stein_region_membership",
     "sweep",
-    "tilted",
     "type_class_log_prob",
     "type_class_size",
     "type_classes",

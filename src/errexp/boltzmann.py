@@ -5,10 +5,13 @@ hypothesis-testing modules use bits. Energies are dimensionless multiples of
 a caller-chosen unit: beta carries 1/(kB*T) as a single number, so the
 Boltzmann constant never appears explicitly.
 
-The Boltzmann law is the maximum-entropy law at its mean energy U. Gibbs'
-inequality H(q) <= ln Z + beta * U, for every q with mean U, certifies that
-exactly: ``maxent_verify`` checks that the computed law closes the gap to
-within 1e-13 relative.
+The Boltzmann law is the maximum-entropy law at its mean energy U, the same
+Gibbs law as Chernoff's tilt: its weights come from ``dist._gibbs_weights``
+with a flat base over the ground-shifted levels, and ``solve_beta`` uses the
+tilt solver of ``chernoff_lambda_star``. Gibbs' inequality
+H(q) <= ln Z + beta * U, for every q with mean U, certifies that exactly:
+``maxent_verify`` checks that the computed law closes the gap to within
+1e-13 relative.
 
 An occupancy of the levels by N particles is an ``EmpiricalType``, and its
 multiplicity N! / prod N_j! the type-class size: ``type_class_size`` gives
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, _solve_tilt, entropy
+from .dist import LN2, DiscreteDistribution, _gibbs_weights, _solve_tilt, _weighted_mean, entropy
 from .errors import InfeasibleError, ValidationError
 
 # relative tolerance of the Gibbs duality gap; its rounding stays below 1e-15
@@ -57,36 +60,31 @@ class EnergySystem:
         object.__setattr__(self, "beta", float(self.beta))
 
 
+def _level_weights(sys: EnergySystem) -> np.ndarray:
+    # the Gibbs weights over the ground-shifted levels, whose largest
+    # exponent is -beta * 0: the ground level's weight is exactly 1
+    return _gibbs_weights(0.0, sys.levels - sys.levels.min(), sys.beta)
+
+
 def log_partition_function(sys: EnergySystem) -> float:
     """ln Z = ln sum_j exp(-beta * eps_j), in nats: the log of the
     ground-shifted sum, less beta times the ground level, so it stays finite
     where Z itself would underflow or overflow."""
-    weights = _level_weights(sys.levels, sys.beta)
-    return math.log(weights.sum()) - sys.beta * float(sys.levels.min())
-
-
-def _level_weights(levels: np.ndarray, beta: float) -> np.ndarray:
-    # shift by the ground level so the largest exponent is exactly 0
-    return np.exp(-beta * (levels - levels.min()))
+    return math.log(_level_weights(sys).sum()) - sys.beta * float(sys.levels.min())
 
 
 def boltzmann_distribution(sys: EnergySystem) -> DiscreteDistribution:
     """P_j = exp(-beta * eps_j) / Z; degenerate levels split mass equally."""
-    w = _level_weights(sys.levels, sys.beta)
+    w = _level_weights(sys)
     return DiscreteDistribution(w / w.sum())
 
 
 def mean_energy(sys: EnergySystem) -> float:
-    """Average energy under the Boltzmann occupation."""
-    w = _level_weights(sys.levels, sys.beta)
+    """Average energy under the Boltzmann occupation; where the levels'
+    weighted sum overflows, it is taken above the ground level."""
+    w = _level_weights(sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((sys.levels * w).sum())
-    if math.isfinite(total):
-        return total / float(w.sum())
-    # the sum overflowed: above the ground level every level lies within the
-    # span, which the system keeps finite, and the normalized weights sum to 1
-    ground = float(sys.levels.min())
-    return ground + float(((sys.levels - ground) * (w / w.sum())).sum())
+        return _weighted_mean(sys.levels, w, w.sum())
 
 
 def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
@@ -131,14 +129,15 @@ def maxent_verify(sys: EnergySystem) -> tuple[bool, float]:
     p_beta. For the computed law p* the duality gap
     H(p*) - (ln Z + beta * U) is therefore -D(p*||p_beta) <= 0 in exact
     arithmetic, and 0 only when p* is the Boltzmann law at beta. Z and U
-    are taken relative to the ground level, as in ``_level_weights``.
+    are taken relative to the ground level, Z from the Gibbs weights at beta
+    and U from the law under test.
 
     Returns (ok, gap): ok is True when |gap| <= 1e-13 * max(1, ln Z + beta*U),
     a bound far above the rounding of the three terms.
     """
     law = boltzmann_distribution(sys)
     ground_energy = sys.levels - sys.levels.min()
-    bound = math.log(_level_weights(sys.levels, sys.beta).sum())
+    bound = math.log(_gibbs_weights(0.0, ground_energy, sys.beta).sum())
     bound += sys.beta * float((law.probs * ground_energy).sum())
     gap = entropy(law) * LN2 - bound
     return abs(gap) <= _GAP_RTOL * max(1.0, bound), gap

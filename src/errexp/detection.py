@@ -82,11 +82,22 @@ def q_chernoff_bound(x: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-def analytic_error(dim: int, amplitude: float) -> float:
-    """Exact error probability Q(sqrt(N) * m / 2) of the optimal detector."""
+def _analytic_dim(dim) -> int:
+    """``dim`` as a positive int within the double range, which the analytic
+    forms convert it to."""
     dim = _integer(dim, "dim")
     if dim < 1:
         raise ValidationError("dim must be positive")
+    try:
+        float(dim)
+    except OverflowError:
+        raise ValidationError("dim must lie within the double range") from None
+    return dim
+
+
+def analytic_error(dim: int, amplitude: float) -> float:
+    """Exact error probability Q(sqrt(N) * m / 2) of the optimal detector."""
+    dim = _analytic_dim(dim)
     if amplitude < 0:
         raise ValidationError("amplitude must be >= 0")
     return q_function(math.sqrt(dim) * amplitude / 2.0)
@@ -94,9 +105,7 @@ def analytic_error(dim: int, amplitude: float) -> float:
 
 def chernoff_error_bound(dim: int, amplitude: float) -> float:
     """exp(-N * m^2 / 8), always >= analytic_error."""
-    dim = _integer(dim, "dim")
-    if dim < 1:
-        raise ValidationError("dim must be positive")
+    dim = _analytic_dim(dim)
     if not math.isfinite(amplitude):
         raise ValidationError("amplitude must be finite")
     if amplitude < 0:

@@ -1,8 +1,15 @@
-"""Discrete distributions, entropy, relative entropy, and exponential tilting.
+"""Discrete distributions, entropy, relative entropy, and the Gibbs tilt solver.
 
 Information quantities in this module are in bits (base 2); the Boltzmann
 module works in natural log. ``LN2`` is the single conversion constant
 between the two conventions.
+
+The paper's two applications tilt by one Gibbs law, exp(log_base - beta *
+energy) / Z, whose weights ``_gibbs_weights`` forms in the log domain:
+Chernoff's P_lam = p1^lam p2^(1-lam) / Z is it with base ln p2, energy
+log2(p2/p1) and beta = lam ln 2, and the Boltzmann law exp(-beta * eps) / Z
+with a flat base over ground-shifted levels. ``_solve_tilt`` finds the beta
+at which either has a target mean energy.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateSupportError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 LN2 = math.log(2.0)
 
@@ -141,64 +148,33 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class TiltedFamily:
-    """Geometric interpolation between two same-alphabet distributions.
+def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:
+    """exp(log_base - beta * energy), shifted so the largest weight is exactly 1.
 
-    ``tilted(family, 1)`` recovers p1 and ``tilted(family, 0)`` recovers p2.
+    The one Gibbs (maximum-entropy) law of the package, unnormalized: with
+    log_base = ln p2 and the energy log2(p2/p1) at beta = lam ln 2 it is
+    Chernoff's tilt p1^lam p2^(1-lam); with log_base = 0 and ground-shifted
+    levels it is the Boltzmann law, whose largest exponent is then +-0.
     """
-
-    p1: DiscreteDistribution
-    p2: DiscreteDistribution
-
-    def __post_init__(self):
-        if self.p1.alphabet_size != self.p2.alphabet_size:
-            raise ValidationError("tilted family requires a shared alphabet")
-
-
-def tilted(family: TiltedFamily, lam: float) -> DiscreteDistribution:
-    """The normalized tilt p1^lam * p2^(1-lam) / Z.
-
-    Symbols where both endpoints vanish contribute nothing to Z; a zero
-    normalizer means the supports are incompatible at this lam.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("tilt parameter must lie in [0, 1]")
-    w = _tilt_weights(family.p1.probs, family.p2.probs, lam)
-    z = float(w.sum())
-    if z <= 0.0:
-        raise DegenerateSupportError("tilt normalizer is zero: disjoint supports")
-    return DiscreteDistribution(w / z)
-
-
-def _tilt_weights(p1: np.ndarray, p2: np.ndarray, lam: float) -> np.ndarray:
-    # lam = 1 returns p1 verbatim (and p2 at lam = 0) so the endpoints are
-    # recovered bit-for-bit
-
-    if lam == 1.0:
-        return p1.copy()
-    if lam == 0.0:
-        return p2.copy()
-    return p1**lam * p2 ** (1.0 - lam)
+    log_w = log_base - beta * energy
+    return np.exp(log_w - log_w.max())
 
 
 def _tilt_mean(log_base, energy: np.ndarray, beta: float) -> float:
-    # mean energy under exp(log_base - beta * energy), max-shifted so the
-    # largest weight is exactly 1
-    log_w = log_base - beta * energy
-    w = np.exp(log_w - log_w.max())
+    # mean energy under the Gibbs weights at beta
+    w = _gibbs_weights(log_base, energy, beta)
     return _weighted_mean(energy, w, w.sum())
 
 
 def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
     # sum(energy * w) / z; where that sum overflows (silently inside
-    # _solve_tilt), on the energies scaled by their largest magnitude, as the
-    # mean itself lies within the double range
+    # _solve_tilt), the least energy plus the mean above it under the
+    # normalized weights, whose terms are at most the energies' finite span
     total = (energy * w).sum()
     if math.isfinite(total):
         return float(total / z)
-    scale = float(np.abs(energy).max())
-    return float((energy / scale * w).sum() / z) * scale
+    ground = float(energy.min())
+    return ground + float(((energy - ground) * (w / z)).sum())
 
 
 def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray, scale: float):
@@ -208,8 +184,7 @@ def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray,
     ``scaled = energy / scale`` so no square of a huge energy overflows; it
     steers Newton steps only.
     """
-    log_w = log_base - beta * energy
-    w = np.exp(log_w - log_w.max())
+    w = _gibbs_weights(log_base, energy, beta)
     z = w.sum()
     mean = _weighted_mean(energy, w, z)
     dev = scaled - mean / scale

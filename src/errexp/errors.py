@@ -10,10 +10,6 @@ class ValidationError(ValueError):
     """Input fails a precondition (negative mass, alphabet mismatch, ...)."""
 
 
-class DegenerateSupportError(ValidationError):
-    """The tilted-family normalizer vanishes: no common support to tilt over."""
-
-
 class DegenerateHypothesisError(ValidationError):
     """The two hypotheses coincide; no error exponent is defined."""
 

@@ -1,8 +1,9 @@
 """Asymptotic binary hypothesis testing.
 
 Exact log2 error probabilities of the Stein region and of the randomized
-Neyman-Pearson optimum, and Chernoff information by the Boltzmann tilt
-solver. All error probabilities are computed exactly over type classes: the
+Neyman-Pearson optimum, and Chernoff information from the Gibbs tilt solver
+that the Boltzmann law shares: lam* and P_lam* come from one set of log
+weights. All error probabilities are computed exactly over type classes: the
 log likelihood ratio is type-measurable, so no Monte Carlo is involved.
 
 Below four symbols of positive p1, one walk scores every type. From four
@@ -26,11 +27,10 @@ import numpy as np
 from .dist import (
     LN2,
     DiscreteDistribution,
-    TiltedFamily,
+    _gibbs_weights,
     _solve_tilt,
     kl_divergence,
     log_factorial_residual,
-    tilted,
 )
 from .errors import DegenerateHypothesisError, ValidationError
 from .types_method import (
@@ -439,10 +439,10 @@ def stein_errors(
     _check_delta(delta)
     _check_epsilon(epsilon)
     support = h.p1.probs > 0
+    d = kl_divergence(h.p1, h.p2)
     if np.count_nonzero(support) >= _RUN_SYMBOLS:
         _capped_count(n, h.p1.alphabet_size, cap)
         runs = _Runs(h, n, support, cap)
-        d = kl_divergence(h.p1, h.p2)
         log2_alpha, log2_beta = runs.stein(d - delta, d + delta)
         np_log2_beta = runs.np_log2_min_beta(epsilon)
         # the walk below keeps T-long scores; the runs are not needed by then
@@ -450,31 +450,24 @@ def stein_errors(
         if np_log2_beta is None:
             walk = _walk_types(n, h.p1.alphabet_size, cap)
             np_log2_beta = _np_log2_min_beta(epsilon, _type_scores(h, n, walk))
-        return SteinReport(
-            n=n,
-            delta=delta,
-            epsilon=epsilon,
-            log2_alpha=log2_alpha,
-            log2_beta=log2_beta,
-            np_log2_beta=np_log2_beta,
-        )
-    scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
-    llr, lp1, lp2 = scores
-    d = kl_divergence(h.p1, h.p2)
-    member = llr >= d - delta
-    member &= llr <= d + delta
-    log2_beta = _log2_prob(lp2, member)
-    # sum the rejected p1 mass itself: 1 - (accepted mass) loses every digit
-    # of an alpha below the rounding of 1
-    log2_alpha = _log2_prob(lp1, np.logical_not(member, out=member))
-    # the NP pass overwrites log2 P1, so it runs after alpha is summed
+    else:
+        scores = _type_scores(h, n, _walk_types(n, h.p1.alphabet_size, cap))
+        llr, lp1, lp2 = scores
+        member = llr >= d - delta
+        member &= llr <= d + delta
+        log2_beta = _log2_prob(lp2, member)
+        # sum the rejected p1 mass itself: 1 - (accepted mass) loses every
+        # digit of an alpha below the rounding of 1
+        log2_alpha = _log2_prob(lp1, np.logical_not(member, out=member))
+        # the NP pass overwrites log2 P1, so it runs after alpha is summed
+        np_log2_beta = _np_log2_min_beta(epsilon, scores)
     return SteinReport(
         n=n,
         delta=delta,
         epsilon=epsilon,
         log2_alpha=log2_alpha,
         log2_beta=log2_beta,
-        np_log2_beta=_np_log2_min_beta(epsilon, scores),
+        np_log2_beta=np_log2_beta,
     )
 
 
@@ -484,6 +477,7 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     g(lam) = D(P_lam||p1) - D(P_lam||p2) is the mean energy log2(p2/p1) under
     P_lam = p1^lam p2^(1-lam) / Z = p2 exp(-lam ln2 * energy) / Z. It falls from
     D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0 with ``tol`` in bits.
+    P_lam* is normalized from the solver's Gibbs weights at its beta = lam* ln2.
     """
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
@@ -497,9 +491,11 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     support = h.p2.probs > 0
     p1, p2 = h.p1.probs[support], h.p2.probs[support]
     near = np.abs(p2 - p1) < 0.5 * p1
-    energy = np.log(p2) - np.log(p1)
+    log_base = np.log(p2)
+    energy = log_base - np.log(p1)
     energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
-    beta, iterations, residual = _solve_tilt(np.log(p2), energy / LN2, 0.0, tol)
+    energy /= LN2
+    beta, iterations, residual = _solve_tilt(log_base, energy, 0.0, tol)
     lam = beta / LN2
     if lam > 1.0:
         # the exact g(1) = -D(p1||p2) < 0 puts lam* inside [0, 1]; the
@@ -510,7 +506,14 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
             "the equalizing tilt falls outside [0, 1]"
         )
 
-    p_star = tilted(TiltedFamily(h.p1, h.p2), lam)
+    # P_lam* from the solver's own log weights; the largest is 1, so Z >= 1
+    w = _gibbs_weights(log_base, energy, beta)
+    w /= w.sum()
+    if w.size < support.size:
+        probs = np.zeros(support.size)
+        probs[support] = w
+        w = probs
+    p_star = DiscreteDistribution(w)
     # D >= 0; a float sum of near-cancelling terms can round below it
     d1 = max(0.0, kl_divergence(p_star, h.p1))
     d2 = max(0.0, kl_divergence(p_star, h.p2))

@@ -7,11 +7,13 @@ import pytest
 from row_oracle import _enumerate_counts, log2_multinomial
 
 from errexp import (
+    DiscreteDistribution,
     EmpiricalType,
     EnergySystem,
     InfeasibleError,
     ValidationError,
     boltzmann_distribution,
+    entropy,
     log_partition_function,
     maxent_verify,
     mean_energy,
@@ -19,7 +21,7 @@ from errexp import (
     type_class_size,
 )
 from errexp import boltzmann
-from errexp.dist import log_factorial_table
+from errexp.dist import LN2, log_factorial_table
 
 
 class TestPartitionFunction:
@@ -76,6 +78,61 @@ class TestBoltzmannDistribution:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValidationError):
             EnergySystem(np.array([0.0, 1.0]), -1.0)
+
+
+def _kernel_cases():
+    # seeded level sets with negative, repeated and wide-span levels
+    rng = np.random.default_rng(2810)
+    cases = []
+    for _ in range(12):
+        levels = np.round(rng.uniform(-5.0, 5.0, int(rng.integers(2, 9))), 3)
+        cases.append(np.concatenate([levels, levels[:2]]))
+    cases += [
+        np.array([-1e300, 0.0, 1e300, 1e300]),
+        np.array([-1e150, -1e150, 3.0, 1e150]),
+        np.array([-7.25, -7.25, -7.25]),
+    ]
+    return cases
+
+
+class TestGibbsKernelBits:
+    """The Boltzmann functions take their weights from the shared Gibbs
+    kernel, with a flat base over ground-shifted levels, where the largest
+    exponent is +-0. They equal the direct formulas below bit for bit."""
+
+    @staticmethod
+    def direct(levels, beta):
+        ground = float(levels.min())
+        w = np.exp(-beta * (levels - ground))
+        probs = w / w.sum()
+        ln_z = math.log(w.sum()) - beta * ground
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float((levels * w).sum())
+        if math.isfinite(total):
+            mean = total / float(w.sum())
+        else:
+            mean = ground + float(((levels - ground) * probs).sum())
+        gap = entropy(DiscreteDistribution(probs)) * LN2
+        gap -= math.log(w.sum()) + beta * float((probs * (levels - ground)).sum())
+        return probs, ln_z, mean, gap
+
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 2.5, 40.0])
+    @pytest.mark.parametrize("case", range(len(_kernel_cases())))
+    def test_equal_to_the_direct_formulas(self, case, beta):
+        levels = _kernel_cases()[case]
+        sys = EnergySystem(levels, beta)
+        probs, ln_z, mean, gap = self.direct(levels, beta)
+        assert boltzmann_distribution(sys).probs.tobytes() == probs.tobytes()
+        assert log_partition_function(sys).hex() == ln_z.hex()
+        assert mean_energy(sys).hex() == mean.hex()
+        assert maxent_verify(sys)[1].hex() == gap.hex()
+
+    def test_mean_past_the_double_range(self):
+        sys = EnergySystem(np.array([1e308, 1.5e308, 1e308]), 0.0)
+        assert mean_energy(sys) == 1.1666666666666667e308
+
+    def test_solve_where_the_weighted_sum_overflows(self):
+        assert solve_beta([0, 1.6e308, 1.6e308], 1e308).hex() == "0x0.0d1c3e7c0f326p-1022"
 
 
 class TestSolveBeta:

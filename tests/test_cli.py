@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -822,3 +823,29 @@ class TestSubnormalProbabilities:
             exponent = -mpmath.log(size * q0**25 * q1**25, 2) / 50
         assert float(row["alpha_n"]) == pytest.approx(float(alpha), rel=1e-12)
         assert float(row["stein_exponent_bits"]) == pytest.approx(float(exponent), rel=1e-12)
+
+
+def _boltzmann_solver_argvs():
+    # 30 level sets shaped like a solver benchmark op: 3-8 levels in [0, 5]
+    # at three decimals, and a target between the ground and the mean
+    rng = np.random.default_rng(20261019)
+    argvs = []
+    while len(argvs) < 30:
+        levels = [round(float(x), 3) for x in rng.uniform(0.0, 5.0, int(rng.integers(3, 9)))]
+        lo, mean = min(levels), sum(levels) / len(levels)
+        if mean - lo <= 0.05:
+            continue
+        target = round(lo + (mean - lo) * float(rng.uniform(0.05, 0.95)), 6)
+        argvs.append(["boltzmann", "--levels", ",".join(map(repr, levels)), "--mean", repr(target)])
+    return argvs
+
+
+def test_boltzmann_output_bytes_are_pinned():
+    # exit codes, stdout and stderr as the direct formula
+    # exp(-beta * (levels - ground)) gave them; the shared Gibbs kernel
+    # must keep them byte for byte
+    digest = hashlib.sha256()
+    for argv in _boltzmann_solver_argvs():
+        status, out, err = run_cli(argv)
+        digest.update(f"{status}\n{out}{err}".encode())
+    assert digest.hexdigest() == "ad9bb49f7d300fe72a3c6f633e5c1b4b8a31826da215c03014c9029945f5cd5e"

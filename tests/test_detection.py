@@ -137,6 +137,18 @@ class TestScenarioRefusals:
         with pytest.raises(ValidationError, match="dim must be an integer"):
             fn(2.5, 1.0)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0])
+    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    def test_analytics_refuse_a_dim_beyond_the_double_range(self, fn, amplitude):
+        # math.sqrt and the float product raised a bare OverflowError
+        with pytest.raises(ValidationError, match="dim must lie within the double range"):
+            fn(10**400, amplitude)
+
+    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    def test_analytics_take_the_largest_dims_in_range(self, fn):
+        assert fn(int(1.7e308), 1.0) == 0.0
+        assert fn(int(1.7e308), 0.0) == fn(1, 0.0)
+
     @pytest.mark.parametrize(
         "dim, amplitude", [(64, 1e307), (64, 3e306), (2, 1.7e308), (10**400, 0.0)]
     )

@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errexp import (
-    DegenerateSupportError,
     DiscreteDistribution,
-    TiltedFamily,
     ValidationError,
     entropy,
     kl_divergence,
     log_factorial,
     make_distribution,
-    tilted,
 )
 from errexp.dist import log_factorial_residual
 
@@ -201,41 +198,6 @@ class TestKLDivergence:
         assert d >= -1e-15 * p.alphabet_size
         if np.max(np.abs(p.probs - q.probs)) < 1e-12:
             assert abs(d) < 1e-12
-
-
-class TestTilted:
-    def test_endpoint_p1(self):
-        f = TiltedFamily(make_distribution([0.5, 0.5]), make_distribution([0.25, 0.75]))
-        assert np.max(np.abs(tilted(f, 1.0).probs - f.p1.probs)) < 1e-12
-
-    def test_endpoint_p2(self):
-        f = TiltedFamily(make_distribution([0.5, 0.5]), make_distribution([0.25, 0.75]))
-        assert np.max(np.abs(tilted(f, 0.0).probs - f.p2.probs)) < 1e-12
-
-    def test_geometric_midpoint(self):
-        f = TiltedFamily(make_distribution([0.5, 0.5]), make_distribution([0.25, 0.75]))
-        assert np.allclose(tilted(f, 0.5).probs, [0.366025, 0.633975], atol=1e-6)
-
-    def test_disjoint_support_degenerate(self):
-        f = TiltedFamily(make_distribution([1, 0]), make_distribution([0, 1]))
-        with pytest.raises(DegenerateSupportError):
-            tilted(f, 0.5)
-
-    def test_out_of_range_lambda(self):
-        f = TiltedFamily(make_distribution([1, 1]), make_distribution([1, 3]))
-        with pytest.raises(ValidationError):
-            tilted(f, 1.5)
-
-    def test_normalization_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            k = int(rng.integers(2, 5))
-            f = TiltedFamily(
-                make_distribution(rng.uniform(0.01, 1, k)),
-                make_distribution(rng.uniform(0.01, 1, k)),
-            )
-            p = tilted(f, float(rng.uniform(0, 1)))
-            assert abs(float(p.probs.sum()) - 1.0) < 1e-12
 
 
 class TestLogFactorial:

@@ -33,7 +33,6 @@ PUBLIC = [
     "ConstraintSet",
     "ConvergenceError",
     "DegenerateHypothesisError",
-    "DegenerateSupportError",
     "DetectionScenario",
     "DiscreteDistribution",
     "EmpiricalType",
@@ -42,7 +41,6 @@ PUBLIC = [
     "ResourceCapError",
     "SteinReport",
     "SweepRow",
-    "TiltedFamily",
     "ValidationError",
     "analytic_error",
     "boltzmann_distribution",
@@ -68,7 +66,6 @@ PUBLIC = [
     "stein_errors",
     "stein_region_membership",
     "sweep",
-    "tilted",
     "type_class_log_prob",
     "type_class_size",
     "type_classes",

@@ -15,8 +15,6 @@ from errexp import (
     make_distribution,
     stein_errors,
     stein_region_membership,
-    tilted,
-    TiltedFamily,
 )
 from np_oracle import np_log2_beta_binomial, stein_moments, strassen_gap
 
@@ -290,9 +288,23 @@ class TestChernoff:
     def test_symmetric_value_is_kl_at_uniform_tilt(self):
         p1 = make_distribution([1, 3])
         p2 = make_distribution([3, 1])
-        expected = kl_divergence(tilted(TiltedFamily(p1, p2), 0.5), p1)
+        # P_1/2 is the normalized geometric mean sqrt(p1 p2)
+        expected = kl_divergence(make_distribution(np.sqrt(p1.probs * p2.probs)), p1)
         report = chernoff_lambda_star(BinaryHypothesis(p1, p2))
         assert report.c_info == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("w1, w2", [([1, 3], [3, 1]), ([2, 5, 1], [1, 1, 6])])
+    def test_symbols_outside_the_support_change_nothing(self, w1, w2):
+        # P_lam* is formed on the shared support and padded with zeros
+        full = chernoff_lambda_star(
+            BinaryHypothesis(make_distribution(w1 + [0]), make_distribution(w2 + [0]))
+        )
+        padded = chernoff_lambda_star(
+            BinaryHypothesis(make_distribution([0] + w1), make_distribution([0] + w2))
+        )
+        assert full == padded == chernoff_lambda_star(
+            BinaryHypothesis(make_distribution(w1), make_distribution(w2))
+        )
 
     def test_equalization_random_pairs(self):
         rng = np.random.default_rng(12)
