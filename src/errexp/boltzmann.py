@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, _gibbs_weights, _solve_tilt, _weighted_mean, entropy
+from .dist import LN2, DiscreteDistribution, _gibbs_weights, _solve_tilt, _tilt_error_bound
+from .dist import _weighted_mean, entropy
 from .errors import InfeasibleError, ValidationError
 
 # relative tolerance of the Gibbs duality gap; its rounding stays below 1e-15
@@ -60,9 +61,10 @@ class EnergySystem:
         object.__setattr__(self, "beta", float(self.beta))
 
 
+@np.errstate(over="ignore")
 def _level_weights(sys: EnergySystem) -> np.ndarray:
-    # the Gibbs weights over the ground-shifted levels, whose largest
-    # exponent is -beta * 0: the ground level's weight is exactly 1
+    # the Gibbs weights over the ground-shifted levels: the ground level's is
+    # exactly 1, and one whose exponent passes the double range exactly 0
     return _gibbs_weights(0.0, sys.levels - sys.levels.min(), sys.beta)
 
 
@@ -87,17 +89,15 @@ def mean_energy(sys: EnergySystem) -> float:
         return _weighted_mean(sys.levels, w, w.sum())
 
 
-def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
+def solve_beta(levels, target_mean: float) -> float:
     """Invert the mean-energy curve: find beta >= 0 matching target_mean.
 
     Mean energy decreases strictly in beta from the arithmetic mean of the
     levels (beta = 0) toward the ground level, so the target must lie in
     (min level, arithmetic mean]; a NaN target is refused as invalid. A
-    target within ``tol`` of that mean gives beta = 0; any other is solved by
-    the tilt solver that Chernoff's lam* uses.
+    target within twice the mean's rounding bound of it gives beta = 0; any
+    other is certified by the tilt solver that Chernoff's lam* uses.
     """
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
     levels = np.asarray(levels, dtype=np.float64)
     uniform_mean = mean_energy(EnergySystem(levels, 0.0))
     lo_energy = float(levels.min())
@@ -115,10 +115,10 @@ def solve_beta(levels, target_mean: float, tol: float = 1e-10) -> float:
     shifted_target = target_mean - lo_energy
 
     # this shortcut stays out of the shared solver: a Chernoff tilt between
-    # nearly equal laws starts within tol of its target, yet its root is near 1/2
-    if abs((uniform_mean - lo_energy) - shifted_target) <= tol:
+    # nearly equal laws starts within rounding of its target, yet its root is near 1/2
+    if abs((uniform_mean - lo_energy) - shifted_target) <= 2.0 * _tilt_error_bound(0.0, shifted)[0]:
         return 0.0
-    return _solve_tilt(0.0, shifted, shifted_target, tol)[0]
+    return _solve_tilt(0.0, shifted, shifted_target)[0]
 
 
 def maxent_verify(sys: EnergySystem) -> tuple[bool, float]:
@@ -137,7 +137,7 @@ def maxent_verify(sys: EnergySystem) -> tuple[bool, float]:
     """
     law = boltzmann_distribution(sys)
     ground_energy = sys.levels - sys.levels.min()
-    bound = math.log(_gibbs_weights(0.0, ground_energy, sys.beta).sum())
+    bound = math.log(_level_weights(sys).sum())
     bound += sys.beta * float((law.probs * ground_energy).sum())
     gap = entropy(law) * LN2 - bound
     return abs(gap) <= _GAP_RTOL * max(1.0, bound), gap

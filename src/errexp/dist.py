@@ -226,15 +226,15 @@ def _tilt_error_bound(log_base, energy: np.ndarray) -> tuple[float, float]:
     return c0, 1.1 * u * a * r
 
 
-def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale):
+def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bound):
     """(a, b, evaluations) with every computed mean at beta <= a above
     ``target`` and every one at b <= beta <= hi at or below it.
 
-    With E(beta) = c0 + c1 * beta increasing, a point a whose computed mean
-    exceeds the target by more than 2 E(a) certifies the left side: for
-    beta <= a, _tilt_mean(beta) >= f(beta) - E(a) >= f(a) - E(a) >=
-    _tilt_mean(a) - 2 E(a) > target. A point b whose computed mean falls
-    short by at least 2 E(hi) certifies [b, hi] the same way.
+    With ``bound`` = (c0, c1) and E(beta) = c0 + c1 * beta increasing, a
+    point a whose computed mean exceeds the target by more than 2 E(a)
+    certifies the left side: for beta <= a, _tilt_mean(beta) >= f(beta) -
+    E(a) >= f(a) - E(a) >= _tilt_mean(a) - 2 E(a) > target. A point b whose
+    computed mean falls short by at least 2 E(hi) certifies [b, hi] the same way.
 
     Safeguarded Newton steps from hi, whose ``moments`` (mean, variance)
     the bracket growth took, bring beta near the root; once a step is
@@ -245,7 +245,7 @@ def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale):
     # a Python float, so that Newton arithmetic overflowing to inf raises no
     # NumPy warning
     target = float(target)
-    c0, c1 = _tilt_error_bound(log_base, energy)
+    c0, c1 = bound
     margin_hi = 2.0 * (c0 + c1 * hi)
     a, b, evals = 0.0, hi, 0
     if not target - margin_hi > float(energy.min()):
@@ -303,20 +303,26 @@ def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale):
 # one error state per solve: entering it costs a few percent of a solve
 # where each mean evaluation would enter its own
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
+def _solve_tilt(log_base, energy: np.ndarray, target: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
     Returns (beta, evaluations, residual): the mean and moment evaluations
-    made, and |mean(beta) - target| in the energy's units, at most ``tol``.
+    made, and |mean(beta) - target| in the energy's units.
 
     The mean falls in beta, so the target must lie below the beta = 0 mean.
     The upper bracket grows geometrically from 1 until the mean undershoots;
     bisection then runs until the bracket collapses, since the mean curve
-    flattens at large beta and a stop at ``tol`` would leave beta coarse.
+    flattens at large beta and an earlier stop would leave beta coarse.
     The bisection evaluates the mean only inside a bracket [a, b] that
     ``_certified_bracket`` places around the root: a mid at or below a, or
     at or above b, takes the side its evaluation would take. The result is
     the plain bisection's, bit for bit, at about a third of its evaluations.
+
+    No tolerance is asked for. At the collapsed bracket [lo, hi] the computed
+    means straddle the target, within E(hi) = c0 + c1 * hi of the exact mean,
+    whose slope is minus the variance, at most R^2 / 4 for a span R. A residual
+    above 2 E(hi) + (R^2 / 4) (hi - lo) (inf past R ~ 1e154) means the error
+    model failed: ConvergenceError. A target at or above the beta = 0 mean gives 0.
     """
     hi = 1.0
     scale = float(energy.max() - energy.min()) or 1.0
@@ -331,7 +337,8 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
     else:
         raise ConvergenceError("failed to bracket the target mean energy")
 
-    a, b, n = _certified_bracket(log_base, energy, target, hi, moments, scaled, scale)
+    c0, c1 = bound = _tilt_error_bound(log_base, energy)
+    a, b, n = _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bound)
     evals += n
     lo, mean_lo, mean_hi = 0.0, None, moments[0]
     while True:
@@ -360,9 +367,10 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float, tol: float):
         mean = _tilt_mean(log_base, energy, beta)
         evals += 1
     residual = abs(mean - target)
-    if residual > tol:
+    certificate = 2.0 * (c0 + c1 * hi) + 0.25 * scale * scale * (hi - lo)
+    if residual > certificate and (beta > 0.0 or mean > target):
         raise ConvergenceError(
-            f"bisection landed {residual} away from the target mean, beyond tolerance {tol}"
+            f"bisection landed {residual} away from the target mean, beyond its bound {certificate}"
         )
     return beta, evals, residual
 

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: validation problems exit 2,
 infeasible constraints exit 3, resource caps exit 4, solver convergence
-failures exit 5.
+failures exit 5: a bracket search or a rounding certificate failed.
 """
 
 
@@ -23,4 +23,4 @@ class ResourceCapError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve missed its tolerance or its iteration cap."""
+    """An iterative solve hit its iteration cap or missed its certificate."""

@@ -471,16 +471,15 @@ def stein_errors(
     )
 
 
-def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffReport:
+def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
     """Equalize D(P_lam||p1) = D(P_lam||p2) with the tilt solver of ``solve_beta``.
 
     g(lam) = D(P_lam||p1) - D(P_lam||p2) is the mean energy log2(p2/p1) under
     P_lam = p1^lam p2^(1-lam) / Z = p2 exp(-lam ln2 * energy) / Z. It falls from
-    D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0 with ``tol`` in bits.
+    D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0; the solver certifies
+    its residual g(lam*), in bits, by a rounding bound, not a tolerance.
     P_lam* is normalized from the solver's Gibbs weights at its beta = lam* ln2.
     """
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
     if h.p1 == h.p2:
         raise DegenerateHypothesisError("hypotheses are identical")
     if math.isinf(kl_divergence(h.p2, h.p1)):
@@ -495,7 +494,7 @@ def chernoff_lambda_star(h: BinaryHypothesis, tol: float = 1e-10) -> ChernoffRep
     energy = log_base - np.log(p1)
     energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
     energy /= LN2
-    beta, iterations, residual = _solve_tilt(log_base, energy, 0.0, tol)
+    beta, iterations, residual = _solve_tilt(log_base, energy, 0.0)
     lam = beta / LN2
     if lam > 1.0:
         # the exact g(1) = -D(p1||p2) < 0 puts lam* inside [0, 1]; the

@@ -144,20 +144,23 @@ class ConstraintSet:
 
 
 def empirical_type(sequence, alphabet_size: int) -> EmpiricalType:
-    """Count symbol occurrences in a sequence of indices."""
-    seq = np.asarray(sequence, dtype=np.int64)
+    """Count symbol occurrences in a sequence of indices, read as ``_integer`` reads them."""
+    seq = np.asarray(sequence)
     if seq.ndim != 1 or seq.size < 1:
         raise ValidationError("sequence must be 1-D and nonempty")
+    alphabet_size = _integer(alphabet_size, "alphabet_size")
     if alphabet_size < 1:
         raise ValidationError("alphabet_size must be positive")
-    if np.any(seq < 0) or np.any(seq >= alphabet_size):
+    symbols = [_integer(x, "each symbol") for x in seq.tolist()]
+    if min(symbols) < 0 or max(symbols) >= alphabet_size:
         raise ValidationError("sequence contains out-of-range symbols")
-    counts = np.bincount(seq, minlength=alphabet_size)
+    counts = np.bincount(symbols, minlength=alphabet_size)
     return EmpiricalType(tuple(int(c) for c in counts), int(seq.size))
 
 
 def count_types(n: int, alphabet_size: int) -> int:
     """Number of distinct n-types: C(n + |A| - 1, |A| - 1), exact."""
+    n, alphabet_size = _integer(n, "n"), _integer(alphabet_size, "alphabet_size")
     if n < 1 or alphabet_size < 1:
         raise ValidationError("n and alphabet_size must be positive")
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
@@ -401,6 +404,7 @@ def type_classes(n: int, alphabet_size: int, cap: int = ENUMERATION_CAP):
     Thomas, Thm 11.1.3), H the type's entropy in bits. Bad arguments, or
     more than ``cap`` types, raise at the call; the rows then stream from
     one walk, so memory stays flat in T and ``cap`` bounds the time."""
+    n, alphabet_size = _integer(n, "n"), _integer(alphabet_size, "alphabet_size")
     return _class_rows(_walk_types(n, alphabet_size, cap), n, alphabet_size)
 
 

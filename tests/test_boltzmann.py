@@ -127,6 +127,25 @@ class TestGibbsKernelBits:
         assert mean_energy(sys).hex() == mean.hex()
         assert maxent_verify(sys)[1].hex() == gap.hex()
 
+    @pytest.mark.parametrize(
+        "levels, beta, want",
+        [
+            ([0, 1e308], 2.0, (0.0, [1.0, 0.0], 0.0, (True, 0.0))),
+            ([1e308, 1.5e308, 1e308], 40.0, (-math.inf, [0.5, 0.0, 0.5], 1e308, (True, 0.0))),
+        ],
+    )
+    def test_exponents_past_the_double_range_warn_nothing(self, levels, beta, want):
+        # beta times a shifted level overflows to inf, whose weight
+        # exp(-inf) = 0 is exact; each function raised NumPy's overflow warning
+        sys = EnergySystem(np.array(levels), beta)
+        got = (
+            log_partition_function(sys),
+            boltzmann_distribution(sys).probs.tolist(),
+            mean_energy(sys),
+            maxent_verify(sys),
+        )
+        assert got == want
+
     def test_mean_past_the_double_range(self):
         sys = EnergySystem(np.array([1e308, 1.5e308, 1e308]), 0.0)
         assert mean_energy(sys) == 1.1666666666666667e308
@@ -144,7 +163,7 @@ class TestSolveBeta:
 
     def test_cold_target_forward_check(self):
         levels = [0.0, 1.0, 2.0]
-        beta = solve_beta(levels, 0.1, tol=1e-12)
+        beta = solve_beta(levels, 0.1)
         assert beta > 1.0
         assert mean_energy(EnergySystem(np.array(levels), beta)) == pytest.approx(
             0.1, abs=1e-10
@@ -158,12 +177,6 @@ class TestSolveBeta:
             beta = float(rng.uniform(0, 20))
             target = mean_energy(EnergySystem(levels, beta))
             assert solve_beta(levels, target) == pytest.approx(beta, abs=1e-8)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
-    def test_tolerance_must_be_positive(self, tol):
-        # nan <= 0 is False: a nan tolerance solved and returned a beta
-        with pytest.raises(ValidationError):
-            solve_beta([0, 1, 2], 0.7, tol=tol)
 
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleError):
@@ -183,7 +196,7 @@ class TestSolveBeta:
         # 3x^2 + x - 1 = 0; from s = 1e60 the root lay below the 2^-200 that
         # a capped bisection reached, and the solve raised ConvergenceError
         s = 10.0**exponent
-        beta = solve_beta([0, s, 2 * s], s / 2, tol=1e-12 * s)
+        beta = solve_beta([0, s, 2 * s], s / 2)
         assert beta * s == pytest.approx(-math.log((math.sqrt(13) - 1) / 6), rel=1e-9)
         mean = mean_energy(EnergySystem(np.array([0, s, 2 * s]), beta))
         assert abs(mean - s / 2) <= 1e-15 * s

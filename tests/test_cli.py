@@ -23,6 +23,7 @@ from errexp.cli import main, parse_distribution
 from np_oracle import np_log2_beta_binomial
 from sanov_oracle import kl_bits_mp, log2_prob_mp
 from test_testing import chernoff_oracle
+from test_tilt_solver import push_means_off
 
 
 def run_cli(argv):
@@ -309,17 +310,41 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["chernoff", "--p1", "3,7", "--p2", "9,2", "--tol", "1e-300"],
-            ["boltzmann", "--levels", "0,1.3,2.7,4", "--mean", "0.77", "--tol", "1e-300"],
+            ["chernoff", "--p1", "3,7", "--p2", "9,2"],
+            ["boltzmann", "--levels", "0,1.3,2.7,4", "--mean", "0.77"],
         ],
     )
-    def test_convergence_error_is_5(self, argv):
-        # the residual of a collapsed bisection is ~1e-16, above any tolerance
-        # of 1e-300; the message quotes the tolerance in the caller's units
+    def test_convergence_error_is_5(self, monkeypatch, argv):
+        # every mean evaluation pushed 1e-6 off the target (mean 0 for
+        # chernoff, the --mean above a ground level of 0 for boltzmann), on its
+        # own side: the residual exceeds the solver's certificate, and the
+        # message quotes both in the subcommand's units
+        push_means_off(monkeypatch, float(argv[-1]) if argv[0] == "boltzmann" else 0.0)
         status, out, err = run_cli(argv)
         assert status == 5
         assert out == ""
-        assert err.startswith("errexp: ") and "tolerance 1e-300" in err
+        assert err.startswith("errexp: bisection landed ") and "beyond its bound" in err
+
+    @pytest.mark.parametrize(
+        "levels, mean",
+        [("0,1e6,2e6", "7e5"), ("0,1e9,2e9", "7e8")],
+    )
+    def test_boltzmann_solve_at_large_energies_is_0(self, levels, mean):
+        # the residual is one ulp of the mean, which a fixed tolerance of
+        # 1e-10 refused with exit 5
+        status, out, err = run_cli(["boltzmann", "--levels", levels, "--mean", mean])
+        assert (status, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert float(rows[0][4]) == pytest.approx(float(mean), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_boltzmann_weights_past_the_double_range_warn_nothing(self):
+        # beta * 1e308 overflows to inf, whose weight exp(-inf) = 0 is exact;
+        # NumPy's overflow warning went to stderr
+        status, out, err = run_cli(["boltzmann", "--levels=0,1e308", "--beta", "2"])
+        assert (status, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[2] for r in rows] == ["1", "0"]
 
     def test_np_beta_underflow_is_reported(self):
         # beta < 2^-1074 at n = 8000 still prints 0 (a known defect), but
@@ -509,9 +534,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "0"],
-            # nan <= 0 is False: a nan tolerance printed a result and exited 0
-            ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "nan"],
+            ["chernoff", "--p1", "1,2", "--p2", "1,2"],
+            ["chernoff", "--p1", "1,2,3", "--p2", "2,1"],
             # D(p2||p1) = inf: the tilted family leaves the support of p1
             ["chernoff", "--p1", "1,0", "--p2", "1,1"],
         ],
@@ -520,14 +544,6 @@ class TestExitCodes:
         status, out, err = run_cli(argv)
         assert status == 2 and out == ""
         assert err.startswith("errexp: ")
-
-    @pytest.mark.parametrize("tol", ["0", "nan"])
-    def test_boltzmann_bad_tolerance_is_2(self, tol):
-        status, out, err = run_cli(
-            ["boltzmann", "--levels", "0,1,2", "--mean", "0.7", "--tol", tol]
-        )
-        assert status == 2 and out == ""
-        assert "tolerance" in err
 
     def test_chernoff_pair_closer_than_its_rounding_is_2(self):
         # D(p1||p2) is below the rounding of the normalized weights, so the
@@ -554,6 +570,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["kl", "--p", "1,1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chernoff", "--p1", "1,2", "--p2", "2,1", "--tol", "1e-10"],
+            ["boltzmann", "--levels", "0,1,2", "--mean", "0.7", "--tol", "1e-10"],
+        ],
+        ids=["chernoff", "boltzmann"],
+    )
+    def test_tol_flag_is_a_usage_error(self, argv):
+        # the solvers certify their answer by their own rounding bound
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in err.getvalue()
 
     @pytest.mark.parametrize("dims", ["inf", "1e400", "nan", "4,-inf"])
     def test_detect_non_finite_dims_is_2(self, dims):
@@ -596,9 +628,9 @@ class TestSharedParser:
         ["detect", "--dims", "1", "--amplitudes", "1", "--trials", "2000"],
         ["kl", "--p", "0,0", "--q", "1,1"],
         ["stein", "--p1", "1,2,3", "--p2", "3,2,1", "--n", "30", "--delta", "0.1"],
-        ["chernoff", "--p1", "1,1", "--p2", "1,3", "--tol", "1e-6"],
+        ["chernoff", "--p1", "1,1", "--p2", "1,3"],
         ["types", "--n", "3", "--alphabet", "2", "--seed", "9"],
-        ["boltzmann", "--levels", "0,1,2", "--beta", "1.5", "--tol", "1e-3"],
+        ["boltzmann", "--levels", "0,1,2", "--beta", "1.5"],
     ]
 
     @staticmethod

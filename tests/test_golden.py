@@ -44,7 +44,6 @@ from row_oracle import _enumerate_counts, avg_llr_rows, type_log_probs
 from errexp import (
     BinaryHypothesis,
     ConstraintSet,
-    ConvergenceError,
     InfeasibleError,
     deviation_exact_log2_prob,
     make_distribution,
@@ -222,23 +221,25 @@ DEVIATION_GOLDEN = {
 }
 
 
-# (levels, target mean, tol)
+# (levels, target mean)
 BETA_CASES = {
-    "beta0_uniform_mean": ([0, 1], 0.5, 1e-10),
-    "beta0_within_tol": ([0, 1, 2, 3], 1.5 - 5e-11, 1e-10),
-    "warm": ([0, 1, 2, 3], 1.2, 1e-10),
-    "cold_bracket_growth": ([0, 1, 2, 3], 1e-3, 1e-10),
-    "frozen": ([0, 0.5, 4], 1e-9, 1e-12),
-    "deep_cold": ([0, 1, 2, 3], 1e-320, 1e-10),
-    "negative_levels": ([-2.5, -1, 0.75, 3], -1.2, 1e-10),
-    "negative_degenerate": ([-3, -3, -1, 2, 2], -1.75, 1e-12),
-    "near_uniform": ([0.25, 1.5, 2.0, 4.75], 2.125 - 1e-7, 1e-14),
-    "unsorted": ([1.234, 4.567, 0.321, 2.5, 3.75], 1.5, 1e-10),
+    "beta0_uniform_mean": ([0, 1], 0.5),
+    "beta0_within_tol": ([0, 1, 2, 3], 1.5 - 5e-11),
+    "warm": ([0, 1, 2, 3], 1.2),
+    "cold_bracket_growth": ([0, 1, 2, 3], 1e-3),
+    "frozen": ([0, 0.5, 4], 1e-9),
+    "deep_cold": ([0, 1, 2, 3], 1e-320),
+    "negative_levels": ([-2.5, -1, 0.75, 3], -1.2),
+    "negative_degenerate": ([-3, -3, -1, 2, 2], -1.75),
+    "near_uniform": ([0.25, 1.5, 2.0, 4.75], 2.125 - 1e-7),
+    "unsorted": ([1.234, 4.567, 0.321, 2.5, 3.75], 1.5),
 }
 
 BETA_GOLDEN = {
     "beta0_uniform_mean": "0x0.0p+0",
-    "beta0_within_tol": "0x0.0p+0",
+    # 5e-11 below the uniform mean is far beyond its rounding, so it is
+    # solved: 2.4e-16 from the root 4.00000033096e-11 (60 digits), not 0
+    "beta0_within_tol": "0x1.5fd7735555554p-35",
     "warm": "0x1.f3c3b975fc566p-3",
     "cold_bracket_growth": "0x1.ba2909ca097e6p+2",
     "frozen": "0x1.407b5db2b96e2p+5",
@@ -249,13 +250,10 @@ BETA_GOLDEN = {
     "unsorted": "0x1.c1fe016b78504p-2",
 }
 
-# (levels, target mean, tol, error): targets outside (ground, mean] and
-# tolerances below the rounding of the mean
+# (levels, target mean): targets outside (ground, mean]
 BETA_ERROR_CASES = {
-    "above_uniform_mean": ([0, 1], 0.9, 1e-10, InfeasibleError),
-    "at_ground": ([0, 1], 0.0, 1e-10, InfeasibleError),
-    "tol_below_rounding": ([0, 1.3, 2.7, 4], 0.77, 1e-300, ConvergenceError),
-    "cold_tol_below_rounding": ([0, 1, 2, 3], 1e-3, 1e-300, ConvergenceError),
+    "above_uniform_mean": ([0, 1], 0.9),
+    "at_ground": ([0, 1], 0.0),
 }
 
 
@@ -320,15 +318,15 @@ def test_deviation_probability_exact(case):
 
 @pytest.mark.parametrize("case", sorted(BETA_CASES))
 def test_solve_beta(case):
-    levels, target, tol = BETA_CASES[case]
-    assert solve_beta(levels, target, tol=tol).hex() == BETA_GOLDEN[case]
+    levels, target = BETA_CASES[case]
+    assert solve_beta(levels, target).hex() == BETA_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(BETA_ERROR_CASES))
 def test_solve_beta_errors(case):
-    levels, target, tol, error = BETA_ERROR_CASES[case]
-    with pytest.raises(error):
-        solve_beta(levels, target, tol=tol)
+    levels, target = BETA_ERROR_CASES[case]
+    with pytest.raises(InfeasibleError):
+        solve_beta(levels, target)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

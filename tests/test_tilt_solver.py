@@ -6,6 +6,9 @@ inputs are captured from the public entry points (``solve_beta`` and
 ``chernoff_lambda_star``), so the comparison covers what callers pass.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import tilt_oracle
@@ -13,6 +16,7 @@ import tilt_oracle
 from errexp import (
     BinaryHypothesis,
     ConvergenceError,
+    DiscreteDistribution,
     boltzmann,
     chernoff_lambda_star,
     dist,
@@ -97,17 +101,28 @@ EDGE_PAIRS = [
     ((1, 1, 1), (1e-17, 1, 1e-9)),
     ((1, 1), (1e-320, 1)),
     ((0.5 + 1e-6, 0.5 - 1e-6), (0.5, 0.5)),
+    # the computed D(p2||p1) is <= 0, so every mean is at or below the target
+    # 0: the bisection collapses onto beta = 0, which only the solver's final
+    # mean evaluation reaches, and lambda* = 0
+    ((1, 1), (1 - 2**-53, 1)),
+]
+
+
+# test_boltzmann's (0, s, 2s) at mean s / 2 for s = 1e60 ... 1e300: beta is
+# about 0.79 / s, far below 2^-200 of the first bracket [0, 1]
+WIDE_SYSTEMS = [
+    (np.array([0.0, 10.0**e, 2 * 10.0**e]), 10.0**e / 2) for e in range(60, 301, 20)
 ]
 
 
 def test_beta_matches_the_bisection_loop(monkeypatch):
     spy = Spy(monkeypatch, boltzmann)
     checked = 0
-    for levels, target in boltzmann_systems(14, 1000):
+    for levels, target in [*boltzmann_systems(14, 1000), *WIDE_SYSTEMS]:
         spy.args = None
         beta = outcome(solve_beta, levels, target)
         if spy.args is None:
-            continue  # within tol of the uniform mean: beta = 0 without a solve
+            continue  # within rounding of the uniform mean: beta = 0 without a solve
         expected = outcome(tilt_oracle.solve_tilt, *spy.args)
         assert isinstance(beta, float) and isinstance(expected, float)
         assert beta.hex() == expected.hex(), (levels, target)
@@ -139,12 +154,18 @@ def test_lambda_star_matches_the_bisection_loop_at_the_edges(monkeypatch, w1, w2
 @pytest.mark.parametrize(
     "solve, args",
     [
-        # test_golden's BETA_ERROR_CASES: tolerances below the rounding of the mean
-        (solve_beta, ([0, 1.3, 2.7, 4], 0.77, 1e-300)),
-        (solve_beta, ([0, 1, 2, 3], 1e-3, 1e-300)),
+        # targets whose beta lies beyond the 2^200 the bracket growth reaches
+        (solve_beta, ([0, 1e-300], 1e-310)),
+        (solve_beta, ([0, 1e-100, 2e-100], 1e-150)),
+        # p2 exceeds p1 on both symbols, within the rounding a probability
+        # vector may carry: every energy is positive and no tilt has mean 0
         (
             chernoff_lambda_star,
-            (BinaryHypothesis(make_distribution([3, 7]), make_distribution([9, 2])), 1e-300),
+            (
+                BinaryHypothesis(
+                    DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([0.5 + 1e-13] * 2)
+                ),
+            ),
         ),
     ],
 )
@@ -172,7 +193,10 @@ def test_certified_bracket_holds_between_its_ends():
             hi *= 2.0
         scale = float(energy.max() - energy.min())
         moments = _tilt_moments(log_base, energy, hi, energy / scale, scale)
-        a, b, _ = _certified_bracket(log_base, energy, target, hi, moments, energy / scale, scale)
+        bound = _tilt_error_bound(log_base, energy)
+        a, b, _ = _certified_bracket(
+            log_base, energy, target, hi, moments, energy / scale, scale, bound
+        )
         assert 0.0 <= a < b <= hi
         betas_a = np.concatenate([a * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 40)), [a]])
         betas_b = np.concatenate([b + (hi - b) * 10.0 ** rng.uniform(-16.0, 0.0, 40), [b, hi]])
@@ -197,7 +221,7 @@ def test_means_inside_the_rounding_margin_certify_nothing(monkeypatch):
     monkeypatch.setattr(dist, "_tilt_mean", mean)
     monkeypatch.setattr(dist, "_tilt_moments", lambda *args: (mean(*args[:3]), 1.0))
     moments = dist._tilt_moments(0.0, energy, 1.0)
-    a, b, _ = _certified_bracket(0.0, energy, 1.0, 1.0, moments, energy / 3.0, 3.0)
+    a, b, _ = _certified_bracket(0.0, energy, 1.0, 1.0, moments, energy / 3.0, 3.0, (c0, c1))
     assert 0.3 - 20.0 * zone < a < 0.3 - zone and 0.3 + zone < b < 0.3 + 20.0 * zone
 
 
@@ -231,6 +255,77 @@ def test_evaluation_count_on_workload_shaped_solves(monkeypatch):
         spies[kind].result = None
         solvers[kind](*args)
         _, n, residual = spies[kind].result
-        assert residual <= spies[kind].args[3]
+        assert residual <= 1e-10
         iterations.append(n)
     assert np.mean(iterations) <= 25
+
+
+def certificate(log_base, energy, beta):
+    """The solver's bound on its residual at a collapsed bracket holding
+    ``beta``, with the bracket widened to the doubles on either side."""
+    c0, c1 = _tilt_error_bound(log_base, energy)
+    lo, hi = np.nextafter(beta, -math.inf), np.nextafter(beta, math.inf)
+    span = float(energy.max() - energy.min())
+    return 2.0 * (c0 + c1 * hi) + 0.25 * span * span * (hi - lo)
+
+
+def exact_mean(energy, beta):
+    # the mean energy at beta under exp(-beta * energy), to 40 digits
+    with mpmath.workdps(40):
+        e = [mpmath.mpf(float(x)) for x in energy]
+        w = [mpmath.exp(-mpmath.mpf(beta) * x) for x in e]
+        return float(mpmath.fsum(x * y for x, y in zip(e, w)) / mpmath.fsum(w))
+
+
+@pytest.mark.parametrize("exponent", [0, 3, 6, 9, 15, 100, 300])
+def test_certificate_holds_at_every_scale(monkeypatch, exponent):
+    # workload-shaped systems scaled by 10^exponent: 3..8 levels uniform on
+    # [0, 5], targets 5-95% of the way from the ground level to the mean.
+    # An absolute tolerance of 1e-10 refused many of them from 10^6 on
+    spy = Spy(monkeypatch, boltzmann)
+    rng = np.random.default_rng(40 + exponent)
+    for _ in range(40):
+        spy.args = None
+        levels = 10.0**exponent * rng.uniform(0.0, 5.0, int(rng.integers(3, 9)))
+        lo, mean = float(levels.min()), float(levels.mean())
+        solve_beta(levels, lo + (mean - lo) * rng.uniform(0.05, 0.95))
+        log_base, energy, target = spy.args
+        beta, _, residual = spy.result
+        bound = certificate(log_base, energy, beta)
+        assert residual <= bound, (levels, target)
+        # the exact mean at beta lies within the certificate and the mean's
+        # own rounding bound of the target
+        c0, c1 = _tilt_error_bound(log_base, energy)
+        assert abs(exact_mean(energy, beta) - target) <= bound + c0 + c1 * beta
+
+
+def push_means_off(monkeypatch, target):
+    """Moves every ``_tilt_mean`` evaluation 1e-6 farther from ``target``, on
+    its own side: each bisection step goes the way it went, and the residual
+    exceeds the certificate."""
+    real = dist._tilt_mean
+
+    def mean(log_base, energy, beta):
+        m = real(log_base, energy, beta)
+        return m + 1e-6 if m > target else m - 1e-6
+
+    monkeypatch.setattr(dist, "_tilt_mean", mean)
+
+
+@pytest.mark.parametrize(
+    "solve, args, target",
+    [
+        (solve_beta, ([0, 1.3, 2.7, 4], 0.77), 0.77),
+        (solve_beta, ([0, 1, 2, 3], 1e-3), 1e-3),
+        (
+            chernoff_lambda_star,
+            (BinaryHypothesis(make_distribution([3, 7]), make_distribution([9, 2])),),
+            0.0,
+        ),
+    ],
+    ids=["boltzmann_warm", "boltzmann_cold", "chernoff"],
+)
+def test_a_residual_beyond_the_certificate_raises(monkeypatch, solve, args, target):
+    push_means_off(monkeypatch, target)
+    with pytest.raises(ConvergenceError, match="beyond its bound"):
+        solve(*args)

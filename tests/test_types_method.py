@@ -65,8 +65,31 @@ class TestEmpiricalType:
         assert t.counts == (2, 1) and t.n == 3
         assert all(type(x) is int for x in (*t.counts, t.n))
 
+    @pytest.mark.parametrize(
+        "sequence, alphabet_size", [([0, 1.7, 1], 2), ([0, 1, 1], 2.5), (["0", "1"], 2)]
+    )
+    def test_non_integral_symbols_and_alphabet_are_refused(self, sequence, alphabet_size):
+        # the int64 cast read symbol 1.7 as 1 and the string "1" as 1
+        with pytest.raises(ValidationError, match="must be an integer"):
+            empirical_type(sequence, alphabet_size)
+
+    def test_integral_float_symbols_are_read_as_ints(self):
+        t = empirical_type([0, 1.0, 1], 2.0)
+        assert t.counts == (1, 2) and t.n == 3
+
 
 class TestCountAndEnumerate:
+    def test_integral_floats_are_read_as_ints(self):
+        # math.comb raised a bare TypeError for float arguments
+        assert count_types(3, 2.0) == 4
+        assert [row[0] for row in type_classes(3.0, 2.0)] == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+    @pytest.mark.parametrize("count", [count_types, type_classes])
+    @pytest.mark.parametrize("n, alphabet_size", [(2.5, 2), (3, 1.7)])
+    def test_non_integral_n_and_alphabet_are_refused(self, count, n, alphabet_size):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            count(n, alphabet_size)
+
     def test_binary_n3(self):
         assert count_types(3, 2) == 4
 
