@@ -587,6 +587,16 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1e-10" in err.getvalue()
 
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_boltzmann_bad_tolerance_is_2(self, tol):
+        # a tolerance that was once rejected as invalid is now refused with
+        # the flag itself
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["boltzmann", "--levels", "0,1,2", "--mean", "0.7", "--tol", tol])
+        assert exc.value.code == 2 and out.getvalue() == ""
+        assert f"unrecognized arguments: --tol {tol}" in err.getvalue()
+
     @pytest.mark.parametrize("dims", ["inf", "1e400", "nan", "4,-inf"])
     def test_detect_non_finite_dims_is_2(self, dims):
         status, out, err = run_cli(
