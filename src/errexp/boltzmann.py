@@ -95,8 +95,9 @@ def solve_beta(levels, target_mean: float) -> float:
     Mean energy decreases strictly in beta from the arithmetic mean of the
     levels (beta = 0) toward the ground level, so the target must lie in
     (min level, arithmetic mean]; a NaN target is refused as invalid. A
-    target within twice the mean's rounding bound of it gives beta = 0; any
-    other is certified by the tilt solver that Chernoff's lam* uses.
+    target less than twice the mean's rounding bound below the solver's
+    mean at beta = 0 gives beta = 0; any other is certified by the tilt
+    solver that Chernoff's lam* uses.
     """
     levels = np.asarray(levels, dtype=np.float64)
     uniform_mean = mean_energy(EnergySystem(levels, 0.0))
@@ -114,9 +115,12 @@ def solve_beta(levels, target_mean: float) -> float:
     shifted = levels - lo_energy
     shifted_target = target_mean - lo_energy
 
-    # this shortcut stays out of the shared solver: a Chernoff tilt between
-    # nearly equal laws starts within rounding of its target, yet its root is near 1/2
-    if abs((uniform_mean - lo_energy) - shifted_target) <= 2.0 * _tilt_error_bound(0.0, shifted)[0]:
+    # against the solver's own beta = 0 mean; this shortcut stays out of the
+    # shared solver: a Chernoff tilt between nearly equal laws starts within
+    # rounding of its target, yet its root is near 1/2
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat_mean = _weighted_mean(shifted, 1.0, shifted.size)
+    if flat_mean - shifted_target <= 2.0 * _tilt_error_bound(0.0, shifted)[0]:
         return 0.0
     return _solve_tilt(0.0, shifted, shifted_target)[0]
 

@@ -97,11 +97,23 @@ def _run_types(args):
     return header, rows
 
 
+def _warn_underflow(columns, note: str) -> None:
+    """Name on stderr the probability columns, given as (name, log2 value),
+    that print as 0 although their log2 is finite: below 2^-1074."""
+    names = [name for name, x in columns if 2.0**x == 0.0 and math.isfinite(x)]
+    if names:
+        print(
+            f"errexp: warning: {', '.join(names)} underflowed to 0 (below 2^-1074); {note}",
+            file=sys.stderr,
+        )
+
+
 def _run_sanov(args):
     p = parse_distribution(args.p)
     pi = ConstraintSet(mode=args.mode, symbol=args.symbol, threshold=args.threshold)
     d_star, minimizer = sanov_exponent(pi, p, args.n, cap=args.cap)
     log2_prob = sanov_exact_log2_prob(pi, p, args.n, cap=args.cap)
+    _warn_underflow([("exact_prob", log2_prob)], "rate_bits holds its -log2 / n")
     header = [
         "n",
         "symbol",
@@ -136,26 +148,11 @@ def _run_stein(args):
     # not -0
     alpha, beta, np_beta = (2.0**x for x in (r.log2_alpha, r.log2_beta, r.np_log2_beta))
     stein_exponent, np_exponent = (-x / args.n + 0.0 for x in (r.log2_beta, r.np_log2_beta))
-    underflowed = [
-        name
-        for name, linear, exponent in (
-            ("beta_n", beta, stein_exponent),
-            ("np_min_beta", np_beta, np_exponent),
-        )
-        if linear == 0.0 and math.isfinite(exponent)
-    ]
-    if underflowed:
-        print(
-            f"errexp: warning: {', '.join(underflowed)} underflowed to 0 "
-            "(below 2^-1074); the exponent columns hold their log2 / n",
-            file=sys.stderr,
-        )
-    if alpha == 0.0 and math.isfinite(r.log2_alpha):
-        print(
-            "errexp: warning: alpha_n underflowed to 0 (below 2^-1074); "
-            f"log2 alpha_n = {r.log2_alpha!r}",
-            file=sys.stderr,
-        )
+    _warn_underflow(
+        [("beta_n", r.log2_beta), ("np_min_beta", r.np_log2_beta)],
+        "the exponent columns hold their log2 / n",
+    )
+    _warn_underflow([("alpha_n", r.log2_alpha)], f"log2 alpha_n = {r.log2_alpha!r}")
     header = [
         "n",
         "delta",

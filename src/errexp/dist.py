@@ -4,6 +4,10 @@ Information quantities in this module are in bits (base 2); the Boltzmann
 module works in natural log. ``LN2`` is the single conversion constant
 between the two conventions.
 
+Every relative entropy D comes from one kernel, ``_divergence_terms``
+(``kl_divergence``, Chernoff's d1 and d2, Sanov's d*, the deviation sum's
+table), and every entropy sums the terms of ``_xlog2x``.
+
 The paper's two applications tilt by one Gibbs law, exp(log_base - beta *
 energy) / Z, whose weights ``_gibbs_weights`` forms in the log domain:
 Chernoff's P_lam = p1^lam p2^(1-lam) / Z is it with base ln p2, energy
@@ -36,6 +40,12 @@ _TILT_MAX_ITER = 200
 
 # cap on the Newton steps that place the tilt solver's certified bracket
 _NEWTON_MAX_ITER = 12
+
+# below this |x| psi(x) comes from its series, whose Horner coefficients
+# 2 / (2m + 3), m = 10..0, leave a tail under 2^-55 of psi; up to
+# _PSI_FLOATS arguments it runs on Python floats, 10x cheaper than NumPy
+_PSI_SERIES, _PSI_FLOATS = 0.35, 16
+_PSI_COEFFS = tuple(2.0 / (2 * m + 3) for m in range(10, -1, -1))
 
 
 def _sum_and_min(v: np.ndarray) -> tuple[float, float]:
@@ -119,33 +129,75 @@ def make_distribution(weights) -> DiscreteDistribution:
     return DiscreteDistribution(w / total)
 
 
+def _xlog2x(v: np.ndarray) -> np.ndarray:
+    """v log2 v, 0 where v = 0: the terms of -H in bits, all of one sign."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v > 0, v * np.log2(v), 0.0)
+
+
 def entropy(p: DiscreteDistribution) -> float:
-    """Shannon entropy in bits, with the 0*log 0 = 0 convention."""
+    """Shannon entropy in bits: minus the sum of the :func:`_xlog2x` terms of
+    the entries p > 0, all of one sign, so within a few ulps relative."""
     probs = p.probs
-    pos = probs[probs > 0]
     # + 0.0: a point mass sums to -0.0
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    return float(-_xlog2x(probs[probs > 0]).sum()) + 0.0
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _divergence_terms(diff: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q psi(diff / q) / ln 2 element-wise, psi(x) = (1 + x) ln(1 + x) - x >= 0.
+
+    With p = q + diff this is p log2(p / q) - (p - q) / ln 2, so D(p||q) is
+    the sum of the terms plus sum(p - q) / ln 2, which the caller adds once
+    and exactly. Each term is within a few ulps of its value however close
+    p is to q, where p log2(p / q) cancels to nothing: below |x| =
+    ``_PSI_SERIES`` psi is its series, above it the direct form, which
+    cancels by at most 8x. An element's term has the same bits in any array.
+    p = 0 gives psi = 1; q = 0 gives 0 (diff = 0) or inf; where p / q or
+    psi overflows, at q below about 1e-305, the term is p (ln p - ln q) - diff.
+    """
+    x = diff / q
+    psi = np.log1p(x)
+    psi *= 1.0 + x
+    psi -= x
+    # nonzero and count_nonzero: a third of the cost of flatnonzero and all
+    near = (np.abs(x) < _PSI_SERIES).ravel().nonzero()[0]
+    if near.size > _PSI_FLOATS:
+        psi.flat[near] = _psi_series(x.flat[near])
+    elif near.size:
+        psi.flat[near] = [_psi_series(v) for v in x.flat[near].tolist()]
+    psi *= q
+    if np.count_nonzero(np.isfinite(psi)) < psi.size:
+        p = q + diff
+        far = p * (np.log(p) - np.log(q)) - diff
+        psi = np.where(np.isfinite(psi), psi, np.where(x <= -1.0, q, far))
+        psi = np.where(q == 0, np.where(diff > 0, np.inf, 0.0), psi)
+    psi /= LN2
+    return psi
+
+
+def _psi_series(x):
+    """psi(x) = u (2 + (t + u) S(u)) / (1 - t), t = x / (2 + x), u = t^2, S(u)
+    = sum_m 2 u^m / (2m + 3); on an array or a float alike, to the bit."""
+    t = x / (2.0 + x)
+    u = t * t
+    s = _PSI_COEFFS[0]
+    for c in _PSI_COEFFS[1:]:
+        s = s * u + c
+    return u * (2.0 + (t + u) * s) / (1.0 - t)
 
 
 def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Relative entropy D(p||q) in bits; +inf when p puts mass outside supp q."""
+    """Relative entropy D(p||q) in bits; +inf when p puts mass outside supp q.
+
+    The :func:`_divergence_terms` plus sum(p - q) / ln 2 by ``math.fsum``:
+    within about 1e-15 relative, however close p is to q.
+    """
     if p.alphabet_size != q.alphabet_size:
         raise ValidationError("distributions must share an alphabet")
     pp, qq = p.probs, q.probs
-    mask = pp > 0
-    pp, qq = pp[mask], qq[mask]
-    if np.any(qq == 0):
-        return math.inf
-    with np.errstate(over="ignore"):
-        log_ratio = np.log2(pp / qq)
-    d = float((pp * log_ratio).sum())
-    if math.isinf(d):
-        # p/q overflowed where q is below about p * 5.6e-309; the difference
-        # of the logs is finite there
-        big = np.isinf(log_ratio)
-        log_ratio[big] = np.log2(pp[big]) - np.log2(qq[big])
-        d = float((pp * log_ratio).sum())
-    return d
+    linear = math.fsum([*pp.tolist(), *(-qq).tolist()])
+    return float(_divergence_terms(pp - qq, qq).sum()) + linear / LN2
 
 
 def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Asymptotic binary hypothesis testing.
 
 Exact log2 error probabilities of the Stein region and of the randomized
-Neyman-Pearson optimum, and Chernoff information from the Gibbs tilt solver
-that the Boltzmann law shares: lam* and P_lam* come from one set of log
-weights. All error probabilities are computed exactly over type classes: the
-log likelihood ratio is type-measurable, so no Monte Carlo is involved.
+Neyman-Pearson optimum, and Chernoff information: lam* from the Gibbs tilt
+solver that the Boltzmann law shares, D(P_lam*||p_h) from the relative-entropy
+kernel of ``dist``. All error probabilities are computed exactly over type
+classes: the log likelihood ratio is type-measurable, so no Monte Carlo is
+involved.
 
 Below four symbols of positive p1, one walk scores every type. From four
 up, the walk covers only the prefixes (c_0, ..., c_{k-3}): under a prefix
@@ -27,7 +28,7 @@ import numpy as np
 from .dist import (
     LN2,
     DiscreteDistribution,
-    _gibbs_weights,
+    _divergence_terms,
     _solve_tilt,
     kl_divergence,
     log_factorial_residual,
@@ -75,7 +76,7 @@ class BinaryHypothesis:
     def __post_init__(self):
         if self.p1.alphabet_size != self.p2.alphabet_size:
             raise ValidationError("hypotheses must share an alphabet")
-        if math.isinf(kl_divergence(self.p1, self.p2)):
+        if np.any((self.p1.probs > 0) & (self.p2.probs == 0)):
             raise ValidationError("D(p1||p2) must be finite")
 
 
@@ -478,11 +479,13 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
     P_lam = p1^lam p2^(1-lam) / Z = p2 exp(-lam ln2 * energy) / Z. It falls from
     D(p2||p1) > 0 to -D(p1||p2) < 0, so lam* solves mean 0; the solver certifies
     its residual g(lam*), in bits, by a rounding bound, not a tolerance.
-    P_lam* is normalized from the solver's Gibbs weights at its beta = lam* ln2.
+    d1 and d2 are D(P_lam*||p1) and D(P_lam*||p2) from the relative-entropy
+    kernel (:func:`_tilt_divergences`), within about 1e-15 relative of their
+    values at the returned lam*; c_info is the larger of the two.
     """
     if h.p1 == h.p2:
         raise DegenerateHypothesisError("hypotheses are identical")
-    if math.isinf(kl_divergence(h.p2, h.p1)):
+    if np.any((h.p2.probs > 0) & (h.p1.probs == 0)):
         raise ValidationError("D(p2||p1) must be finite for the tilted family")
 
     # p1, p2 share this support; log1p is accurate where they nearly agree,
@@ -491,31 +494,19 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
     p1, p2 = h.p1.probs[support], h.p2.probs[support]
     near = np.abs(p2 - p1) < 0.5 * p1
     log_base = np.log(p2)
-    energy = log_base - np.log(p1)
-    energy[near] = np.log1p((p2[near] - p1[near]) / p1[near])
-    energy /= LN2
-    beta, iterations, residual = _solve_tilt(log_base, energy, 0.0)
+    log_ratio = log_base - np.log(p1)
+    log_ratio[near] = np.log1p((p2[near] - p1[near]) / p1[near])
+    beta, iterations, residual = _solve_tilt(log_base, log_ratio / LN2, 0.0)
     lam = beta / LN2
-    if lam > 1.0:
-        # the exact g(1) = -D(p1||p2) < 0 puts lam* inside [0, 1]; the
-        # computed g(1) can only be >= 0 where that divergence is below the
-        # rounding of the normalized probabilities
+    if not 0.0 < lam <= 1.0:
+        # the exact g(0) = D(p2||p1) > 0 and g(1) = -D(p1||p2) < 0 put lam*
+        # inside (0, 1); the computed g can only miss that where a divergence
+        # is below the rounding of the normalized probabilities
         raise DegenerateHypothesisError(
             "hypotheses differ by less than the rounding of their normalization: "
-            "the equalizing tilt falls outside [0, 1]"
+            "the equalizing tilt falls outside (0, 1]"
         )
-
-    # P_lam* from the solver's own log weights; the largest is 1, so Z >= 1
-    w = _gibbs_weights(log_base, energy, beta)
-    w /= w.sum()
-    if w.size < support.size:
-        probs = np.zeros(support.size)
-        probs[support] = w
-        w = probs
-    p_star = DiscreteDistribution(w)
-    # D >= 0; a float sum of near-cancelling terms can round below it
-    d1 = max(0.0, kl_divergence(p_star, h.p1))
-    d2 = max(0.0, kl_divergence(p_star, h.p2))
+    d1, d2 = _tilt_divergences(lam, log_ratio, p1, p2)
     return ChernoffReport(
         lambda_star=lam,
         c_info=max(d1, d2),
@@ -524,3 +515,31 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
         iterations=iterations,
         residual=residual,
     )
+
+
+@np.errstate(over="ignore")
+def _tilt_divergences(lam: float, log_ratio: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """(D(P_lam||p1), D(P_lam||p2)) in bits, from one :func:`_divergence_terms` call.
+
+    P_lam / p_h - 1 is expm1 of y_1 = (1 - lam) ln(p2/p1) - ln Z_1 or y_2 =
+    -lam ln(p2/p1) - ln Z_2, with Z_h - 1 summed exactly, so P_lam - p_h keeps
+    its relative accuracy where a rounded P_lam would lose it to p_h; P_lam
+    sums to 1, so the linear part of D is 1 - sum p_h.
+    """
+    q = np.stack((p1, p2))
+    y = np.array([[1.0 - lam], [-lam]]) * log_ratio
+    for q_h, y_h in zip(q, y):
+        z_less_1 = math.fsum([*(q_h * np.expm1(y_h)).tolist(), *q_h.tolist(), -1.0])
+        if math.isinf(z_less_1):
+            # exp(y) overflows only at a subnormal p_h: shift the log weights
+            log_w = np.log(q_h) + y_h
+            y_h -= log_w.max() + math.log(float(np.exp(log_w - log_w.max()).sum()))
+        else:
+            y_h -= math.log1p(z_less_1)
+    diff = q * np.expm1(y)
+    far = np.isinf(diff)  # P_lam / p_h past the double range, at a subnormal p_h
+    if np.count_nonzero(far):
+        diff[far] = np.exp(np.log(q[far]) + y[far]) - q[far]
+    d = _divergence_terms(diff, q).sum(axis=1) + [math.fsum([1.0, *(-q_h).tolist()]) / LN2 for q_h in q]
+    # D >= 0; the doubles of p_h may sum above 1 by a rounding
+    return max(0.0, float(d[0])), max(0.0, float(d[1]))

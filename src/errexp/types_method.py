@@ -9,7 +9,8 @@ average log-likelihood ratio, and the log2 |T(P)| and nH of
 :func:`type_classes`) is a sum over symbols j of a term that depends on the
 count c_j alone, so the one scorer, ``_score_blocks``, accumulates it during
 the walk, from c_j * w_j for the linear terms and from a (k, n + 1) table
-for ln c_j! and the D and entropy terms, and yields the scores of
+for ln c_j! and the D and entropy terms (``_type_kl_terms`` and
+``dist._xlog2x``), and yields the scores of
 ``_BLOCK`` types at a time; the (T, k) count matrix is never formed.
 ``_walk_scores`` collects them into T-long vectors, and
 :func:`type_classes` streams them with memory flat in T. Given count rows
@@ -39,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, log_factorial_table
+from .dist import LN2, DiscreteDistribution, _divergence_terms, _xlog2x, log_factorial_table
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
@@ -382,8 +383,9 @@ def _exact_size(counts) -> int | None:
 def _class_rows(walk, n: int, k: int):
     """The :func:`type_classes` rows of ``walk``'s types, from one pass:
     log2 |T(P)| is the score under log2 q = 0, the counts sum unit weights,
-    and -H sums (c/n) log2 (c/n), the :func:`_kl_terms` of log2 q = 0."""
-    plogp = _kl_terms(np.arange(n + 1) / n, 0.0)
+    and -H sums the ``dist._xlog2x`` terms (c/n) log2 (c/n) that
+    ``entropy`` sums."""
+    plogp = _xlog2x(np.arange(n + 1) / n)
     log2_types = math.log2(count_types(n, k))
     for block in _score_blocks(walk, n, [np.zeros(k)], np.eye(k), [[plogp] * k]):
         # -H as entropy() gives it: 0.0, not -0.0, for a point mass
@@ -442,16 +444,21 @@ def type_class_log_prob(t: EmpiricalType, q: DiscreteDistribution) -> float:
     return float(lp[0])
 
 
-def _kl_terms(frac: np.ndarray, log2p: np.ndarray) -> np.ndarray:
-    """The terms frac * (log2 frac - log2 p) of D in bits, 0 where frac = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(frac > 0, frac * (np.log2(np.maximum(frac, 1e-300)) - log2p), 0.0)
-
-
-def _kl_table(log2q: np.ndarray, n: int) -> np.ndarray:
-    """The (k, n + 1) table of the terms of D(type || q) in bits: entry
-    [j, c] is the term of symbol j at count c, from log2 q as ``_log2q``."""
-    return _kl_terms(np.arange(n + 1) / n, log2q[:, None])
+def _type_kl_terms(q: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
+    """The terms of D(c/n || q) in bits, symbol j's at ``counts[j]`` (a
+    first axis of 1 broadcasts): the ``dist._divergence_terms`` of (c - n q_j)
+    / n, with (1 - sum q) / ln 2 added to symbol 0's, so the terms of a type
+    sum to its D, within about 1e-15 relative. n q_j is split into two
+    doubles whose products with n are exact (for n < 2^27), so c - n q_j is
+    within a rounding or two, and exactly -n q_j at c = 0.
+    """
+    q = q.reshape(-1, *[1] * (counts.ndim - 1))
+    big = q * 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
+    q_hi = big - (big - q)
+    n_hi, n_lo = n * q_hi, n * (q - q_hi)
+    terms = _divergence_terms(((counts - n_hi) - n_lo) / n, (n_hi + n_lo) / n)
+    terms[0] += math.fsum([1.0, *(-q).ravel().tolist()]) / LN2
+    return terms
 
 
 def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -512,14 +519,15 @@ def deviation_exact_log2_prob(
 ) -> float:
     """Exact log2 P(D(P_hat_n || p) >= delta) by summing over type classes.
 
-    D(type || p) is summed over the symbols in order from the
-    :func:`_kl_table` terms, the terms :func:`sanov_exponent` scores types
-    with. -inf where no type deviates.
+    D(type || p) is summed over the symbols in order from the (k, n + 1)
+    table of :func:`_type_kl_terms`, the terms :func:`sanov_exponent` scores
+    types with: within about 1e-15 relative of the exact D of each type.
+    -inf where no type deviates.
     """
     _check_delta(delta)
     walk = _walk_types(n, p.alphabet_size, cap)
-    log2q = _log2q(p)
-    (lp,), (kl,) = _walk_scores(walk, n, [log2q], tables=[_kl_table(log2q, n)])
+    table = _type_kl_terms(p.probs, n, np.arange(n + 1)[None, :])
+    (lp,), (kl,) = _walk_scores(walk, n, [_log2q(p)], tables=[table])
     return _log2_prob(lp, kl >= delta)
 
 
@@ -590,8 +598,9 @@ def sanov_exponent(
     the rest, the units left over going one each to the largest fractional
     remainders, ties to the lower symbol). Where every member has D = inf,
     the first member is returned. d_star is the C-order sum of the type's
-    :func:`_kl_terms`, the bits of its :func:`_kl_table` row, on which the
-    deviation sum judges types. ``cap`` bounds the n + 1 counts of a.
+    :func:`_type_kl_terms`, within about 1e-15 relative of its exact D and
+    the bits of its row of the table on which the deviation sum judges
+    types. ``cap`` bounds the n + 1 counts of a.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     if lo > hi:
@@ -624,7 +633,7 @@ def sanov_exponent(
             for i in order[: left - sum(share)]:
                 c[i] += 1
         c = _exchange(c, probs, a, lo, hi)
-    d_star = _kl_terms(np.array(c) / n, _log2q(p)).sum()
+    d_star = _type_kl_terms(p.probs, n, np.array(c)).sum()
     return float(d_star), EmpiricalType(tuple(c), n)
 
 

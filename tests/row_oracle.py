@@ -13,11 +13,12 @@ columns in order, as the walk sums them, so the two must agree bit for bit. A si
 8 or more symbols is summed pairwise by NumPy instead, and may differ from
 the walk in its last bits.
 
-``_kl_rows`` is the row D of the enumerated Sanov oracle and of the
-deviation sum's table of the same terms (``types_method._kl_table``). Its
+``_kl_rows`` is the row D of the enumerated Sanov oracle, from the terms of
+``types_method._type_kl_terms`` that the deviation sum's table holds. Its
 C-order rows are summed pairwise from k = 8, as ``sanov_exponent`` sums the
 terms of its minimizer and as a C-order table row sums, so all three carry
-the same bits at every k.
+the same bits at every k. It checks how the walk sums the terms; their
+formula is checked against the 50-digit ``sanov_oracle.kl_bits_mp``.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from errexp.dist import DiscreteDistribution
 from errexp.testing import _llr_weights
-from errexp.types_method import _kl_terms, _log2q, _walk_types
+from errexp.types_method import _log2q, _type_kl_terms, _walk_types
 
 _LN2 = math.log(2.0)
 
@@ -76,7 +77,7 @@ def avg_llr_rows(counts: np.ndarray, h) -> np.ndarray:
 
 def _kl_rows(counts: np.ndarray, n: int, p: DiscreteDistribution) -> np.ndarray:
     """D(type || p) in bits for each row of a counts matrix."""
-    return _kl_terms(counts / n, _log2q(p)).sum(axis=1)
+    return _type_kl_terms(p.probs, n, counts.T).T.sum(axis=1)
 
 
 def _enumerate_counts(n: int, alphabet_size: int, cap: int) -> np.ndarray:

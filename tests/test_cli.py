@@ -414,6 +414,23 @@ class TestExitCodes:
         (line,) = [line for line in err.splitlines() if line.startswith(notice)]
         assert float(line[len(notice):]) == pytest.approx(log2_alpha, rel=1e-12)
 
+    def test_sanov_probability_underflow_is_reported(self):
+        # P = 2^-2761.4 prints 0 beside its rate; the notice names the column,
+        # and stdout is the bytes the run printed without it
+        status, out, err = run_cli(
+            ["sanov", "--p", "0.5,0.5", "--n", "3000", "--symbol", "0", "--mode", "lower",
+             "--threshold", "0.99"]
+        )
+        assert status == 0
+        assert err == (
+            "errexp: warning: exact_prob underflowed to 0 (below 2^-1074); "
+            "rate_bits holds its -log2 / n\n"
+        )
+        assert out == (
+            "n,symbol,mode,threshold,d_star_bits,minimizer_counts,exact_prob,rate_bits\r\n"
+            "3000,0,lower,0.98999999999999999,0.91920686410408869,2970;30,0,0.92046063562026903\r\n"
+        )
+
     def test_zero_alpha_is_not_an_underflow(self):
         # only types with mass on the p1 = 0 symbol are rejected, so alpha is
         # exactly 0 and its log2 -inf: nothing underflowed
@@ -555,6 +572,18 @@ class TestExitCodes:
         )
         assert status == 2 and out == ""
         assert "rounding of their normalization" in err
+
+    def test_chernoff_tilt_at_either_end_is_2(self):
+        # the computed D(p2||p1) of the first pair is <= 0, so lambda* lands on
+        # 0; the mirror pair's lands past 1: both are refused alike
+        first, mirror = (
+            run_cli(["chernoff", "--p1", p1, "--p2", p2])
+            for p1, p2 in (("1,1", "0.9999999999999999,1"), ("0.9999999999999999,1", "1,1"))
+        )
+        assert first == mirror
+        status, out, err = first
+        assert status == 2 and out == ""
+        assert err.startswith("errexp: ") and "rounding of their normalization" in err
 
     def test_chernoff_divergences_are_never_negative(self):
         # the float D of a pair this close rounds below 0 (d1 read -8.0e-17)

@@ -11,7 +11,10 @@ The Sanov pins were taken from the enumerated path, which ``sanov_oracle``
 keeps; the oracle must still reproduce them bit for bit. The library sums
 the Sanov probability over the merged alphabet {a, not a} instead, and
 three of its log2 values differ from the enumerated sum in the last bits
-(``SANOV_LOG2_MERGED_GOLDEN``); its exponents and minimizers do not.
+(``SANOV_LOG2_MERGED_GOLDEN``); its exponents and minimizers do not. The
+exponent pins were retaken when D came from the relative-entropy kernel of
+``dist``; the comment above ``SANOV_EXPONENT_GOLDEN`` gives both distances
+from a 50-digit D.
 
 The Neyman-Pearson pins were retaken when the optimum became a threshold
 found by selection, with alpha summed on the rejected side; the comment
@@ -53,7 +56,7 @@ from errexp import (
     stein_errors,
 )
 from errexp.dist import log_factorial_table
-from errexp.types_method import _log2q
+from errexp.types_method import _log2q, _type_kl_terms, _walk_scores, _walk_types
 
 # (p1 weights, p2 weights, n, epsilon)
 NP_CASES = {
@@ -179,14 +182,18 @@ STEIN_GOLDEN = {
     "k5_n20": ("0x1.2d711f3983612p-1", "0x1.14303a9aa299cp-5", "0x1.f4c94a4cf6636p-3"),
 }
 
+# d* from the relative-entropy kernel; its distance from the 50-digit D of
+# the minimizer, in ulps, was (p log2(p/q) form -> kernel): k2_n10 1.59 ->
+# 0.59, k3_upper 4.08 -> 1.92, k3_zero 8.8 -> 0.80, k4_uniform 11.6 -> 0.43,
+# k5_upper 4.44 -> 0.56; k1_n5 and k2_n2000 kept their bits
 SANOV_EXPONENT_GOLDEN = {
     "k1_n5": ("0x0.0p+0", (5,)),
-    "k2_n10": ("0x1.1cbee1a994addp-2", (2, 8)),
+    "k2_n10": ("0x1.1cbee1a994adcp-2", (2, 8)),
     "k2_n2000": ("0x1.82809d5be7074p-3", (500, 1500)),
-    "k3_upper": ("0x1.e6490146367eap-4", (47, 93, 60)),
-    "k3_zero": ("0x1.dbf209b244a38p-6", (30, 20, 0)),
-    "k4_uniform": ("0x1.3fc853731f846p-4", (12, 12, 12, 24)),
-    "k5_upper": ("0x1.0c22665144198p-4", (2, 5, 7, 10, 6)),
+    "k3_upper": ("0x1.e6490146367e4p-4", (47, 93, 60)),
+    "k3_zero": ("0x1.dbf209b244a30p-6", (30, 20, 0)),
+    "k4_uniform": ("0x1.3fc853731f83ap-4", (12, 12, 12, 24)),
+    "k5_upper": ("0x1.0c2266514419dp-4", (2, 5, 7, 10, 6)),
 }
 
 SANOV_LOG2_GOLDEN = {
@@ -291,6 +298,29 @@ def _sanov_case(case):
 def test_sanov_exponent(case):
     d, t = sanov_exponent(*_sanov_case(case))
     assert (d.hex(), t.counts) == SANOV_EXPONENT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SANOV_CASES))
+def test_sanov_exponent_matches_mpmath(case):
+    pi, p, n = _sanov_case(case)
+    d, t = sanov_exponent(pi, p, n)
+    assert d == pytest.approx(float(sanov_oracle.kl_bits_mp(t.counts, p)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(DEVIATION_CASES))
+def test_deviation_divergences_match_mpmath(case):
+    # D(type || p) as the deviation sum judges each type: the walk's sum of
+    # its table of terms; every type, or 600 of them drawn at random
+    w, n, _ = DEVIATION_CASES[case]
+    p = make_distribution(w)
+    k = p.alphabet_size
+    table = _type_kl_terms(p.probs, n, np.arange(n + 1)[None, :])
+    _, (kl,) = _walk_scores(_walk_types(n, k, 10**6), n, [_log2q(p)], tables=[table])
+    counts = _enumerate_counts(n, k, 10**6)
+    rows = np.random.default_rng(k).permutation(len(counts))[:600]
+    for i in rows:
+        want = float(sanov_oracle.kl_bits_mp(counts[i].tolist(), p))
+        assert kl[i] == pytest.approx(want, rel=1e-14, abs=0.0), counts[i]
 
 
 @pytest.mark.parametrize("case", sorted(SANOV_CASES))

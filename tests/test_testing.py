@@ -25,6 +25,28 @@ D_HALF_QUARTER = 0.2075187496394219
 ANY_DELTA, ANY_EPSILON = 0.1, 0.05
 
 
+def _tilt_mp(h, lam):
+    """(P_lam, [(p1, p2)]) at 50 digits on the doubles of h, over supp p2."""
+    pairs = [
+        (mpmath.mpf(float(a)), mpmath.mpf(float(b)))
+        for a, b in zip(h.p1.probs, h.p2.probs)
+        if b > 0
+    ]
+    w = [a**lam * b ** (1 - lam) for a, b in pairs]
+    z = mpmath.fsum(w)
+    return [x / z for x in w], pairs
+
+
+def divergences_mp(h, lam):
+    """(D(P_lam||p1), D(P_lam||p2)) in bits at 50 digits, at the double lam."""
+    with mpmath.workdps(50):
+        tilt, pairs = _tilt_mp(h, mpmath.mpf(lam))
+        return tuple(
+            float(mpmath.fsum(q * mpmath.log(q / pair[i], 2) for q, pair in zip(tilt, pairs)))
+            for i in (0, 1)
+        )
+
+
 def chernoff_oracle(h):
     """lambda* and C(p1, p2) in bits at 50 digits, on the same doubles.
 
@@ -32,21 +54,10 @@ def chernoff_oracle(h):
     bracket of 2^-200, far below the double resolution of lambda*.
     """
     with mpmath.workdps(50):
-        pairs = [
-            (mpmath.mpf(float(a)), mpmath.mpf(float(b)))
-            for a, b in zip(h.p1.probs, h.p2.probs)
-            if b > 0
-        ]
-
-        def tilt(lam):
-            w = [a**lam * b ** (1 - lam) for a, b in pairs]
-            z = mpmath.fsum(w)
-            return [x / z for x in w]
 
         def g(lam):
-            return mpmath.fsum(
-                q * mpmath.log(b / a) for q, (a, b) in zip(tilt(lam), pairs)
-            )
+            tilt, pairs = _tilt_mp(h, lam)
+            return mpmath.fsum(q * mpmath.log(b / a) for q, (a, b) in zip(tilt, pairs))
 
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         for _ in range(200):
@@ -56,10 +67,26 @@ def chernoff_oracle(h):
             else:
                 hi = mid
         lam = (lo + hi) / 2
-        c_info = mpmath.fsum(
-            q * mpmath.log(q / a, 2) for q, (a, _) in zip(tilt(lam), pairs)
-        )
+        tilt, pairs = _tilt_mp(h, lam)
+        c_info = mpmath.fsum(q * mpmath.log(q / a, 2) for q, (a, _) in zip(tilt, pairs))
         return float(lam), float(c_info)
+
+
+def check_near_identical(eps):
+    """p1 = (1/2 + eps, 1/2 - eps), p2 = (1/2, 1/2): lambda* within rounding
+    over the variance, ~1e-16 / eps, of the root, and d1, d2 within 1e-12 of
+    their 50-digit values at the returned lambda*; the p log2(p/q) terms
+    lost all but 2-3 digits of them at eps = 1e-7."""
+    h = BinaryHypothesis(make_distribution([0.5 + eps, 0.5 - eps]), make_distribution([0.5, 0.5]))
+    lam, _ = chernoff_oracle(h)
+    report = chernoff_lambda_star(h)
+    assert 0.0 < report.lambda_star < 1.0
+    assert abs(report.lambda_star - lam) <= 1e-9 * (1e-6 / eps)
+    d1, d2 = divergences_mp(h, report.lambda_star)
+    # abs=0: approx's default absolute 1e-12 exceeds these divergences
+    assert report.d1 == pytest.approx(d1, rel=1e-12, abs=0.0)
+    assert report.d2 == pytest.approx(d2, rel=1e-12, abs=0.0)
+    assert report.c_info == pytest.approx(max(d1, d2), rel=1e-12, abs=0.0)
 
 
 @pytest.fixture
@@ -342,14 +369,11 @@ class TestChernoff:
         # lam = 0; the solve must still find the interior root. The energy
         # log2(p2/p1) is ~3e-6 here, so a difference of two rounded logs
         # would move lambda* by ~1e-5
-        p1 = make_distribution([0.5 + 1e-6, 0.5 - 1e-6])
-        p2 = make_distribution([0.5, 0.5])
-        h = BinaryHypothesis(p1, p2)
-        lam, c_info = chernoff_oracle(h)
-        report = chernoff_lambda_star(h)
-        assert 0.0 < report.lambda_star < 1.0
-        assert abs(report.lambda_star - lam) <= 1e-9
-        assert report.c_info == pytest.approx(c_info, rel=1e-3)
+        check_near_identical(1e-6)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_near_identical_pairs_at_other_distances(self, eps):
+        check_near_identical(eps)
 
     @pytest.mark.parametrize(
         "w1, w2",

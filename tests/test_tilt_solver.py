@@ -16,6 +16,7 @@ import tilt_oracle
 from errexp import (
     BinaryHypothesis,
     ConvergenceError,
+    DegenerateHypothesisError,
     DiscreteDistribution,
     boltzmann,
     chernoff_lambda_star,
@@ -101,10 +102,6 @@ EDGE_PAIRS = [
     ((1, 1, 1), (1e-17, 1, 1e-9)),
     ((1, 1), (1e-320, 1)),
     ((0.5 + 1e-6, 0.5 - 1e-6), (0.5, 0.5)),
-    # the computed D(p2||p1) is <= 0, so every mean is at or below the target
-    # 0: the bisection collapses onto beta = 0, which only the solver's final
-    # mean evaluation reaches, and lambda* = 0
-    ((1, 1), (1 - 2**-53, 1)),
 ]
 
 
@@ -130,6 +127,17 @@ def test_beta_matches_the_bisection_loop(monkeypatch):
     assert checked > 800
 
 
+def test_target_above_the_shifted_flat_mean_takes_the_shortcut(monkeypatch):
+    # the ground-shifted target lies 6.5e-13 above the solver's beta = 0 mean
+    # but not within 2 c0 = 4.2e-13 of the unshifted uniform mean, and a
+    # solve ran 1,058 mean evaluations down to beta = 0
+    spy = Spy(monkeypatch, boltzmann)
+    levels = [4893.552071638851, 4904.790840449391, 4914.322396470185, 4843.714454990153,
+              4924.86467642764, 4872.676330821049, 4862.832441438198]
+    assert solve_beta(levels, 4888.1076017479245) == 0.0
+    assert spy.args is None
+
+
 def check_chernoff(spy, h):
     report = chernoff_lambda_star(h)
     expected = tilt_oracle.solve_tilt(*spy.args) / LN2
@@ -149,6 +157,18 @@ def test_lambda_star_matches_the_bisection_loop(monkeypatch):
 def test_lambda_star_matches_the_bisection_loop_at_the_edges(monkeypatch, w1, w2):
     h = BinaryHypothesis(make_distribution(w1), make_distribution(w2))
     check_chernoff(Spy(monkeypatch, testing), h)
+
+
+def test_lambda_star_at_zero_is_degenerate(monkeypatch):
+    # the computed D(p2||p1) is <= 0, so every mean is at or below the target
+    # 0: the bisection collapses onto beta = 0 as the loop does, which only
+    # the solver's final mean evaluation reaches, and a tilt at the end of
+    # [0, 1] is refused as the mirror pair's tilt past 1 is
+    spy = Spy(monkeypatch, testing)
+    h = BinaryHypothesis(make_distribution((1, 1)), make_distribution((1 - 2**-53, 1)))
+    with pytest.raises(DegenerateHypothesisError, match="rounding of their normalization"):
+        chernoff_lambda_star(h)
+    assert spy.result[0] == tilt_oracle.solve_tilt(*spy.args) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -39,9 +39,9 @@ from errexp import (
 from errexp.dist import log_factorial_table
 from errexp.testing import _type_scores
 from errexp.types_method import (
-    _kl_terms,
     _log2_sum_exp2,
     _log2q,
+    _type_kl_terms,
     _walk_scores,
     _walk_types,
     count_types,
@@ -116,7 +116,7 @@ def test_kl_table_sums_are_the_kl_rows(k, n):
     # the walk judges each type on the same float D as the Sanov search
     p = make_distribution(np.r_[0.0, np.arange(1.0, k)] if k > 1 else [1.0])
     log2q = _log2q(p)
-    table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
+    table = _type_kl_terms(p.probs, n, np.arange(n + 1)[None, :])
     _, (kl,) = _walk_scores(_walk_types(n, k, cap=10**6), n, [log2q], tables=[table])
     want = _kl_rows(_enumerate_counts(n, k, cap=10**6), n, p)
     assert kl.tobytes() == want.tobytes()

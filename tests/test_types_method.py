@@ -29,7 +29,7 @@ from errexp import (
     type_class_size,
     type_classes,
 )
-from errexp.types_method import _kl_table, _log2q
+from errexp.types_method import _type_kl_terms
 
 
 class TestEmpiricalType:
@@ -418,6 +418,8 @@ class TestSanovClosedForm:
             else:
                 d, t_got = sanov_exponent(pi, p, n)
                 assert (d.hex(), t_got.counts) == (d_want.hex(), t_want.counts), case
+                d_mp = float(sanov_oracle.kl_bits_mp(t_got.counts, p))
+                assert d == pytest.approx(d_mp, rel=1e-14, abs=0.0), case
             got = sanov_exact_log2_prob(pi, p, n)
             floor = 2.0**-49 * max(1.0, math.lgamma(n + 1) / math.log(2))
             for want in (
@@ -461,6 +463,8 @@ class TestSanovClosedForm:
         d, t_got = sanov_exponent(pi, p, n)
         d_want, t_want = sanov_oracle.sanov_exponent(pi, p, n)
         assert (d.hex(), t_got.counts) == (d_want.hex(), t_want.counts)
+        d_mp = float(sanov_oracle.kl_bits_mp(t_got.counts, p))
+        assert d == pytest.approx(d_mp, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_exponent_is_bounded_by_the_i_projection(self, k):
@@ -635,7 +639,8 @@ class TestSanovClosedForm:
                 w[0] = 1.0
             p = make_distribution(w)
             rows = rng.multinomial(n, rng.dirichlet(np.ones(k)), size=50)
-            got = _kl_table(_log2q(p), n)[np.arange(k), rows].sum(axis=1)
+            table = _type_kl_terms(p.probs, n, np.arange(n + 1)[None, :])
+            got = table[np.arange(k), rows].sum(axis=1)
             assert got.tobytes() == _kl_rows(rows, n, p).tobytes()
             pi = ConstraintSet("lower" if rng.random() < 0.5 else "upper", 0, rng.random())
             d, t = sanov_exponent(pi, p, n)

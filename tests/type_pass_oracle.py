@@ -23,7 +23,7 @@ import numpy as np
 
 from errexp.dist import LN2, kl_divergence, log_factorial_table
 from errexp.testing import _llr_weights
-from errexp.types_method import _kl_terms, _log2q
+from errexp.types_method import _log2q, _type_kl_terms
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def np_log2_min_beta(epsilon: float, scores) -> float:
 def deviation_probability_exact(n: int, p, delta: float) -> float:
     walk = walk_types(n, p.alphabet_size)
     log2q = _log2q(p)
-    kl_table = _kl_terms(np.arange(n + 1) / n, log2q[:, None])
+    kl_table = _type_kl_terms(p.probs, n, np.arange(n + 1)[None, :])
     (lp,), (kl,) = walk_scores(walk, n, [log2q], tables=[kl_table])
     deviating = kl >= delta
     if not deviating.any():
