@@ -68,6 +68,15 @@ def _level_weights(sys: EnergySystem) -> np.ndarray:
     return _gibbs_weights(0.0, sys.levels - sys.levels.min(), sys.beta)
 
 
+def _log2_law(sys: EnergySystem) -> np.ndarray:
+    # log2 P_j: the Gibbs log weights of _level_weights less the ground-shifted
+    # ln Z, finite where P_j underflows; -inf where beta * (eps_j - ground)
+    # passes the double range
+    with np.errstate(over="ignore"):
+        log_w = -sys.beta * (sys.levels - sys.levels.min())
+    return (log_w - math.log(_level_weights(sys).sum())) / LN2
+
+
 def log_partition_function(sys: EnergySystem) -> float:
     """ln Z = ln sum_j exp(-beta * eps_j), in nats: the log of the
     ground-shifted sum, less beta times the ground level, so it stays finite

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .boltzmann import EnergySystem, boltzmann_distribution, mean_energy, solve_beta
+from .boltzmann import EnergySystem, _log2_law, boltzmann_distribution, mean_energy, solve_beta
 from .detection import sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
@@ -198,6 +198,13 @@ def _run_boltzmann(args):
     beta = args.beta if args.beta is not None else solve_beta(levels, args.mean)
     sys_ = EnergySystem(levels, beta)
     probs = boltzmann_distribution(sys_).probs
+    if not probs.all():
+        # the log2 of the law is formed only where a prob prints as 0
+        log2_probs = _log2_law(sys_).tolist()
+        _warn_underflow(
+            [(f"prob of level {j} (log2 {x!r})", x) for j, x in enumerate(log2_probs)],
+            "each log2 is the Gibbs log weight less ln Z, in bits",
+        )
     mean = mean_energy(sys_)
     header = ["level_index", "energy", "prob", "beta", "mean_energy"]
     rows = [

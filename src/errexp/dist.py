@@ -6,7 +6,8 @@ between the two conventions.
 
 Every relative entropy D comes from one kernel, ``_divergence_terms``
 (``kl_divergence``, Chernoff's d1 and d2, Sanov's d*, the deviation sum's
-table), and every entropy sums the terms of ``_xlog2x``.
+table; ``_divergence_term_floats`` is its float branch, below), and every
+entropy sums the terms of ``_xlog2x``.
 
 The paper's two applications tilt by one Gibbs law, exp(log_base - beta *
 energy) / Z, whose weights ``_gibbs_weights`` forms in the log domain:
@@ -14,11 +15,24 @@ Chernoff's P_lam = p1^lam p2^(1-lam) / Z is it with base ln p2, energy
 log2(p2/p1) and beta = lam ln 2, and the Boltzmann law exp(-beta * eps) / Z
 with a flat base over ground-shifted levels. ``_solve_tilt`` finds the beta
 at which either has a target mean energy.
+
+Below ``_SHORT_SUM`` = 8 energies the solver's mean and moment evaluations
+run on lists of Python floats, with np.exp the one NumPy call, where NumPy
+costs more per call than the arithmetic; Sanov's d* of one type does the
+same with np.log1p. Each keeps the bits of the array code: the products,
+differences and shifts are the same IEEE operations on floats, exp and log1p
+stay NumPy's (whose SIMD exp differs from math.exp in the last bit), and
+NumPy's add.reduce sums fewer than 8 terms left to right from 0.0, as
+``_sum_floats`` does. From 8 terms on it sums pairwise, in an order no short
+Python loop matches, so larger inputs keep the arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -40,6 +54,19 @@ _TILT_MAX_ITER = 200
 
 # cap on the Newton steps that place the tilt solver's certified bracket
 _NEWTON_MAX_ITER = 12
+
+# NumPy's add.reduce sums fewer terms than this left to right, more pairwise
+# (module docstring); below it the float branches keep the arrays' bits
+_SHORT_SUM = 8
+
+# a left-to-right sum of floats from 0.0; from Python 3.12 on, sum() of
+# floats is compensated and no longer NumPy's short sum
+if sys.version_info < (3, 12):
+    _sum_floats = sum
+else:
+
+    def _sum_floats(v):
+        return functools.reduce(operator.add, v, 0.0)
 
 # below this |x| psi(x) comes from its series, whose Horner coefficients
 # 2 / (2m + 3), m = 10..0, leave a tail under 2^-55 of psi; up to
@@ -176,6 +203,27 @@ def _divergence_terms(diff: np.ndarray, q: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _divergence_term_floats(diff, q) -> list | None:
+    """The :func:`_divergence_terms` of sequences of Python floats, bit for bit,
+    with np.log1p the one NumPy call; None where some q is 0 or a term other
+    than p = 0's is not finite, cases left to the array kernel."""
+    if 0.0 in q:
+        return None
+    x = [d / v for d, v in zip(diff, q)]
+    # the term at x <= -1 (p <= 0) is q; 0.0 keeps np.log1p quiet there
+    log1p = np.log1p([v if v > -1.0 else 0.0 for v in x]).tolist()
+    terms = []
+    for lx, xi, qi in zip(log1p, x, q):
+        if xi <= -1.0:
+            term = qi
+        else:
+            term = (_psi_series(xi) if abs(xi) < _PSI_SERIES else lx * (1.0 + xi) - xi) * qi
+            if not math.isfinite(term):
+                return None
+        terms.append(term / LN2)
+    return terms
+
+
 def _psi_series(x):
     """psi(x) = u (2 + (t + u) S(u)) / (1 - t), t = x / (2 + x), u = t^2, S(u)
     = sum_m 2 u^m / (2m + 3); on an array or a float alike, to the bit."""
@@ -212,8 +260,38 @@ def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(log_w - log_w.max())
 
 
-def _tilt_mean(log_base, energy: np.ndarray, beta: float) -> float:
-    # mean energy under the Gibbs weights at beta
+def _tilt_floats(log_base, energy: np.ndarray):
+    """The tilt solver's (log_base, energy): below ``_SHORT_SUM`` energies
+    two lists of Python floats, a scalar base repeated, on which
+    ``_tilt_mean`` and ``_tilt_moments`` take their float branch; the
+    arguments as given otherwise."""
+    if energy.size >= _SHORT_SUM:
+        return log_base, energy
+    if isinstance(log_base, np.ndarray):
+        return log_base.tolist(), energy.tolist()
+    return [float(log_base)] * energy.size, energy.tolist()
+
+
+def _gibbs_weight_floats(log_base: list, energy: list, beta: float) -> list:
+    # _gibbs_weights on lists: the same IEEE operations, and the same np.exp
+    log_w = [l - beta * e for l, e in zip(log_base, energy)]
+    m = max(log_w)
+    return np.exp([y - m for y in log_w]).tolist()
+
+
+def _extremes(energy) -> tuple[float, float]:
+    # (least, largest) energy, of a list or an array
+    if isinstance(energy, list):
+        return min(energy), max(energy)
+    return float(energy.min()), float(energy.max())
+
+
+def _tilt_mean(log_base, energy, beta: float) -> float:
+    # mean energy under the Gibbs weights at beta, on lists (_tilt_floats)
+    # with np.exp the one NumPy call
+    if isinstance(energy, list):
+        w = _gibbs_weight_floats(log_base, energy, beta)
+        return _weighted_mean_floats(energy, w, _sum_floats(w))
     w = _gibbs_weights(log_base, energy, beta)
     return _weighted_mean(energy, w, w.sum())
 
@@ -229,13 +307,29 @@ def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
     return ground + float(((energy - ground) * (w / z)).sum())
 
 
-def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray, scale: float):
+def _weighted_mean_floats(energy: list, w: list, z: float) -> float:
+    # _weighted_mean on lists, to the bit
+    total = _sum_floats([e * x for e, x in zip(energy, w)])
+    if math.isfinite(total):
+        return total / z
+    ground = min(energy)
+    return ground + _sum_floats([(e - ground) * (x / z) for e, x in zip(energy, w)])
+
+
+def _tilt_moments(log_base, energy, beta: float, scaled, scale: float):
     """Mean and variance of the energy at beta.
 
-    The mean carries the bits of ``_tilt_mean``. The variance is taken on
-    ``scaled = energy / scale`` so no square of a huge energy overflows; it
-    steers Newton steps only.
+    The mean carries the bits of ``_tilt_mean``, on lists as on arrays. The
+    variance is taken on ``scaled = energy / scale`` so no square of a huge
+    energy overflows; it steers Newton steps only.
     """
+    if isinstance(energy, list):
+        w = _gibbs_weight_floats(log_base, energy, beta)
+        z = _sum_floats(w)
+        mean = _weighted_mean_floats(energy, w, z)
+        m = mean / scale
+        var = _sum_floats([(s - m) * (s - m) * x for s, x in zip(scaled, w)]) / z
+        return mean, var * scale * scale
     w = _gibbs_weights(log_base, energy, beta)
     z = w.sum()
     mean = _weighted_mean(energy, w, z)
@@ -264,15 +358,18 @@ def _tilt_moments(log_base, energy: np.ndarray, beta: float, scaled: np.ndarray,
 # 4. k products and a sum of k terms in any order are within k u of
 #    sum_i |e_i| w_i <= A sum_i w_i; the sum of weights within (k - 1) u of
 #    itself; the quotient adds u A: at most (2k + 1) u A.
+# The float branch (_tilt_floats, below _SHORT_SUM = 8 energies) rounds
+# exactly as the arrays do, so the bound covers both.
 # The sum, times 1.1 for the second-order terms, is c0 + c1 * beta.
 
 
-def _tilt_error_bound(log_base, energy: np.ndarray) -> tuple[float, float]:
-    """(c0, c1) with |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta."""
-    k = energy.size
-    e_max, e_min = float(energy.max()), float(energy.min())
+def _tilt_error_bound(log_base, energy) -> tuple[float, float]:
+    """(c0, c1) with |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta, from
+    the arrays or the lists of ``_tilt_floats`` alike."""
+    k = len(energy)
+    e_min, e_max = _extremes(energy)
     a, r = max(e_max, -e_min), e_max - e_min
-    l = float(np.abs(log_base).max())
+    l = max(map(abs, log_base)) if isinstance(log_base, list) else float(np.abs(log_base).max())
     u = 2.0**-53
     c0 = 1.1 * (r * (4 * u + 0.5 * u * l + u * math.log(k) + k * 2.0**-1021) + (2 * k + 1) * u * a)
     return c0, 1.1 * u * a * r
@@ -300,7 +397,8 @@ def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bou
     c0, c1 = bound
     margin_hi = 2.0 * (c0 + c1 * hi)
     a, b, evals = 0.0, hi, 0
-    if not target - margin_hi > float(energy.min()):
+    least = min(energy) if isinstance(energy, list) else float(energy.min())
+    if not target - margin_hi > least:
         # no mean falls below the least energy, so none can certify b, and
         # half a bracket does not pay for the Newton steps
         return a, b, evals
@@ -369,6 +467,8 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     ``_certified_bracket`` places around the root: a mid at or below a, or
     at or above b, takes the side its evaluation would take. The result is
     the plain bisection's, bit for bit, at about a third of its evaluations.
+    Below ``_SHORT_SUM`` energies every evaluation runs on the lists that
+    ``_tilt_floats`` makes once per solve.
 
     No tolerance is asked for. At the collapsed bracket [lo, hi] the computed
     means straddle the target, within E(hi) = c0 + c1 * hi of the exact mean,
@@ -376,9 +476,11 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     above 2 E(hi) + (R^2 / 4) (hi - lo) (inf past R ~ 1e154) means the error
     model failed: ConvergenceError. A target at or above the beta = 0 mean gives 0.
     """
+    log_base, energy = _tilt_floats(log_base, energy)
+    e_min, e_max = _extremes(energy)
+    scale = (e_max - e_min) or 1.0
+    scaled = [e / scale for e in energy] if isinstance(energy, list) else energy / scale
     hi = 1.0
-    scale = float(energy.max() - energy.min()) or 1.0
-    scaled = energy / scale
     evals = 0
     for _ in range(_TILT_MAX_ITER):
         moments = _tilt_moments(log_base, energy, hi, scaled, scale)

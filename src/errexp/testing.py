@@ -526,10 +526,12 @@ def _tilt_divergences(lam: float, log_ratio: np.ndarray, p1: np.ndarray, p2: np.
     its relative accuracy where a rounded P_lam would lose it to p_h; P_lam
     sums to 1, so the linear part of D is 1 - sum p_h.
     """
-    q = np.stack((p1, p2))
-    y = np.array([[1.0 - lam], [-lam]]) * log_ratio
-    for q_h, y_h in zip(q, y):
-        z_less_1 = math.fsum([*(q_h * np.expm1(y_h)).tolist(), *q_h.tolist(), -1.0])
+    k = log_ratio.size
+    q = np.concatenate((p1, p2)).reshape(2, k)
+    y = np.concatenate(((1.0 - lam) * log_ratio, -lam * log_ratio)).reshape(2, k)
+    rows = q.tolist()
+    for q_h, y_h, terms, row in zip(q, y, (q * np.expm1(y)).tolist(), rows):
+        z_less_1 = math.fsum([*terms, *row, -1.0])
         if math.isinf(z_less_1):
             # exp(y) overflows only at a subnormal p_h: shift the log weights
             log_w = np.log(q_h) + y_h
@@ -540,6 +542,7 @@ def _tilt_divergences(lam: float, log_ratio: np.ndarray, p1: np.ndarray, p2: np.
     far = np.isinf(diff)  # P_lam / p_h past the double range, at a subnormal p_h
     if np.count_nonzero(far):
         diff[far] = np.exp(np.log(q[far]) + y[far]) - q[far]
-    d = _divergence_terms(diff, q).sum(axis=1) + [math.fsum([1.0, *(-q_h).tolist()]) / LN2 for q_h in q]
+    linear = [math.fsum([1.0, *[-x for x in row]]) / LN2 for row in rows]
+    d = _divergence_terms(diff, q).sum(axis=1) + linear
     # D >= 0; the doubles of p_h may sum above 1 by a rounding
     return max(0.0, float(d[0])), max(0.0, float(d[1]))

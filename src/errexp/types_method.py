@@ -40,7 +40,16 @@ from typing import Literal
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, _divergence_terms, _xlog2x, log_factorial_table
+from .dist import (
+    _SHORT_SUM,
+    LN2,
+    DiscreteDistribution,
+    _divergence_term_floats,
+    _divergence_terms,
+    _sum_floats,
+    _xlog2x,
+    log_factorial_table,
+)
 from .errors import InfeasibleError, ResourceCapError, ValidationError
 
 #: default ceiling on the number of enumerated types (for Sanov, on the
@@ -453,12 +462,30 @@ def _type_kl_terms(q: np.ndarray, n: int, counts: np.ndarray) -> np.ndarray:
     within a rounding or two, and exactly -n q_j at c = 0.
     """
     q = q.reshape(-1, *[1] * (counts.ndim - 1))
-    big = q * 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
-    q_hi = big - (big - q)
-    n_hi, n_lo = n * q_hi, n * (q - q_hi)
-    terms = _divergence_terms(((counts - n_hi) - n_lo) / n, (n_hi + n_lo) / n)
+    terms = _divergence_terms(*_type_split(q, n, counts))
     terms[0] += math.fsum([1.0, *(-q).ravel().tolist()]) / LN2
     return terms
+
+
+def _type_split(q, n: int, c):
+    # ((c - n q) / n, n q / n), on arrays or floats alike, to the bit; n q is
+    # the sum of two doubles, Veltkamp's 26-bit halves of q (2^27 + 1) times n
+    big = q * 134217729.0
+    q_hi = big - (big - q)
+    n_hi, n_lo = n * q_hi, n * (q - q_hi)
+    return ((c - n_hi) - n_lo) / n, (n_hi + n_lo) / n
+
+
+def _type_divergence(probs: list, n: int, counts: list) -> float:
+    """D(c/n || q) in bits for one type, on Python floats: the sum of its
+    :func:`_type_kl_terms`, to the bit, left to right as NumPy sums fewer
+    than 8 terms and by np.add.reduce from 8 on."""
+    diff, nq = zip(*[_type_split(q, n, c) for q, c in zip(probs, counts)])
+    terms = _divergence_term_floats(diff, nq)
+    if terms is None:
+        return float(_type_kl_terms(np.array(probs), n, np.array(counts)).sum())
+    terms[0] += math.fsum([1.0, *[-q for q in probs]]) / LN2
+    return _sum_floats(terms) if len(terms) < _SHORT_SUM else float(np.add.reduce(terms))
 
 
 def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -598,9 +625,10 @@ def sanov_exponent(
     the rest, the units left over going one each to the largest fractional
     remainders, ties to the lower symbol). Where every member has D = inf,
     the first member is returned. d_star is the C-order sum of the type's
-    :func:`_type_kl_terms`, within about 1e-15 relative of its exact D and
-    the bits of its row of the table on which the deviation sum judges
-    types. ``cap`` bounds the n + 1 counts of a.
+    :func:`_type_kl_terms`, taken on floats by :func:`_type_divergence`,
+    within about 1e-15 relative of its exact D and the bits of its row of
+    the table on which the deviation sum judges types. ``cap`` bounds the
+    n + 1 counts of a.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     if lo > hi:
@@ -633,8 +661,7 @@ def sanov_exponent(
             for i in order[: left - sum(share)]:
                 c[i] += 1
         c = _exchange(c, probs, a, lo, hi)
-    d_star = _type_kl_terms(p.probs, n, np.array(c)).sum()
-    return float(d_star), EmpiricalType(tuple(c), n)
+    return _type_divergence(probs, n, c), EmpiricalType(tuple(c), n)
 
 
 def sanov_exact_log2_prob(

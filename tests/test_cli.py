@@ -346,6 +346,20 @@ class TestExitCodes:
         _, rows = parse_csv(out)
         assert [r[2] for r in rows] == ["1", "0"]
 
+    def test_boltzmann_prob_underflow_is_reported(self):
+        # level 1's prob is exp(-1000) / (1 + exp(-1000)), 2^-1442.7: it
+        # prints 0, as it did, and stderr gives its log2
+        status, out, err = run_cli(["boltzmann", "--levels", "0,1000", "--beta", "1"])
+        assert status == 0
+        assert out == "level_index,energy,prob,beta,mean_energy\r\n0,0,1,1,0\r\n1,1000,0,1,0\r\n"
+        with mpmath.workdps(40):
+            want = float(-(1000 + mpmath.log1p(mpmath.exp(-1000))) / mpmath.log(2))
+        assert want == -1442.6950408889634
+        assert err == (
+            "errexp: warning: prob of level 1 (log2 -1442.6950408889634) underflowed to 0 "
+            "(below 2^-1074); each log2 is the Gibbs log weight less ln Z, in bits\n"
+        )
+
     def test_np_beta_underflow_is_reported(self):
         # beta < 2^-1074 at n = 8000 still prints 0 (a known defect), but
         # says so on stderr instead of raising numpy's log2(0) warning

@@ -14,7 +14,13 @@ from errexp import (
     log_factorial,
     make_distribution,
 )
-from errexp.dist import _divergence_terms, _psi_series, log_factorial_residual
+from errexp.dist import (
+    _SHORT_SUM,
+    _divergence_terms,
+    _psi_series,
+    _sum_floats,
+    log_factorial_residual,
+)
 
 
 def kl_bits_mp(p, q) -> float:
@@ -286,3 +292,19 @@ class TestLogFactorial:
             k = int(k)
             diff = log_factorial(k) - log_factorial(k - 1)
             assert abs(diff - math.log(k)) <= 1e-10 * max(1.0, log_factorial(k))
+
+
+def test_numpy_short_sums_and_exp_are_the_float_branch():
+    # the float branch of the tilt solver and Sanov's d* on floats keep the
+    # bits of the array code because of two facts about NumPy: add.reduce
+    # sums fewer than _SHORT_SUM terms left to right from 0.0, as
+    # _sum_floats does, and np.exp of a list is np.exp of the array. A NumPy
+    # or Python that breaks either fails here, by name
+    rng = np.random.default_rng(33)
+    for k in range(1, _SHORT_SUM):
+        assert _sum_floats([-0.0] * k).hex() == float(np.add.reduce(np.full(k, -0.0))).hex()
+        for _ in range(3000):
+            v = rng.standard_normal(k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
+            assert _sum_floats(v.tolist()).hex() == float(np.add.reduce(v)).hex(), v
+            y = rng.uniform(-750.0, 0.0, k)
+            assert np.exp(y.tolist()).tobytes() == np.exp(y).tobytes(), y

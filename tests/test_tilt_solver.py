@@ -26,10 +26,13 @@ from errexp import (
     testing,
 )
 from errexp.dist import (
+    _SHORT_SUM,
     LN2,
     _certified_bracket,
+    _gibbs_weights,
     _solve_tilt,
     _tilt_error_bound,
+    _tilt_floats,
     _tilt_mean,
     _tilt_moments,
 )
@@ -349,3 +352,64 @@ def test_a_residual_beyond_the_certificate_raises(monkeypatch, solve, args, targ
     push_means_off(monkeypatch, target)
     with pytest.raises(ConvergenceError, match="beyond its bound"):
         solve(*args)
+
+
+def branch_cases(k, seed):
+    """(log_base, energy, beta) on k energies, for the float branch: a
+    Chernoff-like vector base or the Boltzmann scalar base; beta = 0, moderate
+    and large; exponents that leave subnormal weights; energies near 1e308,
+    whose weighted sum overflows into ``_weighted_mean``'s fallback."""
+    rng = np.random.default_rng(seed)
+    for i in range(400):
+        log_base = np.log(rng.dirichlet(np.ones(k))) if i % 2 else 0.0
+        energy = rng.uniform(-5.0, 5.0, k)
+        kind = (i // 2) % 5
+        if kind == 0:
+            beta = 0.0
+        elif kind == 1:
+            beta = 10.0 ** rng.uniform(-3.0, 2.0)
+        elif kind == 2:
+            beta = 10.0 ** rng.uniform(3.0, 300.0)
+        elif kind == 3:
+            # beta * (e - ground) in (700, 750): weights from 2^-1010 to 0
+            beta = 1.0
+            energy = energy.min() + rng.uniform(700.0, 750.0, k)
+            energy[0] = energy.min() - 700.0
+        else:
+            beta = 10.0 ** rng.uniform(-310.0, -307.0)
+            energy = rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.7, k) * 1e308
+        yield log_base, energy, beta
+
+
+@pytest.mark.parametrize("k", range(1, _SHORT_SUM))
+def test_float_branch_has_the_bits_of_the_arrays(k):
+    # the mean, the moments (mean and variance, so that Newton and with it
+    # the evaluation count cannot drift) and the error bound on the lists of
+    # _tilt_floats against the array code, by float.hex
+    subnormal = overflowed = 0
+    for log_base, energy, beta in branch_cases(k, 50 + k):
+        fl_base, fl_energy = _tilt_floats(log_base, energy)
+        assert isinstance(fl_base, list) and isinstance(fl_energy, list)
+        scale = float(energy.max() - energy.min()) or 1.0
+        fl_scaled = [e / scale for e in fl_energy]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _gibbs_weights(log_base, energy, beta)
+            subnormal += bool(np.any((w > 0.0) & (w < 2.0**-1022)))
+            overflowed += bool(np.isinf((energy * w).sum()))
+            want_mean = _tilt_mean(log_base, energy, beta)
+            want_moments = _tilt_moments(log_base, energy, beta, energy / scale, scale)
+        case = (log_base, energy, beta)
+        assert _tilt_mean(fl_base, fl_energy, beta).hex() == want_mean.hex(), case
+        got_moments = _tilt_moments(fl_base, fl_energy, beta, fl_scaled, scale)
+        assert [x.hex() for x in got_moments] == [x.hex() for x in want_moments], case
+        got_bound = _tilt_error_bound(fl_base, fl_energy)
+        want_bound = _tilt_error_bound(log_base, energy)
+        assert [x.hex() for x in got_bound] == [x.hex() for x in want_bound], case
+    # one energy has the one weight 1 and a finite sum
+    assert (subnormal > 0 and overflowed > 0) or k == 1
+
+
+def test_arrays_from_the_short_sum_on_are_kept():
+    energy = np.arange(_SHORT_SUM, dtype=float)
+    assert _tilt_floats(0.0, energy)[1] is energy
+    assert _tilt_floats(0.0, energy[1:])[1] == energy[1:].tolist()

@@ -29,7 +29,7 @@ from errexp import (
     type_class_size,
     type_classes,
 )
-from errexp.types_method import _type_kl_terms
+from errexp.types_method import _type_divergence, _type_kl_terms
 
 
 class TestEmpiricalType:
@@ -645,6 +645,26 @@ class TestSanovClosedForm:
             pi = ConstraintSet("lower" if rng.random() < 0.5 else "upper", 0, rng.random())
             d, t = sanov_exponent(pi, p, n)
             assert d.hex() == _kl_rows(np.array([t.counts]), n, p)[0].hex()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_float_divergence_is_the_sum_of_the_type_terms(self, k):
+        # d* on Python floats has the bits of the type's _type_kl_terms summed
+        # by NumPy, below 8 symbols and from 8 on; zero counts, zero mass and
+        # subnormal mass (D = inf, or the array kernel's far form) included
+        rng = np.random.default_rng(100 + k)
+        for i in range(200):
+            w = rng.uniform(0, 1, k)
+            if i % 3 == 1:
+                w[rng.random(k) < 0.3] = 0.0
+            elif i % 3 == 2:
+                w[rng.integers(k)] = 1e-310
+            if not w.any():
+                w[0] = 1.0
+            p = make_distribution(w)
+            n = int(rng.integers(1, 200))
+            c = rng.multinomial(n, rng.dirichlet(np.ones(k)))
+            got = _type_divergence(p.probs.tolist(), n, c.tolist())
+            assert got.hex() == float(_type_kl_terms(p.probs, n, c).sum()).hex(), (w, n, c)
 
     @pytest.mark.parametrize("symbol", [0, 1])
     @pytest.mark.parametrize("mode, threshold", [("upper", 1.0), ("lower", 0.0), ("lower", 0.5)])
