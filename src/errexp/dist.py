@@ -16,9 +16,9 @@ log2(p2/p1) and beta = lam ln 2, and the Boltzmann law exp(-beta * eps) / Z
 with a flat base over ground-shifted levels. ``_solve_tilt`` finds the beta
 at which either has a target mean energy.
 
-Below ``_SHORT_SUM`` = 8 energies the solver's mean and moment evaluations
-run on lists of Python floats, with np.exp the one NumPy call, where NumPy
-costs more per call than the arithmetic; Sanov's d* of one type does the
+Below ``_SHORT_SUM`` = 8 energies the solver's mean evaluations run on lists
+of Python floats, with np.exp the one NumPy call, where NumPy costs more
+per call than the arithmetic; Sanov's d* of one type does the
 same with np.log1p. Each keeps the bits of the array code: the products,
 differences and shifts are the same IEEE operations on floats, exp and log1p
 stay NumPy's (whose SIMD exp differs from math.exp in the last bit), and
@@ -52,8 +52,8 @@ _LOG_FACT_CUTOFF = 256
 # iteration cap of the tilt solver's bracket growth
 _TILT_MAX_ITER = 200
 
-# cap on the Newton steps that place the tilt solver's certified bracket
-_NEWTON_MAX_ITER = 12
+# cap on the secant steps that place the tilt solver's certified bracket
+_SECANT_MAX_ITER = 12
 
 # NumPy's add.reduce sums fewer terms than this left to right, more pairwise
 # (module docstring); below it the float branches keep the arrays' bits
@@ -263,8 +263,7 @@ def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:
 def _tilt_floats(log_base, energy: np.ndarray):
     """The tilt solver's (log_base, energy): below ``_SHORT_SUM`` energies
     two lists of Python floats, a scalar base repeated, on which
-    ``_tilt_mean`` and ``_tilt_moments`` take their float branch; the
-    arguments as given otherwise."""
+    ``_tilt_mean`` takes its float branch; the arguments as given otherwise."""
     if energy.size >= _SHORT_SUM:
         return log_base, energy
     if isinstance(log_base, np.ndarray):
@@ -272,28 +271,22 @@ def _tilt_floats(log_base, energy: np.ndarray):
     return [float(log_base)] * energy.size, energy.tolist()
 
 
-def _gibbs_weight_floats(log_base: list, energy: list, beta: float) -> list:
-    # _gibbs_weights on lists: the same IEEE operations, and the same np.exp
-    log_w = [l - beta * e for l, e in zip(log_base, energy)]
-    m = max(log_w)
-    return np.exp([y - m for y in log_w]).tolist()
-
-
-def _extremes(energy) -> tuple[float, float]:
-    # (least, largest) energy, of a list or an array
-    if isinstance(energy, list):
-        return min(energy), max(energy)
-    return float(energy.min()), float(energy.max())
-
-
 def _tilt_mean(log_base, energy, beta: float) -> float:
-    # mean energy under the Gibbs weights at beta, on lists (_tilt_floats)
-    # with np.exp the one NumPy call
-    if isinstance(energy, list):
-        w = _gibbs_weight_floats(log_base, energy, beta)
-        return _weighted_mean_floats(energy, w, _sum_floats(w))
-    w = _gibbs_weights(log_base, energy, beta)
-    return _weighted_mean(energy, w, w.sum())
+    # mean energy under the Gibbs weights at beta; on the lists of
+    # _tilt_floats, _gibbs_weights and _weighted_mean to the bit, with the
+    # same IEEE operations and np.exp the one NumPy call
+    if not isinstance(energy, list):
+        w = _gibbs_weights(log_base, energy, beta)
+        return _weighted_mean(energy, w, w.sum())
+    log_w = [l - beta * e for l, e in zip(log_base, energy)]
+    top = max(log_w)
+    w = np.exp([y - top for y in log_w]).tolist()
+    z = _sum_floats(w)
+    total = _sum_floats([e * x for e, x in zip(energy, w)])
+    if math.isfinite(total):
+        return total / z
+    ground = min(energy)
+    return ground + _sum_floats([(e - ground) * (x / z) for e, x in zip(energy, w)])
 
 
 def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
@@ -305,36 +298,6 @@ def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
         return float(total / z)
     ground = float(energy.min())
     return ground + float(((energy - ground) * (w / z)).sum())
-
-
-def _weighted_mean_floats(energy: list, w: list, z: float) -> float:
-    # _weighted_mean on lists, to the bit
-    total = _sum_floats([e * x for e, x in zip(energy, w)])
-    if math.isfinite(total):
-        return total / z
-    ground = min(energy)
-    return ground + _sum_floats([(e - ground) * (x / z) for e, x in zip(energy, w)])
-
-
-def _tilt_moments(log_base, energy, beta: float, scaled, scale: float):
-    """Mean and variance of the energy at beta.
-
-    The mean carries the bits of ``_tilt_mean``, on lists as on arrays. The
-    variance is taken on ``scaled = energy / scale`` so no square of a huge
-    energy overflows; it steers Newton steps only.
-    """
-    if isinstance(energy, list):
-        w = _gibbs_weight_floats(log_base, energy, beta)
-        z = _sum_floats(w)
-        mean = _weighted_mean_floats(energy, w, z)
-        m = mean / scale
-        var = _sum_floats([(s - m) * (s - m) * x for s, x in zip(scaled, w)]) / z
-        return mean, var * scale * scale
-    w = _gibbs_weights(log_base, energy, beta)
-    z = w.sum()
-    mean = _weighted_mean(energy, w, z)
-    dev = scaled - mean / scale
-    return mean, float((dev * dev * w).sum() / z) * scale * scale
 
 
 # Rounding error of _tilt_mean, which the certified bracket of _solve_tilt
@@ -363,91 +326,86 @@ def _tilt_moments(log_base, energy, beta: float, scaled, scale: float):
 # The sum, times 1.1 for the second-order terms, is c0 + c1 * beta.
 
 
-def _tilt_error_bound(log_base, energy) -> tuple[float, float]:
-    """(c0, c1) with |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta, from
-    the arrays or the lists of ``_tilt_floats`` alike."""
-    k = len(energy)
-    e_min, e_max = _extremes(energy)
+def _tilt_error_bound(log_base, energy: np.ndarray) -> tuple[float, float]:
+    """(c0, c1) with |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta."""
+    k = energy.size
+    e_min, e_max = float(energy.min()), float(energy.max())
     a, r = max(e_max, -e_min), e_max - e_min
-    l = max(map(abs, log_base)) if isinstance(log_base, list) else float(np.abs(log_base).max())
+    l = float(np.abs(log_base).max())
     u = 2.0**-53
     c0 = 1.1 * (r * (4 * u + 0.5 * u * l + u * math.log(k) + k * 2.0**-1021) + (2 * k + 1) * u * a)
     return c0, 1.1 * u * a * r
 
 
-def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bound):
-    """(a, b, evaluations) with every computed mean at beta <= a above
-    ``target`` and every one at b <= beta <= hi at or below it.
+def _certified_bracket(mean, target: float, hi: float, scale: float, bound):
+    """(a, b) with every computed mean at beta <= a above ``target`` and
+    every one at b <= beta <= hi at or below it.
 
-    With ``bound`` = (c0, c1) and E(beta) = c0 + c1 * beta increasing, a
-    point a whose computed mean exceeds the target by more than 2 E(a)
-    certifies the left side: for beta <= a, _tilt_mean(beta) >= f(beta) -
-    E(a) >= f(a) - E(a) >= _tilt_mean(a) - 2 E(a) > target. A point b whose
-    computed mean falls short by at least 2 E(hi) certifies [b, hi] the same way.
+    ``mean(beta)`` is the solver's memoized mean. With ``bound`` = (c0, c1)
+    and E(beta) = c0 + c1 * beta increasing, a point a whose computed mean
+    exceeds the target by more than 2 E(a) certifies the left side: for
+    beta <= a, _tilt_mean(beta) >= f(beta) - E(a) >= f(a) - E(a) >=
+    _tilt_mean(a) - 2 E(a) > target. A point b whose computed mean falls
+    short by at least 2 E(hi) certifies [b, hi] the same way.
 
-    Safeguarded Newton steps from hi, whose ``moments`` (mean, variance)
-    the bracket growth took, bring beta near the root; once a step is
-    predicted to land within E / variance of it, the candidates a and b are
-    placed 2.5 E / variance to either side and evaluated. Newton sets only
+    Safeguarded secant steps from hi / 2 and hi (the bracket growth's last
+    two points once hi > 1) bring beta near the root; once a step is
+    predicted to land within E / slope of it, the candidates a and b are
+    placed 2.5 E / slope to either side and evaluated. The secant sets only
     where a and b fall, and so the speed, never the result.
     """
-    # a Python float, so that Newton arithmetic overflowing to inf raises no
-    # NumPy warning
-    target = float(target)
     c0, c1 = bound
     margin_hi = 2.0 * (c0 + c1 * hi)
-    a, b, evals = 0.0, hi, 0
-    least = min(energy) if isinstance(energy, list) else float(energy.min())
-    if not target - margin_hi > least:
-        # no mean falls below the least energy, so none can certify b, and
-        # half a bracket does not pay for the Newton steps
-        return a, b, evals
+    a, b = 0.0, hi
 
-    def record(x, mean):
+    def record(x):
         nonlocal a, b
-        if mean - target > 2.0 * (c0 + c1 * x):
+        m = mean(x)
+        if m - target > 2.0 * (c0 + c1 * x):
             a = max(a, x)
-        elif target - mean >= margin_hi:
+        elif target - m >= margin_hi:
             b = min(b, x)
+        return m
 
-    x, xl, xr = hi, 0.0, hi
-    mean, var = moments
-    for _ in range(_NEWTON_MAX_ITER):
-        x_new = x + (mean - target) / var if var > 0.0 else math.nan
-        if xl <= x_new <= xr:
-            step = x_new - x
-            noise = (c0 + c1 * x_new) / var
-            # Taylor estimate of the Newton error: the slope is -var and the
-            # curvature the third central moment, at most R var here and
-            # changing by at most 4 R^2 var per unit of beta
-            miss = (0.5 * scale + 2.0 * scale * scale * abs(step)) * step * step
+    x0, x1 = 0.5 * hi, hi
+    m0, m1 = record(x0), record(x1)
+    xl, xr = (x0, x1) if m0 > target else (0.0, x0)
+    for _ in range(_SECANT_MAX_ITER):
+        # the mean falls by the variance per unit beta (slope, somewhere
+        # between the points) and curves by the third central moment, at
+        # most R var: the secant root misses by curvature / (2 var) |x - x1|
+        # |x - x0|, and the variance cancels
+        slope = (m0 - m1) / (x1 - x0)
+        x = x1 + (m1 - target) / slope if slope > 0.0 else math.nan
+        if xl <= x <= xr:
+            noise = (c0 + c1 * x) / slope
+            miss = 0.5 * scale * abs(x - x1) * abs(x - x0)
             if miss <= noise:
                 break
         else:
-            x_new = 0.5 * (xl + xr)
-        x = x_new
-        mean, var = _tilt_moments(log_base, energy, x, scaled, scale)
-        evals += 1
-        record(x, mean)
-        if mean > target:
+            x = 0.5 * (xl + xr)
+            if x == xl or x == xr:
+                return a, b
+        m = record(x)
+        if m > target:
             xl = x
         else:
             xr = x
+        x0, m0, x1, m1 = x1, m1, x, m
     else:
-        return a, b, evals
+        return a, b
 
-    # evaluate candidates 2.5 E / var beyond the predicted root (the margin
+    # evaluate candidates 2.5 E / slope beyond the predicted root (the margin
     # 2 E and E / 2 for the rounding of their means), doubling on a miss
-    for side, err in ((-1.0, c0 + c1 * x_new), (1.0, c0 + c1 * hi)):
-        reach = miss + 2.5 * err / var
+    for side, err in ((-1.0, c0 + c1 * x), (1.0, c0 + c1 * hi)):
+        reach = miss + 2.5 * err / slope
         for _ in range(3):
-            cand = x_new + side * reach
+            cand = x + side * reach
             if not a < cand < b:
                 break
-            record(cand, _tilt_mean(log_base, energy, cand))
-            evals += 1
+            record(cand)
             reach *= 2.0
-    return a, b, evals
+    return a, b
 
 
 # one error state per solve: entering it costs a few percent of a solve
@@ -456,8 +414,8 @@ def _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bou
 def _solve_tilt(log_base, energy: np.ndarray, target: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
-    Returns (beta, evaluations, residual): the mean and moment evaluations
-    made, and |mean(beta) - target| in the energy's units.
+    Returns (beta, evaluations, residual): the distinct betas whose mean was
+    evaluated, and |mean(beta) - target| in the energy's units.
 
     The mean falls in beta, so the target must lie below the beta = 0 mean.
     The upper bracket grows geometrically from 1 until the mean undershoots;
@@ -467,8 +425,9 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     ``_certified_bracket`` places around the root: a mid at or below a, or
     at or above b, takes the side its evaluation would take. The result is
     the plain bisection's, bit for bit, at about a third of its evaluations.
-    Below ``_SHORT_SUM`` energies every evaluation runs on the lists that
-    ``_tilt_floats`` makes once per solve.
+    Every evaluation goes through one memo per solve, so no beta is
+    evaluated twice; below ``_SHORT_SUM`` energies each runs on the lists
+    that ``_tilt_floats`` makes once per solve.
 
     No tolerance is asked for. At the collapsed bracket [lo, hi] the computed
     means straddle the target, within E(hi) = c0 + c1 * hi of the exact mean,
@@ -476,57 +435,53 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     above 2 E(hi) + (R^2 / 4) (hi - lo) (inf past R ~ 1e154) means the error
     model failed: ConvergenceError. A target at or above the beta = 0 mean gives 0.
     """
+    # a Python float, so that secant arithmetic overflowing to inf raises no
+    # NumPy warning
+    target = float(target)
+    c0, c1 = bound = _tilt_error_bound(log_base, energy)
+    least = float(energy.min())
+    scale = (float(energy.max()) - least) or 1.0
     log_base, energy = _tilt_floats(log_base, energy)
-    e_min, e_max = _extremes(energy)
-    scale = (e_max - e_min) or 1.0
-    scaled = [e / scale for e in energy] if isinstance(energy, list) else energy / scale
+    memo = {}
+
+    def mean(beta):
+        m = memo.get(beta)
+        if m is None:
+            m = memo[beta] = _tilt_mean(log_base, energy, beta)
+        return m
+
     hi = 1.0
-    evals = 0
     for _ in range(_TILT_MAX_ITER):
-        moments = _tilt_moments(log_base, energy, hi, scaled, scale)
-        evals += 1
-        if moments[0] <= target:
+        if mean(hi) <= target:
             break
         hi *= 2.0
     else:
         raise ConvergenceError("failed to bracket the target mean energy")
 
-    c0, c1 = bound = _tilt_error_bound(log_base, energy)
-    a, b, n = _certified_bracket(log_base, energy, target, hi, moments, scaled, scale, bound)
-    evals += n
-    lo, mean_lo, mean_hi = 0.0, None, moments[0]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid <= a:
-            lo, mean_lo = mid, None
-        elif mid >= b:
-            hi, mean_hi = mid, None
-        else:
-            mean = _tilt_mean(log_base, energy, mid)
-            evals += 1
-            if mean > target:
-                lo, mean_lo = mid, mean
-            else:
-                hi, mean_hi = mid, mean
-    beta = 0.5 * (lo + hi)
-    # the collapsed bisection's midpoint is one of its ends, whose mean the
-    # loop may already hold
-    if beta == lo and mean_lo is not None:
-        mean = mean_lo
-    elif beta == hi and mean_hi is not None:
-        mean = mean_hi
+    # no mean falls below the least energy, so a target within 2 E(hi) of it
+    # leaves b uncertifiable, and half a bracket does not pay for the steps
+    if target - 2.0 * (c0 + c1 * hi) > least:
+        a, b = _certified_bracket(mean, target, hi, scale, bound)
     else:
-        mean = _tilt_mean(log_base, energy, beta)
-        evals += 1
-    residual = abs(mean - target)
+        a, b = 0.0, hi
+    lo = 0.0
+    while True:
+        beta = 0.5 * (lo + hi)
+        if beta == lo or beta == hi:
+            break
+        if beta <= a or (beta < b and mean(beta) > target):
+            lo = beta
+        else:
+            hi = beta
+    # the collapsed midpoint is one of the ends, which the memo may hold
+    m = mean(beta)
+    residual = abs(m - target)
     certificate = 2.0 * (c0 + c1 * hi) + 0.25 * scale * scale * (hi - lo)
-    if residual > certificate and (beta > 0.0 or mean > target):
+    if residual > certificate and (beta > 0.0 or m > target):
         raise ConvergenceError(
             f"bisection landed {residual} away from the target mean, beyond its bound {certificate}"
         )
-    return beta, evals, residual
+    return beta, len(memo), residual
 
 
 def log_factorial(k: int) -> float:

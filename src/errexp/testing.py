@@ -103,7 +103,7 @@ class ChernoffReport:
     c_info: float
     d1: float
     d2: float
-    iterations: int  # mean and moment evaluations of the tilt solver
+    iterations: int  # distinct betas at which the tilt solver took the mean
     residual: float  # |D(P_lam||p1) - D(P_lam||p2)| at lambda_star, bits
 
 
@@ -194,11 +194,18 @@ def _np_log2_min_beta(epsilon: float, scores) -> float:
     if threshold is None:
         # the whole p1 mass is within epsilon: reject every type
         return -math.inf
+    return _np_tail(threshold, llr, lp2)
+
+
+def _np_tail(threshold, llr, lp2, above=()) -> float:
+    """log2 of the NP beta at ``threshold`` = (t, gamma): the P2 terms
+    ``above`` (log2, held outside the scores), then those of the types
+    scoring above t, then the share gamma of the tie class at t."""
     pivot, gamma = threshold
     # the tie class shares one likelihood ratio, so randomizing it whole
     # gives the same beta as randomizing it type by type
     tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
-    return _log2_prob(lp2, llr > pivot, tail=[tie])
+    return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
 
 
 def _log2_range(left, right, a, b) -> np.ndarray:
@@ -364,10 +371,7 @@ class _Runs:
         threshold = _np_threshold(epsilon - below, llr, _exp2(lp1, out=lp1))
         if threshold is None or not lower <= threshold[0] <= upper:
             return None
-        pivot, gamma = threshold
-        tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
-        above = self.lp2 + right2[self.row + a4]
-        return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
+        return _np_tail(threshold, llr, lp2, above=self.lp2 + right2[self.row + a4])
 
     def _bracket(self, epsilon: float):
         """Scores (lower, upper) that hold the NP threshold: the P1 mass at

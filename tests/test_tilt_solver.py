@@ -6,6 +6,7 @@ inputs are captured from the public entry points (``solve_beta`` and
 ``chernoff_lambda_star``), so the comparison covers what callers pass.
 """
 
+import functools
 import math
 
 import mpmath
@@ -34,7 +35,6 @@ from errexp.dist import (
     _tilt_error_bound,
     _tilt_floats,
     _tilt_mean,
-    _tilt_moments,
 )
 
 
@@ -215,11 +215,9 @@ def test_certified_bracket_holds_between_its_ends():
         while _tilt_mean(log_base, energy, hi) > target:
             hi *= 2.0
         scale = float(energy.max() - energy.min())
-        moments = _tilt_moments(log_base, energy, hi, energy / scale, scale)
         bound = _tilt_error_bound(log_base, energy)
-        a, b, _ = _certified_bracket(
-            log_base, energy, target, hi, moments, energy / scale, scale, bound
-        )
+        mean = functools.partial(_tilt_mean, log_base, energy)
+        a, b = _certified_bracket(mean, target, hi, scale, bound)
         assert 0.0 <= a < b <= hi
         betas_a = np.concatenate([a * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 40)), [a]])
         betas_b = np.concatenate([b + (hi - b) * 10.0 ** rng.uniform(-16.0, 0.0, 40), [b, hi]])
@@ -228,7 +226,7 @@ def test_certified_bracket_holds_between_its_ends():
         assert all(_tilt_mean(log_base, energy, x) <= target for x in betas_b)
 
 
-def test_means_inside_the_rounding_margin_certify_nothing(monkeypatch):
+def test_means_inside_the_rounding_margin_certify_nothing():
     # a computed mean that misses the target by less than twice the error
     # bound may lie on the wrong side of it, so it certifies nothing. The
     # means below fall with slope -1 through a root at 0.3, except within
@@ -241,10 +239,7 @@ def test_means_inside_the_rounding_margin_certify_nothing(monkeypatch):
         d = 0.3 - beta
         return 1.0 + (d if abs(d) > zone else 0.5 * (c0 + c1 * beta) * np.sign(d))
 
-    monkeypatch.setattr(dist, "_tilt_mean", mean)
-    monkeypatch.setattr(dist, "_tilt_moments", lambda *args: (mean(*args[:3]), 1.0))
-    moments = dist._tilt_moments(0.0, energy, 1.0)
-    a, b, _ = _certified_bracket(0.0, energy, 1.0, 1.0, moments, energy / 3.0, 3.0, (c0, c1))
+    a, b = _certified_bracket(functools.partial(mean, 0.0, energy), 1.0, 1.0, 3.0, (c0, c1))
     assert 0.3 - 20.0 * zone < a < 0.3 - zone and 0.3 + zone < b < 0.3 + 20.0 * zone
 
 
@@ -281,6 +276,37 @@ def test_evaluation_count_on_workload_shaped_solves(monkeypatch):
         assert residual <= 1e-10
         iterations.append(n)
     assert np.mean(iterations) <= 25
+
+
+def test_every_evaluation_goes_through_the_memo(monkeypatch):
+    # no beta is evaluated twice in a solve, and iterations counts the
+    # evaluations
+    real = dist._tilt_mean
+    betas = []
+
+    def mean(log_base, energy, beta):
+        betas.append(beta)
+        return real(log_base, energy, beta)
+
+    monkeypatch.setattr(dist, "_tilt_mean", mean)
+    spies = {"boltzmann": Spy(monkeypatch, boltzmann), "chernoff": Spy(monkeypatch, testing)}
+    solvers = {"boltzmann": solve_beta, "chernoff": chernoff_lambda_star}
+    solves = [
+        *(("boltzmann", args) for args in boltzmann_systems(20, 300)),
+        *(("chernoff", (h,)) for h in chernoff_pairs(21, 300)),
+        *workload_like(22, 600),
+    ]
+    checked = 0
+    for kind, args in solves:
+        betas.clear()
+        spies[kind].result = None
+        outcome(solvers[kind], *args)
+        if spies[kind].result is None:
+            continue  # the beta = 0 shortcut, or no bracket
+        assert len(set(betas)) == len(betas), args
+        assert spies[kind].result[1] == len(betas), args
+        checked += 1
+    assert checked > 1000
 
 
 def certificate(log_base, energy, beta):
@@ -383,28 +409,19 @@ def branch_cases(k, seed):
 
 @pytest.mark.parametrize("k", range(1, _SHORT_SUM))
 def test_float_branch_has_the_bits_of_the_arrays(k):
-    # the mean, the moments (mean and variance, so that Newton and with it
-    # the evaluation count cannot drift) and the error bound on the lists of
-    # _tilt_floats against the array code, by float.hex
+    # the mean on the lists of _tilt_floats against the array code, by
+    # float.hex
     subnormal = overflowed = 0
     for log_base, energy, beta in branch_cases(k, 50 + k):
         fl_base, fl_energy = _tilt_floats(log_base, energy)
         assert isinstance(fl_base, list) and isinstance(fl_energy, list)
-        scale = float(energy.max() - energy.min()) or 1.0
-        fl_scaled = [e / scale for e in fl_energy]
         with np.errstate(over="ignore", invalid="ignore"):
             w = _gibbs_weights(log_base, energy, beta)
             subnormal += bool(np.any((w > 0.0) & (w < 2.0**-1022)))
             overflowed += bool(np.isinf((energy * w).sum()))
             want_mean = _tilt_mean(log_base, energy, beta)
-            want_moments = _tilt_moments(log_base, energy, beta, energy / scale, scale)
         case = (log_base, energy, beta)
         assert _tilt_mean(fl_base, fl_energy, beta).hex() == want_mean.hex(), case
-        got_moments = _tilt_moments(fl_base, fl_energy, beta, fl_scaled, scale)
-        assert [x.hex() for x in got_moments] == [x.hex() for x in want_moments], case
-        got_bound = _tilt_error_bound(fl_base, fl_energy)
-        want_bound = _tilt_error_bound(log_base, energy)
-        assert [x.hex() for x in got_bound] == [x.hex() for x in want_bound], case
     # one energy has the one weight 1 and a finite sum
     assert (subnormal > 0 and overflowed > 0) or k == 1
 
