@@ -20,13 +20,14 @@ it in bits, with the Stirling form N ln N - sum N_j ln N_j as nH bits.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDistribution, _gibbs_weights, _solve_tilt, _tilt_error_bound
-from .dist import _weighted_mean, entropy
+from .dist import _SHORT_SUM, LN2, DiscreteDistribution, _gibbs_weights, _solve_tilt
+from .dist import _sum_floats, _tilt_error_bound, _tilt_floats, _weighted_mean, entropy
 from .errors import InfeasibleError, ValidationError
 
 # relative tolerance of the Gibbs duality gap; its rounding stays below 1e-15
@@ -46,19 +47,29 @@ class EnergySystem:
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=np.float64).copy()
-        if levels.ndim != 1 or levels.size < 2:
-            raise ValidationError("need at least 2 energy levels")
-        if not np.all(np.isfinite(levels)):
-            raise ValidationError("energy levels must be finite")
-        # the weights are taken relative to the ground level; Python floats
-        # overflow to inf here without NumPy's warning
-        if math.isinf(float(levels.max()) - float(levels.min())):
-            raise ValidationError("energy levels must span less than the double range")
+        _checked_levels(levels)
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValidationError("beta must be finite and >= 0")
         levels.flags.writeable = False
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "beta", float(self.beta))
+
+
+def _checked_levels(levels: np.ndarray):
+    """EnergySystem's checks; the float64 levels, a list below ``_SHORT_SUM``."""
+    if levels.ndim != 1 or levels.size < 2:
+        raise ValidationError("need at least 2 energy levels")
+    short = levels.size < _SHORT_SUM
+    if short:
+        levels = levels.tolist()
+    if not (all(map(math.isfinite, levels)) if short else np.all(np.isfinite(levels))):
+        raise ValidationError("energy levels must be finite")
+    # the weights are taken relative to the ground level; Python floats
+    # overflow to inf here without NumPy's warning
+    span = max(levels) - min(levels) if short else float(levels.max()) - float(levels.min())
+    if math.isinf(span):
+        raise ValidationError("energy levels must span less than the double range")
+    return levels
 
 
 @np.errstate(over="ignore")
@@ -86,16 +97,27 @@ def log_partition_function(sys: EnergySystem) -> float:
 
 def boltzmann_distribution(sys: EnergySystem) -> DiscreteDistribution:
     """P_j = exp(-beta * eps_j) / Z; degenerate levels split mass equally."""
-    w = _level_weights(sys)
-    return DiscreteDistribution(w / w.sum())
+    return DiscreteDistribution(_law_and_mean(sys)[0])
 
 
 def mean_energy(sys: EnergySystem) -> float:
     """Average energy under the Boltzmann occupation; where the levels'
     weighted sum overflows, it is taken above the ground level."""
-    w = _level_weights(sys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_mean(sys.levels, w, w.sum())
+    return _law_and_mean(sys)[1]
+
+
+def _law_and_mean(sys: EnergySystem) -> tuple[list, float]:
+    # the Boltzmann law and its mean energy from one Gibbs weight vector
+    if sys.levels.size >= _SHORT_SUM:
+        w = _level_weights(sys)
+        z = w.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (w / z).tolist(), _weighted_mean(sys.levels, w, z)
+    levels = sys.levels.tolist()
+    ground = min(levels)
+    w = _gibbs_weights([0.0] * len(levels), [e - ground for e in levels], sys.beta)
+    z = _sum_floats(w)
+    return [x / z for x in w], _weighted_mean(levels, w, z)
 
 
 def solve_beta(levels, target_mean: float) -> float:
@@ -108,9 +130,18 @@ def solve_beta(levels, target_mean: float) -> float:
     mean at beta = 0 gives beta = 0; any other is certified by the tilt
     solver that Chernoff's lam* uses.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    uniform_mean = mean_energy(EnergySystem(levels, 0.0))
-    lo_energy = float(levels.min())
+    levels = _checked_levels(np.asarray(levels, dtype=np.float64))
+    short = isinstance(levels, list)
+    # work relative to the ground level: at large beta the mean sits a hair
+    # above min(levels), and the shifted form keeps that hair at full
+    # relative precision instead of losing it to cancellation. NumPy's
+    # minimum keeps the last of equal entries, -0.0 or 0.0, as reversed does
+    lo_energy = min(reversed(levels)) if short else float(levels.min())
+    shifted = [e - lo_energy for e in levels] if short else levels - lo_energy
+    ones, size = [1.0] * len(levels) if short else 1.0, float(len(levels))
+    with contextlib.nullcontext() if short else np.errstate(over="ignore", invalid="ignore"):
+        uniform_mean = _weighted_mean(levels, ones, size)
+        flat_mean = _weighted_mean(shifted, ones, size)
     if math.isnan(target_mean):
         raise ValidationError("target mean must be a number")
     if not lo_energy < target_mean <= uniform_mean:
@@ -118,18 +149,11 @@ def solve_beta(levels, target_mean: float) -> float:
             f"target mean {target_mean} outside ({lo_energy}, {uniform_mean}]"
         )
 
-    # work relative to the ground level: at large beta the mean sits a hair
-    # above min(levels), and the shifted form keeps that hair at full
-    # relative precision instead of losing it to cancellation
-    shifted = levels - lo_energy
     shifted_target = target_mean - lo_energy
-
     # against the solver's own beta = 0 mean; this shortcut stays out of the
     # shared solver: a Chernoff tilt between nearly equal laws starts within
     # rounding of its target, yet its root is near 1/2
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat_mean = _weighted_mean(shifted, 1.0, shifted.size)
-    if flat_mean - shifted_target <= 2.0 * _tilt_error_bound(0.0, shifted)[0]:
+    if flat_mean - shifted_target <= 2.0 * _tilt_error_bound(*_tilt_floats(0.0, shifted))[0]:
         return 0.0
     return _solve_tilt(0.0, shifted, shifted_target)[0]
 

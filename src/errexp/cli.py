@@ -21,10 +21,8 @@ import functools
 import math
 import sys
 
-import numpy as np
-
-from .boltzmann import EnergySystem, _log2_law, boltzmann_distribution, mean_energy, solve_beta
-from .detection import sweep
+from .boltzmann import EnergySystem, _law_and_mean, _log2_law, solve_beta
+from .detection import _log2_errors, sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
 from .testing import BinaryHypothesis, chernoff_lambda_star, stein_errors
@@ -57,7 +55,7 @@ def parse_distribution(text: str) -> DiscreteDistribution:
         raise ValidationError(f"cannot parse distribution {text!r}") from exc
     if not weights:
         raise ValidationError("empty distribution")
-    return make_distribution(np.asarray(weights))
+    return make_distribution(weights)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -194,22 +192,19 @@ def _run_chernoff(args):
 
 
 def _run_boltzmann(args):
-    levels = np.asarray(_parse_floats(args.levels))
+    levels = _parse_floats(args.levels)
     beta = args.beta if args.beta is not None else solve_beta(levels, args.mean)
     sys_ = EnergySystem(levels, beta)
-    probs = boltzmann_distribution(sys_).probs
-    if not probs.all():
+    probs, mean = _law_and_mean(sys_)
+    if not all(probs):
         # the log2 of the law is formed only where a prob prints as 0
         log2_probs = _log2_law(sys_).tolist()
         _warn_underflow(
             [(f"prob of level {j} (log2 {x!r})", x) for j, x in enumerate(log2_probs)],
             "each log2 is the Gibbs log weight less ln Z, in bits",
         )
-    mean = mean_energy(sys_)
     header = ["level_index", "energy", "prob", "beta", "mean_energy"]
-    rows = [
-        [j, float(levels[j]), float(probs[j]), beta, mean] for j in range(levels.size)
-    ]
+    rows = [[j, e, p, beta, mean] for j, (e, p) in enumerate(zip(levels, probs))]
     return header, rows
 
 
@@ -217,6 +212,12 @@ def _run_detect(args):
     rows_out = sweep(
         _parse_ints(args.dims), _parse_floats(args.amplitudes), args.trials, args.seed
     )
+    for r in rows_out:
+        if not (r.analytic_pe and r.chernoff_bound):
+            # the log2 of the errors is formed only where one prints as 0
+            columns = zip(("analytic_pe", "chernoff_bound"), _log2_errors(r.dim, r.amplitude))
+            notice = f"at dim {r.dim}, amplitude {r.amplitude!r}"
+            _warn_underflow([(f"{name} (log2 {x!r})", x) for name, x in columns], notice)
     header = ["dim", "amplitude", "analytic_pe", "chernoff_bound", "empirical_pe", "trials"]
     rows = [
         [r.dim, r.amplitude, r.analytic_pe, r.chernoff_bound, r.empirical_pe, r.trials]

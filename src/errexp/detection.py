@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import LN2
 from .errors import ValidationError
 from .types_method import _integer
 
@@ -111,6 +112,22 @@ def chernoff_error_bound(dim: int, amplitude: float) -> float:
     if amplitude < 0:
         raise ValidationError("amplitude must be >= 0")
     return math.exp(-dim * amplitude * amplitude / 8.0)
+
+
+def _log2_errors(dim: int, amplitude: float) -> tuple[float, float]:
+    """log2 of ``analytic_error`` and ``chernoff_error_bound``, -inf only where
+    x^2 or N m^2 passes the double range: log2 Q(x) from math.erfc below x =
+    30, above it from Q(x) = phi(x) / x * sum_k (-1)^k (2k - 1)!! / x^(2k)
+    (Abramowitz & Stegun 7.1.23), whose 11 terms leave under 1e-22 there."""
+    x = math.sqrt(dim) * amplitude / 2.0
+    if x < 30.0:
+        log2_q = math.log2(0.5 * math.erfc(x / _SQRT2))
+    else:
+        u, s = 1.0 / (x * x), 1.0
+        for k in range(10, 0, -1):
+            s = 1.0 - (2 * k - 1) * u * s
+        log2_q = -(x * x) / (2.0 * LN2) - math.log2(x * math.sqrt(2.0 * math.pi) / s)
+    return log2_q, -dim * amplitude * amplitude / 8.0 / LN2
 
 
 def _hypothesis_one(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -16,15 +16,22 @@ log2(p2/p1) and beta = lam ln 2, and the Boltzmann law exp(-beta * eps) / Z
 with a flat base over ground-shifted levels. ``_solve_tilt`` finds the beta
 at which either has a target mean energy.
 
-Below ``_SHORT_SUM`` = 8 energies the solver's mean evaluations run on lists
-of Python floats, with np.exp the one NumPy call, where NumPy costs more
-per call than the arithmetic; Sanov's d* of one type does the
-same with np.log1p. Each keeps the bits of the array code: the products,
-differences and shifts are the same IEEE operations on floats, exp and log1p
-stay NumPy's (whose SIMD exp differs from math.exp in the last bit), and
-NumPy's add.reduce sums fewer than 8 terms left to right from 0.0, as
-``_sum_floats`` does. From 8 terms on it sums pairwise, in an order no short
-Python loop matches, so larger inputs keep the arrays.
+Below ``_SHORT_SUM`` = 8 entries, where NumPy costs more per call than the
+arithmetic, these run on lists of Python floats: validation
+(``_sum_and_min``), the tilt solver's bound and mean (``_tilt_floats``),
+Chernoff's set-up and d1/d2 (``testing``), and the Boltzmann checks, uniform
+mean and law (``boltzmann``); the divergence kernel does so up to 16
+arguments (``_divergence_term_floats``, also Sanov's d*). Each keeps the bits
+of the array code on NumPy premises that ``tests/test_dist.py`` checks: the
+products, differences and shifts are the same IEEE operations on floats;
+np.exp, np.log, np.log1p and np.expm1 of a list are the call on the array
+(NumPy's SIMD exp differs from math.exp in the last bit); add.reduce sums
+fewer than 8 terms, also along a row, left to right from 0.0, as
+``_sum_floats`` does; and minimum.reduce keeps the last of equal entries, as
+min of the reversed list does, which tells -0.0 from 0.0. From 8 terms on
+NumPy sums pairwise, in an order no short Python loop matches, so larger
+inputs keep the arrays, as do vectors whose sum is not finite in validation
+and d1/d2 at masses below about 1e-305.
 """
 
 from __future__ import annotations
@@ -81,11 +88,17 @@ def _sum_and_min(v: np.ndarray) -> tuple[float, float]:
     A finite sum has only finite terms, and min >= 0 holds exactly when no
     entry is < 0 (-0.0 passes both), so a vector with a finite sum and
     min >= 0 passes the element-wise finite and nonnegative checks, which
-    the validators run only for the other vectors. The sum is ``v.sum()``
-    to the bit. NumPy's warnings are off here: a vector that fails the two
-    tests meets the element-wise checks, which warn where they sum, as
-    before, and one that passes them sums without a warning.
+    the validators run only for the other vectors. Both are NumPy's to the
+    bit, from the list below ``_SHORT_SUM`` entries where the sum is finite.
+    NumPy's warnings are off here: a vector that fails the two tests meets
+    the element-wise checks, which warn where they sum, as before.
     """
+    if v.size < _SHORT_SUM:
+        vals = v.tolist()
+        total = _sum_floats(vals)
+        if math.isfinite(total):
+            # NumPy's minimum keeps the last of equal entries: -0.0 or 0.0
+            return total, min(reversed(vals))
     with np.errstate(all="ignore"):
         return float(np.add.reduce(v)), float(np.minimum.reduce(v))
 
@@ -248,7 +261,7 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return float(_divergence_terms(pp - qq, qq).sum()) + linear / LN2
 
 
-def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:
+def _gibbs_weights(log_base, energy, beta: float):
     """exp(log_base - beta * energy), shifted so the largest weight is exactly 1.
 
     The one Gibbs (maximum-entropy) law of the package, unnormalized: with
@@ -256,43 +269,41 @@ def _gibbs_weights(log_base, energy: np.ndarray, beta: float) -> np.ndarray:
     Chernoff's tilt p1^lam p2^(1-lam); with log_base = 0 and ground-shifted
     levels it is the Boltzmann law, whose largest exponent is then +-0.
     """
+    if isinstance(energy, list):
+        log_w = [l - beta * e for l, e in zip(log_base, energy)]
+        top = max(log_w)
+        return np.exp([y - top for y in log_w]).tolist()
     log_w = log_base - beta * energy
     return np.exp(log_w - log_w.max())
 
 
-def _tilt_floats(log_base, energy: np.ndarray):
+def _tilt_floats(log_base, energy):
     """The tilt solver's (log_base, energy): below ``_SHORT_SUM`` energies
-    two lists of Python floats, a scalar base repeated, on which
-    ``_tilt_mean`` takes its float branch; the arguments as given otherwise."""
-    if energy.size >= _SHORT_SUM:
+    two lists of Python floats, a scalar base repeated, on which the Gibbs
+    helpers take their float branch; the arguments as given otherwise."""
+    if len(energy) >= _SHORT_SUM:
         return log_base, energy
-    if isinstance(log_base, np.ndarray):
-        return log_base.tolist(), energy.tolist()
-    return [float(log_base)] * energy.size, energy.tolist()
+    if isinstance(log_base, float):
+        log_base = [log_base] * len(energy)
+    return list(map(float, log_base)), list(map(float, energy))
 
 
 def _tilt_mean(log_base, energy, beta: float) -> float:
-    # mean energy under the Gibbs weights at beta; on the lists of
-    # _tilt_floats, _gibbs_weights and _weighted_mean to the bit, with the
-    # same IEEE operations and np.exp the one NumPy call
-    if not isinstance(energy, list):
-        w = _gibbs_weights(log_base, energy, beta)
-        return _weighted_mean(energy, w, w.sum())
-    log_w = [l - beta * e for l, e in zip(log_base, energy)]
-    top = max(log_w)
-    w = np.exp([y - top for y in log_w]).tolist()
-    z = _sum_floats(w)
-    total = _sum_floats([e * x for e, x in zip(energy, w)])
-    if math.isfinite(total):
-        return total / z
-    ground = min(energy)
-    return ground + _sum_floats([(e - ground) * (x / z) for e, x in zip(energy, w)])
+    # mean energy under the Gibbs weights at beta
+    w = _gibbs_weights(log_base, energy, beta)
+    return _weighted_mean(energy, w, _sum_floats(w) if isinstance(w, list) else w.sum())
 
 
-def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
+def _weighted_mean(energy, w, z) -> float:
     # sum(energy * w) / z; where that sum overflows (silently inside
     # _solve_tilt), the least energy plus the mean above it under the
     # normalized weights, whose terms are at most the energies' finite span
+    if isinstance(energy, list):
+        total = _sum_floats([e * x for e, x in zip(energy, w)])
+        if math.isfinite(total):
+            return total / z
+        ground = min(energy)
+        return ground + _sum_floats([(e - ground) * (x / z) for e, x in zip(energy, w)])
     total = (energy * w).sum()
     if math.isfinite(total):
         return float(total / z)
@@ -326,15 +337,17 @@ def _weighted_mean(energy: np.ndarray, w: np.ndarray, z) -> float:
 # The sum, times 1.1 for the second-order terms, is c0 + c1 * beta.
 
 
-def _tilt_error_bound(log_base, energy: np.ndarray) -> tuple[float, float]:
-    """(c0, c1) with |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta."""
-    k = energy.size
-    e_min, e_max = float(energy.min()), float(energy.max())
+def _tilt_error_bound(log_base, energy):
+    """(c0, c1, least, span): |_tilt_mean(beta) - f(beta)| <= c0 + c1 * beta,
+    and the least energy and R, from the lists of ``_tilt_floats`` or arrays."""
+    k, short = len(energy), isinstance(energy, list)
+    e_min, e_max = (min(energy), max(energy)) if short else (energy.min(), energy.max())
+    l = max(map(abs, log_base)) if short else float(np.abs(log_base).max())
+    e_min, e_max = float(e_min), float(e_max)
     a, r = max(e_max, -e_min), e_max - e_min
-    l = float(np.abs(log_base).max())
     u = 2.0**-53
     c0 = 1.1 * (r * (4 * u + 0.5 * u * l + u * math.log(k) + k * 2.0**-1021) + (2 * k + 1) * u * a)
-    return c0, 1.1 * u * a * r
+    return c0, 1.1 * u * a * r, e_min, r
 
 
 def _certified_bracket(mean, target: float, hi: float, scale: float, bound):
@@ -411,7 +424,7 @@ def _certified_bracket(mean, target: float, hi: float, scale: float, bound):
 # one error state per solve: entering it costs a few percent of a solve
 # where each mean evaluation would enter its own
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_tilt(log_base, energy: np.ndarray, target: float):
+def _solve_tilt(log_base, energy, target: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
     Returns (beta, evaluations, residual): the distinct betas whose mean was
@@ -426,8 +439,8 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     at or above b, takes the side its evaluation would take. The result is
     the plain bisection's, bit for bit, at about a third of its evaluations.
     Every evaluation goes through one memo per solve, so no beta is
-    evaluated twice; below ``_SHORT_SUM`` energies each runs on the lists
-    that ``_tilt_floats`` makes once per solve.
+    evaluated twice; below ``_SHORT_SUM`` energies, given as lists or not,
+    each runs on the lists that ``_tilt_floats`` makes once per solve.
 
     No tolerance is asked for. At the collapsed bracket [lo, hi] the computed
     means straddle the target, within E(hi) = c0 + c1 * hi of the exact mean,
@@ -438,10 +451,9 @@ def _solve_tilt(log_base, energy: np.ndarray, target: float):
     # a Python float, so that secant arithmetic overflowing to inf raises no
     # NumPy warning
     target = float(target)
-    c0, c1 = bound = _tilt_error_bound(log_base, energy)
-    least = float(energy.min())
-    scale = (float(energy.max()) - least) or 1.0
     log_base, energy = _tilt_floats(log_base, energy)
+    c0, c1, least, scale = _tilt_error_bound(log_base, energy)
+    bound, scale = (c0, c1), scale or 1.0
     memo = {}
 
     def mean(beta):

@@ -26,10 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
+    _SHORT_SUM,
     LN2,
     DiscreteDistribution,
+    _divergence_term_floats,
     _divergence_terms,
     _solve_tilt,
+    _sum_floats,
     kl_divergence,
     log_factorial_residual,
 )
@@ -205,7 +208,9 @@ def _np_tail(threshold, llr, lp2, above=()) -> float:
     # the tie class shares one likelihood ratio, so randomizing it whole
     # gives the same beta as randomizing it type by type
     tie = math.log2(gamma) + _log2_sum_exp2(lp2, llr == pivot)
-    return _log2_prob(np.concatenate([above, lp2[llr > pivot]]), tail=[tie])
+    # the terms in summation order, in an array of ours that the sum
+    # overwrites without copying it again
+    return _log2_prob(np.concatenate([above, lp2[llr > pivot], [tie]]), where=...)
 
 
 def _log2_range(left, right, a, b) -> np.ndarray:
@@ -487,20 +492,32 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
     kernel (:func:`_tilt_divergences`), within about 1e-15 relative of their
     values at the returned lam*; c_info is the larger of the two.
     """
-    if h.p1 == h.p2:
+    short = h.p1.alphabet_size < _SHORT_SUM
+    p1, p2 = (h.p1.probs.tolist(), h.p2.probs.tolist()) if short else (h.p1.probs, h.p2.probs)
+    if (p1 == p2) if short else h.p1 == h.p2:
         raise DegenerateHypothesisError("hypotheses are identical")
-    if np.any((h.p2.probs > 0) & (h.p1.probs == 0)):
+    if any(a == 0.0 < b for a, b in zip(p1, p2)) if short else np.any((p2 > 0) & (p1 == 0)):
         raise ValidationError("D(p2||p1) must be finite for the tilted family")
 
     # p1, p2 share this support; log1p is accurate where they nearly agree,
     # but (p2 - p1)/p1 rounds toward -1 as p2/p1 -> 0, so ln p2 - ln p1 there
-    support = h.p2.probs > 0
-    p1, p2 = h.p1.probs[support], h.p2.probs[support]
-    near = np.abs(p2 - p1) < 0.5 * p1
-    log_base = np.log(p2)
-    log_ratio = log_base - np.log(p1)
-    log_ratio[near] = np.log1p((p2[near] - p1[near]) / p1[near])
-    beta, iterations, residual = _solve_tilt(log_base, log_ratio / LN2, 0.0)
+    if short:
+        p1, p2 = map(list, zip(*[(a, b) for a, b in zip(p1, p2) if b > 0.0]))
+        logs = np.log(p2 + p1).tolist()
+        log_base = logs[: len(p2)]
+        log_ratio = [b - a for a, b in zip(logs[len(p2) :], log_base)]
+        near = [i for i, (a, b) in enumerate(zip(p1, p2)) if abs(b - a) < 0.5 * a]
+        for i, v in zip(near, np.log1p([(p2[i] - p1[i]) / p1[i] for i in near]).tolist()):
+            log_ratio[i] = v
+    else:
+        support = p2 > 0
+        p1, p2 = p1[support], p2[support]
+        near = np.abs(p2 - p1) < 0.5 * p1
+        log_base = np.log(p2)
+        log_ratio = log_base - np.log(p1)
+        log_ratio[near] = np.log1p((p2[near] - p1[near]) / p1[near])
+    energy = [r / LN2 for r in log_ratio] if short else log_ratio / LN2
+    beta, iterations, residual = _solve_tilt(log_base, energy, 0.0)
     lam = beta / LN2
     if not 0.0 < lam <= 1.0:
         # the exact g(0) = D(p2||p1) > 0 and g(1) = -D(p1||p2) < 0 put lam*
@@ -522,14 +539,31 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
 
 
 @np.errstate(over="ignore")
-def _tilt_divergences(lam: float, log_ratio: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """(D(P_lam||p1), D(P_lam||p2)) in bits, from one :func:`_divergence_terms` call.
+def _tilt_divergences(lam: float, log_ratio, p1, p2):
+    """(D(P_lam||p1), D(P_lam||p2)) in bits, from the relative-entropy kernel.
 
     P_lam / p_h - 1 is expm1 of y_1 = (1 - lam) ln(p2/p1) - ln Z_1 or y_2 =
     -lam ln(p2/p1) - ln Z_2, with Z_h - 1 summed exactly, so P_lam - p_h keeps
     its relative accuracy where a rounded P_lam would lose it to p_h; P_lam
-    sums to 1, so the linear part of D is 1 - sum p_h.
+    sums to 1, so the linear part of D is 1 - sum p_h. Lists of normal masses
+    run on Python floats, unless a term passes the double range (at a mass
+    below about 1e-305).
     """
+    if isinstance(p1, list) and min(p1 + p2) >= 2.0**-1022:
+        q, rows = p1 + p2, (slice(0, len(p1)), slice(len(p1), None))
+        y = [(1.0 - lam) * r for r in log_ratio] + [-lam * r for r in log_ratio]
+        terms = [a * b for a, b in zip(q, np.expm1(y).tolist())]
+        for h in rows:
+            shift = math.log1p(math.fsum([*terms[h], *q[h], -1.0]))
+            y[h] = [v - shift for v in y[h]]
+        terms = _divergence_term_floats([a * b for a, b in zip(q, np.expm1(y).tolist())], q)
+        if terms is not None:
+            # D >= 0; the doubles of p_h may sum above 1 by a rounding
+            return tuple(
+                max(0.0, _sum_floats(terms[h]) + math.fsum([1.0, *[-x for x in q[h]]]) / LN2)
+                for h in rows
+            )
+    log_ratio, p1, p2 = np.asarray(log_ratio), np.asarray(p1), np.asarray(p2)
     k = log_ratio.size
     q = np.concatenate((p1, p2)).reshape(2, k)
     y = np.concatenate(((1.0 - lam) * log_ratio, -lam * log_ratio)).reshape(2, k)

@@ -511,6 +511,8 @@ def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
     (all of them if None), then the finite values in ``tail``, in that
     order. They are shifted and raised in place in the compacted copy,
     which is compacted again only where a selected entry is not finite.
+    ``where=...`` selects a view of the whole of a caller's scratch array,
+    which is then overwritten without a copy.
     """
     terms = log2_vals if where is None else log2_vals[where]
     finite = np.isfinite(terms)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -445,6 +446,31 @@ class TestExitCodes:
             "n,symbol,mode,threshold,d_star_bits,minimizer_counts,exact_prob,rate_bits\r\n"
             "3000,0,lower,0.98999999999999999,0.91920686410408869,2970;30,0,0.92046063562026903\r\n"
         )
+
+    def test_detect_error_underflow_is_reported(self):
+        # Q(150) = 2^-16238.87 and exp(-N m^2 / 8) = 2^-16230.32 print 0, as
+        # they did; the notice names both with their log2, from 40-digit
+        # mpmath, and the dim 4 row keeps its bytes and says nothing
+        status, out, err = run_cli(
+            ["detect", "--dims", "10000,4", "--amplitudes", "3", "--trials", "1000", "--seed", "1"]
+        )
+        assert status == 0
+        assert out == (
+            "dim,amplitude,analytic_pe,chernoff_bound,empirical_pe,trials\r\n"
+            "10000,3,0,0,0,1000\r\n"
+            "4,3,0.0013498980316300957,0.011108996538242306,0,1000\r\n"
+        )
+        with mpmath.workdps(40):
+            log2_q = mpmath.log(mpmath.erfc(150 / mpmath.sqrt(2)) / 2, 2)
+            log2_bound = -10000 * 9 / (8 * mpmath.log(2))
+        ((q, bound),) = re.findall(
+            r"^errexp: warning: analytic_pe \(log2 (\S+)\), chernoff_bound \(log2 (\S+)\) "
+            r"underflowed to 0 \(below 2\^-1074\); at dim 10000, amplitude 3\.0$",
+            err,
+        )
+        assert len(err.splitlines()) == 1
+        assert float(q) == pytest.approx(float(log2_q), rel=1e-15)
+        assert float(bound) == pytest.approx(float(log2_bound), rel=1e-15)
 
     def test_zero_alpha_is_not_an_underflow(self):
         # only types with mass on the p1 = 0 symbol are rejected, so alpha is
@@ -999,8 +1025,14 @@ def _sweep_argv(rng):
     ]
 
 
-# each probability column of stein and sanov, and how to tell from its row
-# that a 0 there is exact (its log2 is -inf); boltzmann's is in the test
+def _detect_x(row):
+    # Q's argument sqrt(N) m / 2
+    return math.sqrt(int(row["dim"])) * float(row["amplitude"]) / 2.0
+
+
+# each probability column of stein, sanov and detect, and how to tell from
+# its row that a 0 there is exact or has a log2 of -inf; boltzmann's is in
+# the test. detect's log2 is -inf where x^2 or N m^2 passes the double range
 _ZERO_IS_EXACT = {
     "stein": {
         "alpha_n": lambda row: row["log2_alpha_n"] == "-inf",
@@ -1008,6 +1040,12 @@ _ZERO_IS_EXACT = {
         "np_min_beta": lambda row: row["np_log2_beta"] == "-inf",
     },
     "sanov": {"exact_prob": lambda row: row["rate_bits"] == "inf"},
+    "detect": {
+        "analytic_pe": lambda row: math.isinf(_detect_x(row) * _detect_x(row)),
+        "chernoff_bound": lambda row: math.isinf(
+            int(row["dim"]) * float(row["amplitude"]) * float(row["amplitude"])
+        ),
+    },
 }
 
 
@@ -1016,9 +1054,7 @@ def test_cli_contract_sweep():
     # as errors. The exit code is 0, 2, 3, 4 or 5; a failing exit prints
     # nothing on stdout and one errexp: line on stderr; at exit 0 no cell is
     # nan, stderr holds only warnings, and a probability that prints 0 in
-    # stein, sanov or boltzmann is exact or named by a warning. detect's
-    # analytic_pe and chernoff_bound still underflow to 0 silently (ROADMAP
-    # item 20), so its zeros are not checked here.
+    # stein, sanov, boltzmann or detect is exact or named by a warning.
     rng = np.random.default_rng(20261020)
     statuses = set()
     for _ in range(1500):
@@ -1049,6 +1085,81 @@ def test_cli_contract_sweep():
         for j, row in enumerate(rows):
             for name, exact in columns.items():
                 if float(row[name]) == 0.0 and not exact(row):
-                    label = f"prob of level {j} " if argv[0] == "boltzmann" else name
-                    assert any(label in line for line in lines), (argv, name)
+                    notices = lines
+                    if argv[0] == "boltzmann":
+                        label = f"prob of level {j} "
+                    elif argv[0] == "detect":
+                        label = f"{name} (log2 "
+                        cell = f"at dim {row['dim']}, amplitude {float(row['amplitude'])!r}"
+                        notices = [line for line in lines if line.endswith(cell)]
+                    else:
+                        label = name
+                    assert any(label in line for line in notices), (argv, name)
     assert statuses >= {0, 2, 3, 4}
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr, each its first 16 hex
+# digits) of chernoff and boltzmann on both sides of the 8-symbol cut where
+# the float branches end: identical pairs, zero and 1e-310 masses, pairs
+# 1e-7 apart, the beta = 0 shortcut, levels near +-1e308, underflowing probs,
+# -0.0 levels and each refusal. Recorded on the array code before the float
+# branches reached past the solver's mean
+SOLVER_BYTES = [
+    ("chernoff --p1 1,3 --p2 2,1", 0, "6f934d84a7c202a0", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,1 --p2 1,1", 2, "e3b0c44298fc1c14", "6168a0bdc4e01697"),
+    ("chernoff --p1 0.5,0.5 --p2 0.5000001,0.4999999", 0, "43a1a0a664997897", "e3b0c44298fc1c14"),
+    ("chernoff --p1 0.5,0.5 --p2 0.4999999,0.5000001", 0, "43a1a0a664997897", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,0 --p2 1,1", 2, "e3b0c44298fc1c14", "d00fe68434f64538"),
+    ("chernoff --p1 1e-310,1 --p2 1,1", 0, "5fd186d1cad424ad", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,1 --p2 1e-17,1", 0, "710e8326ada20dfa", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,2,3 --p2 3,1,1", 0, "b55ad857d549c073", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,0,3 --p2 2,0,1", 0, "6f934d84a7c202a0", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,1,1 --p2 1e-17,1,1e-9", 0, "4d6bbec1d5ba0c82", "e3b0c44298fc1c14"),
+    ("chernoff --p1 3,7,2,9 --p2 5,1,8,2", 0, "8882475f9b4c7cd0", "e3b0c44298fc1c14"),
+    ("chernoff --p1 3,7,2,9,1 --p2 5,1,8,2,6", 0, "4f80d50d2a4d90dd", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,2,1e-310,4,5 --p2 5,4,1e-310,2,1", 0, "3c981e141cf39775", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,2,3,4,5,6 --p2 6,5,4,3,2,1", 0, "f1865ed4ee4fc71d", "e3b0c44298fc1c14"),
+    ("chernoff --p1 4,4,4,4,4,4,5 --p2 4,4,4,4,4,4,4", 0, "90bf978c621d5938", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,1e-310,2,3,5,8,13 --p2 13,8,5,3,2,1,1", 0, "35528a4fbb6d7a98", "e3b0c44298fc1c14"),
+    ("chernoff --p1 9,1,7,3,5,2,8,4 --p2 1,9,2,8,3,7,4,6", 0, "f9f72da8a6b63b2d", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,0,3,4,5,6,7,8 --p2 8,0,6,5,4,3,2,1", 0, "1b55e1a2f03d5c4b", "e3b0c44298fc1c14"),
+    ("chernoff --p1 1,2,3,4,5,6,7,8,9 --p2 9,8,7,6,5,4,3,2,1", 0, "0c6f157edfd947dd", "e3b0c44298fc1c14"),
+    ("chernoff --p1 5,5,5,5,5,5,5,5,6 --p2 5,5,5,5,5,5,5,5,5", 0, "ebd440e1c051acaa", "e3b0c44298fc1c14"),
+    ("chernoff --p1 2,3,5,7,11,13,17,19,23 --p2 23,19,17,13,11,7,5,3,2", 0, "3dd1dbfe126414bb", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0,1 --mean 0.3", 0, "bc7c96a68a38849e", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0,1 --beta 0.7", 0, "9f794c69082b367c", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0,1000 --beta 1", 0, "396ed45803f07164", "2603dc23112f7bef"),
+    ("boltzmann --levels 0,1,2 --mean 1", 0, "cd10a774b431425b", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0,1,2 --mean 5", 3, "e3b0c44298fc1c14", "bdd188eeb58f4e6a"),
+    ("boltzmann --levels 0,1,2 --mean nan", 2, "e3b0c44298fc1c14", "9aff7193693f44b0"),
+    ("boltzmann --levels 0,1e300,2e300 --mean 5e299", 0, "e15dbd11e0db205b", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 1e308,1.1e308,1.5e308 --mean 1.1e308", 0, "56e3852cc963d6d1", "e3b0c44298fc1c14"),
+    ("boltzmann --levels=-1.5e308,-1.2e308,-1e308 --mean=-1.4e308", 0, "e53e69e06a4cf629", "e3b0c44298fc1c14"),
+    ("boltzmann --levels=-2,0.5,3.25,-0.75 --mean=-1.1", 0, "48c3588e27591d79", "e3b0c44298fc1c14"),
+    ("boltzmann --levels=-2,0.5,3.25,-0.75 --beta 2.5", 0, "68c664273fafba6d", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0.1,0.7,1.3,2.9,4.4 --mean 0.9", 0, "1d4ad465d4596f52", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0.1,0.7,1.3,2.9,4.4 --beta 0", 0, "e6e7a271a5c99b15", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 3.1,0.2,4.7,1.8,2.2,0.9 --mean 1.2", 0, "d1da2de81f33ef58", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0,-0,1,700,750,2 --beta 1", 0, "a89ad08078dfd55f", "b5176830e9536bff"),
+    ("boltzmann --levels 1,2,3,4,5,6,7 --mean 1.0001", 0, "7a30e6696ea3111b", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 1,2,3,4,5,6,7 --beta 1e6", 0, "dacdbd273f9913f7", "4e9e269b97353a61"),
+    ("boltzmann --levels 0.5,1.5,2.5,3.5,4.5,0.25,1.25,2.25 --mean 1.3", 0, "a842c4b409633667", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 0.5,1.5,2.5,3.5,4.5,0.25,1.25,2.25 --beta 0.4", 0, "c519f94be98796a7", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 1,2,3,4,5,6,7,8,9 --mean 2", 0, "975342f8c5da78b0", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 1,2,3,4,5,6,7,8,9 --beta 3", 0, "fac68e19495e1b84", "e3b0c44298fc1c14"),
+    ("boltzmann --levels 4 --mean 4", 2, "e3b0c44298fc1c14", "cea60007135e9050"),
+    ("boltzmann --levels 0,1,inf --beta 1", 2, "e3b0c44298fc1c14", "f4c831646519e942"),
+    ("boltzmann --levels 0,1,2 --beta=-1", 2, "e3b0c44298fc1c14", "63e40253f39eabfc"),
+    ("boltzmann --levels=1e308,-1e308 --beta=1", 2, "e3b0c44298fc1c14", "93cbf1b9771a41b0"),
+    ("boltzmann --levels=0,-0,1 --mean=5", 3, "e3b0c44298fc1c14", "0092826f47a8d3d0"),
+    ("boltzmann --levels=-0,0,1 --mean=5", 3, "e3b0c44298fc1c14", "f1d81cd156c59a2a"),
+    ("boltzmann --levels=0,-0,1 --mean=0.2", 0, "3a77dcb3ce609e98", "e3b0c44298fc1c14"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, out_sha, err_sha", SOLVER_BYTES, ids=[a for a, *_ in SOLVER_BYTES]
+)
+def test_solver_output_bytes_are_pinned(argv, status, out_sha, err_sha):
+    got, out, err = run_cli(argv.split())
+    digest = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err)]
+    assert (got, *digest) == (status, out_sha, err_sha), (out, err)

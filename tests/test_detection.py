@@ -15,7 +15,7 @@ from errexp import (
     simulate_detection,
     sweep,
 )
-from errexp.detection import _CHUNK, _hypothesis_one
+from errexp.detection import _CHUNK, _hypothesis_one, _log2_errors
 
 import detection_oracle
 
@@ -114,6 +114,29 @@ class TestChernoffErrorBound:
         # nan < 0 is False: a nan amplitude returned nan
         with pytest.raises(ValidationError):
             chernoff_error_bound(4, amplitude)
+
+
+def test_log2_errors_match_mpmath():
+    # log2 Q(x) within 1e-15 relative of 50-digit mpmath from x = 0 to 1e4,
+    # around the erfc form's cut at 30 and where Q underflows (x > 38.6);
+    # at dim 1 and amplitude 2x the argument is x exactly. The bound's log2
+    # is -N m^2 / (8 ln 2)
+    xs = [0.0, 1e-3, 0.5, 1.0, 5.0, 29.999999999999996, 30.0, 38.0, 39.0, 150.0, 1e4]
+    xs += np.geomspace(1e-3, 1e4, 300).tolist()
+    for x in xs:
+        log2_q, log2_bound = _log2_errors(1, 2.0 * x)
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2, 2)
+            bound = -((2 * mpmath.mpf(x)) ** 2) / (8 * mpmath.log(2))
+        assert log2_q == pytest.approx(float(want), rel=1e-15, abs=0.0), x
+        assert log2_bound == pytest.approx(float(bound), rel=1e-15, abs=0.0), x
+        if x < 38.0:
+            assert 2.0**log2_q == pytest.approx(analytic_error(1, 2.0 * x), rel=1e-12)
+    # -inf only where x^2 or N m^2 passes the double range
+    assert _log2_errors(1, 2.7e154) == (-math.inf, -math.inf)  # x^2 = 1.8e308
+    log2_q, log2_bound = _log2_errors(1, 2.6e154)  # x^2 = 1.7e308, N m^2 = 6.8e308
+    assert math.isfinite(log2_q) and log2_bound == -math.inf
+    assert all(math.isfinite(v) for v in _log2_errors(1, 1.3e154))
 
 
 class TestScenarioRefusals:

@@ -152,6 +152,21 @@ class TestValidation:
             assert np.array_equal(make_distribution(w).probs, w / w.sum())
 
 
+class TestEqualityAndHash:
+    def test_a_non_distribution_is_not_equal(self):
+        # __eq__ defers to the other operand, and Python then compares
+        # identities
+        d = make_distribution([1, 3])
+        assert d.__eq__("x") is NotImplemented
+        assert (d == "x") is False and d != "x"
+
+    def test_equal_distributions_hash_alike_and_deduplicate(self):
+        a, b = make_distribution([1, 3]), DiscreteDistribution([0.25, 0.75])
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a, b, make_distribution([3, 1])} == {a, DiscreteDistribution([0.75, 0.25])}
+        assert len({a, b, make_distribution([3, 1])}) == 2
+
+
 class TestEntropy:
     def test_uniform_four_symbols(self):
         assert entropy(make_distribution([1, 1, 1, 1])) == pytest.approx(2.0)
@@ -295,16 +310,30 @@ class TestLogFactorial:
 
 
 def test_numpy_short_sums_and_exp_are_the_float_branch():
-    # the float branch of the tilt solver and Sanov's d* on floats keep the
-    # bits of the array code because of two facts about NumPy: add.reduce
-    # sums fewer than _SHORT_SUM terms left to right from 0.0, as
-    # _sum_floats does, and np.exp of a list is np.exp of the array. A NumPy
-    # or Python that breaks either fails here, by name
+    # the float branches of validation, the Chernoff set-up, the tilt solver,
+    # d1/d2, the Boltzmann law and Sanov's d* keep the bits of the array code
+    # because of facts about NumPy: add.reduce sums fewer than _SHORT_SUM
+    # terms left to right from 0.0, as _sum_floats does, also along the rows
+    # of a 2-D array; minimum.reduce keeps the last of equal entries, as min
+    # of the reversed list does; and np.exp, np.log, np.log1p and np.expm1 of a list
+    # are the same call on the array. A NumPy or Python that breaks one
+    # fails here, by name
     rng = np.random.default_rng(33)
     for k in range(1, _SHORT_SUM):
         assert _sum_floats([-0.0] * k).hex() == float(np.add.reduce(np.full(k, -0.0))).hex()
         for _ in range(3000):
             v = rng.standard_normal(k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
             assert _sum_floats(v.tolist()).hex() == float(np.add.reduce(v)).hex(), v
+            rows = rng.standard_normal((2, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, k))
+            want = [x.hex() for x in rows.sum(axis=1).tolist()]
+            assert [_sum_floats(row).hex() for row in rows.tolist()] == want, rows
+            zeros = rng.choice([-0.0, 0.0, 1.0], k)
+            assert min(reversed(zeros.tolist())).hex() == float(np.minimum.reduce(zeros)).hex()
             y = rng.uniform(-750.0, 0.0, k)
             assert np.exp(y.tolist()).tobytes() == np.exp(y).tobytes(), y
+            x = 10.0 ** rng.uniform(-320.0, 300.0, k)
+            assert np.log(x.tolist()).tobytes() == np.log(x).tobytes(), x
+            t = rng.uniform(-1.0, 3.0, k) * 10.0 ** rng.uniform(-12.0, 0.0, k)
+            assert np.log1p(t.tolist()).tobytes() == np.log1p(t).tobytes(), t
+            z = rng.uniform(-40.0, 700.0, k) * 10.0 ** rng.uniform(-12.0, 0.0, k)
+            assert np.expm1(z.tolist()).tobytes() == np.expm1(z).tobytes(), z

@@ -19,6 +19,8 @@ from errexp import (
     ConvergenceError,
     DegenerateHypothesisError,
     DiscreteDistribution,
+    InfeasibleError,
+    ValidationError,
     boltzmann,
     chernoff_lambda_star,
     dist,
@@ -48,7 +50,9 @@ class Spy:
         monkeypatch.setattr(module, "_solve_tilt", self)
 
     def __call__(self, *args):
-        self.args = args
+        # callers hand short inputs as lists of Python floats; the oracle
+        # takes arrays of the same values
+        self.args = tuple(np.array(a) if isinstance(a, list) else a for a in args)
         self.result = _solve_tilt(*args)
         return self.result
 
@@ -215,7 +219,7 @@ def test_certified_bracket_holds_between_its_ends():
         while _tilt_mean(log_base, energy, hi) > target:
             hi *= 2.0
         scale = float(energy.max() - energy.min())
-        bound = _tilt_error_bound(log_base, energy)
+        bound = _tilt_error_bound(log_base, energy)[:2]
         mean = functools.partial(_tilt_mean, log_base, energy)
         a, b = _certified_bracket(mean, target, hi, scale, bound)
         assert 0.0 <= a < b <= hi
@@ -232,7 +236,7 @@ def test_means_inside_the_rounding_margin_certify_nothing():
     # means below fall with slope -1 through a root at 0.3, except within
     # 4 bounds of it, where each misses the target by half a bound
     energy = np.array([0.0, 1.0, 3.0])
-    c0, c1 = _tilt_error_bound(0.0, energy)
+    c0, c1 = _tilt_error_bound(0.0, energy)[:2]
     zone = 4.0 * (c0 + c1)
 
     def mean(log_base, energy, beta):
@@ -312,7 +316,7 @@ def test_every_evaluation_goes_through_the_memo(monkeypatch):
 def certificate(log_base, energy, beta):
     """The solver's bound on its residual at a collapsed bracket holding
     ``beta``, with the bracket widened to the doubles on either side."""
-    c0, c1 = _tilt_error_bound(log_base, energy)
+    c0, c1 = _tilt_error_bound(log_base, energy)[:2]
     lo, hi = np.nextafter(beta, -math.inf), np.nextafter(beta, math.inf)
     span = float(energy.max() - energy.min())
     return 2.0 * (c0 + c1 * hi) + 0.25 * span * span * (hi - lo)
@@ -344,7 +348,7 @@ def test_certificate_holds_at_every_scale(monkeypatch, exponent):
         assert residual <= bound, (levels, target)
         # the exact mean at beta lies within the certificate and the mean's
         # own rounding bound of the target
-        c0, c1 = _tilt_error_bound(log_base, energy)
+        c0, c1 = _tilt_error_bound(log_base, energy)[:2]
         assert abs(exact_mean(energy, beta) - target) <= bound + c0 + c1 * beta
 
 
@@ -409,8 +413,8 @@ def branch_cases(k, seed):
 
 @pytest.mark.parametrize("k", range(1, _SHORT_SUM))
 def test_float_branch_has_the_bits_of_the_arrays(k):
-    # the mean on the lists of _tilt_floats against the array code, by
-    # float.hex
+    # the mean and the error bound on the lists of _tilt_floats against the
+    # array code, by float.hex
     subnormal = overflowed = 0
     for log_base, energy, beta in branch_cases(k, 50 + k):
         fl_base, fl_energy = _tilt_floats(log_base, energy)
@@ -422,6 +426,8 @@ def test_float_branch_has_the_bits_of_the_arrays(k):
             want_mean = _tilt_mean(log_base, energy, beta)
         case = (log_base, energy, beta)
         assert _tilt_mean(fl_base, fl_energy, beta).hex() == want_mean.hex(), case
+        want_bound = [float(x).hex() for x in _tilt_error_bound(log_base, energy)]
+        assert [x.hex() for x in _tilt_error_bound(fl_base, fl_energy)] == want_bound, case
     # one energy has the one weight 1 and a finite sum
     assert (subnormal > 0 and overflowed > 0) or k == 1
 
@@ -430,3 +436,140 @@ def test_arrays_from_the_short_sum_on_are_kept():
     energy = np.arange(_SHORT_SUM, dtype=float)
     assert _tilt_floats(0.0, energy)[1] is energy
     assert _tilt_floats(0.0, energy[1:])[1] == energy[1:].tolist()
+
+
+def arrays_only(monkeypatch):
+    """Sends every size through the array code: the float branches of
+    validation, the Chernoff set-up, the solver, d1/d2 and the Boltzmann law
+    all start at _SHORT_SUM, which drops to 1."""
+    for module in (dist, testing, boltzmann):
+        monkeypatch.setattr(module, "_SHORT_SUM", 1)
+
+
+def refusal(err):
+    return f"{type(err).__name__}: {err}"
+
+
+def short_pairs(k, seed):
+    # k weights in (0.01, 1), then by kind: a symbol of zero mass under both;
+    # a mass of 1e-310 (subnormal); p1 = (1e-307, ...) against p2 = (1,
+    # 1e-9, ...), whose divergence term at 1e-307 passes the double range;
+    # pairs 1e-7 apart, either way; identical pairs; p1 = 0 where p2 > 0;
+    # pairs one rounding apart, which are identical or tilt outside (0, 1]
+    rng = np.random.default_rng(seed)
+    for i in range(80):
+        w1, w2 = rng.uniform(0.01, 1.0, k), rng.uniform(0.01, 1.0, k)
+        j, kind = int(rng.integers(k)), i % 8
+        if kind == 1:
+            w1[j] = w2[j] = 0.0
+        elif kind == 2:
+            (w1, w2)[i % 2][j] = 1e-310
+        elif kind == 3:
+            w1, w2 = np.ones(k), np.full(k, 1e-9)
+            w1[j], w2[j] = 1e-307 * (k - 1), 1.0
+        elif kind == 4:
+            w2 = w1 * (1.0 + 1e-7 * (-1.0) ** (np.arange(k) + i // 8))
+        elif kind == 5:
+            w2 = w1.copy()
+        elif kind == 6:
+            w1[j] = 0.0
+        elif kind == 7:
+            w1, w2 = np.ones(k), np.ones(k)
+            w2[j] = 1.0 - 2.0**-53
+        yield w1, w2
+
+
+@pytest.mark.parametrize("k", range(1, _SHORT_SUM))
+def test_chernoff_floats_have_the_bits_of_the_arrays(monkeypatch, k):
+    # lam*, c_info, d1, d2, iterations and residual, and each refusal, from
+    # the float branches and from the array code, by float.hex
+    def outcome(w1, w2):
+        try:
+            p1, p2 = make_distribution(w1), make_distribution(w2)
+            report = chernoff_lambda_star(BinaryHypothesis(p1, p2))
+        except (ValidationError, DegenerateHypothesisError, ConvergenceError) as err:
+            return refusal(err)
+        probs = [x.hex() for x in (*p1.probs.tolist(), *p2.probs.tolist())]
+        fields = (report.lambda_star, report.c_info, report.d1, report.d2, report.residual)
+        return probs, [x.hex() for x in fields], report.iterations
+
+    pairs = list(short_pairs(k, 60 + k))
+    floats = [outcome(w1, w2) for w1, w2 in pairs]
+    arrays_only(monkeypatch)
+    assert [outcome(w1, w2) for w1, w2 in pairs] == floats
+    refused = {x for x in floats if isinstance(x, str)}
+    assert "DegenerateHypothesisError: hypotheses are identical" in refused
+    tilt_refusal = "ValidationError: D(p2||p1) must be finite for the tilted family"
+    assert k == 1 or tilt_refusal in refused
+    outside = "DegenerateHypothesisError: hypotheses differ by less than the rounding"
+    assert k in (1, 3, 6, 7) or any(x.startswith(outside) for x in refused)
+
+
+def short_systems(k, seed):
+    # (levels, target, beta) on k levels: uniform in [-5, 5]; near +-1e308,
+    # whose sums overflow into _weighted_mean's fallback; a ground level and
+    # levels 700-750 above it, whose probs underflow at beta = 1. Targets
+    # anywhere below the uniform mean, at it (the beta = 0 shortcut), above
+    # it (refused with the uniform mean in the message) and nan
+    rng = np.random.default_rng(seed)
+    for i in range(80):
+        kind = i % 3
+        if kind == 0:
+            levels = rng.uniform(-5.0, 5.0, k)
+        elif kind == 1:
+            levels = (-1.0) ** i * rng.uniform(1.0, 1.7, k) * 1e308
+        else:
+            levels = np.concatenate([[0.0], rng.uniform(700.0, 750.0, k - 1)])
+        lo = float(levels.min())
+        mean = lo + float(((levels - lo) / k).sum())
+        target = (lo + (mean - lo) * rng.uniform(0.01, 1.0), mean, mean + 1.0, math.nan)[i // 3 % 4]
+        yield levels, target, (1.0 if kind == 2 else float(rng.uniform(0.0, 3.0)))
+
+
+@pytest.mark.parametrize("k", range(2, _SHORT_SUM))
+def test_boltzmann_floats_have_the_bits_of_the_arrays(monkeypatch, k):
+    # beta, the law and its mean, the shortcut and the refusals' messages,
+    # from the float branches and from the array code, by float.hex
+    def outcome(levels, target, beta):
+        try:
+            solved = solve_beta(levels, target)
+        except (ValidationError, InfeasibleError, ConvergenceError) as err:
+            solved = refusal(err)
+        laws = []
+        for b in (beta, solved):
+            if isinstance(b, float):
+                probs, mean = boltzmann._law_and_mean(boltzmann.EnergySystem(levels, b))
+                laws.append([x.hex() for x in (*probs, mean)])
+        return solved if isinstance(solved, str) else solved.hex(), laws
+
+    systems = list(short_systems(k, 70 + k))
+    floats = [outcome(*system) for system in systems]
+    arrays_only(monkeypatch)
+    assert [outcome(*system) for system in systems] == floats
+    betas = [beta for beta, _ in floats]
+    assert "0x0.0p+0" in betas and any(b.startswith("InfeasibleError") for b in betas)
+    assert any(x == "0x0.0p+0" for _, laws in floats for law in laws for x in law[:-1])
+
+
+def test_sum_and_min_has_the_bits_of_the_arrays(monkeypatch):
+    # the validators' two reductions on lists below _SHORT_SUM entries, and
+    # the NumPy reductions that take the rest: -0.0 (whose least is NumPy's
+    # last equal entry), sums that overflow, inf and nan
+    rng = np.random.default_rng(80)
+    vectors = [[-0.0], [0.0, -0.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0, -0.0], [1e308, 1e308],
+               [math.inf, 1.0], [1.0, -math.inf], [math.nan, 0.5], [0.5, 0.5, -0.0]]
+    for k in range(1, _SHORT_SUM):
+        for _ in range(200):
+            v = rng.choice([-0.0, 0.0, 0.25, 1.0, -2.0, 1e308, 1e-310, math.inf, math.nan], k)
+            vectors.append((v * rng.uniform(0.5, 1.5, k)).tolist())
+
+    def sums_and_mins():
+        out = []
+        for v in vectors:
+            total, least = dist._sum_and_min(np.array(v))
+            out.append((total.hex(), least.hex()))
+        return out
+
+    floats = sums_and_mins()
+    arrays_only(monkeypatch)
+    assert sums_and_mins() == floats
