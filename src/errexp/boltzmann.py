@@ -81,11 +81,11 @@ def _level_weights(sys: EnergySystem) -> np.ndarray:
 
 def _log2_law(sys: EnergySystem) -> np.ndarray:
     # log2 P_j: the Gibbs log weights of _level_weights less the ground-shifted
-    # ln Z, finite where P_j underflows; -inf where beta * (eps_j - ground)
-    # passes the double range
+    # ln Z, in bits, finite where P_j underflows; -inf where
+    # beta * (eps_j - ground) / ln 2 passes the double range
     with np.errstate(over="ignore"):
         log_w = -sys.beta * (sys.levels - sys.levels.min())
-    return (log_w - math.log(_level_weights(sys).sum())) / LN2
+        return (log_w - math.log(_level_weights(sys).sum())) / LN2
 
 
 def log_partition_function(sys: EnergySystem) -> float:

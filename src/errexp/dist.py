@@ -17,29 +17,24 @@ with a flat base over ground-shifted levels. ``_solve_tilt`` finds the beta
 at which either has a target mean energy.
 
 Below ``_SHORT_SUM`` = 8 entries, where NumPy costs more per call than the
-arithmetic, these run on lists of Python floats: validation
-(``_sum_and_min``), the tilt solver's bound and mean (``_tilt_floats``),
-Chernoff's set-up and d1/d2 (``testing``), and the Boltzmann checks, uniform
-mean and law (``boltzmann``); the divergence kernel does so up to 16
-arguments (``_divergence_term_floats``, also Sanov's d*). Each keeps the bits
-of the array code on NumPy premises that ``tests/test_dist.py`` checks: the
-products, differences and shifts are the same IEEE operations on floats;
-np.exp, np.log, np.log1p and np.expm1 of a list are the call on the array
-(NumPy's SIMD exp differs from math.exp in the last bit); add.reduce sums
-fewer than 8 terms, also along a row, left to right from 0.0, as
-``_sum_floats`` does; and minimum.reduce keeps the last of equal entries, as
-min of the reversed list does, which tells -0.0 from 0.0. From 8 terms on
-NumPy sums pairwise, in an order no short Python loop matches, so larger
-inputs keep the arrays, as do vectors whose sum is not finite in validation
-and d1/d2 at masses below about 1e-305.
+arithmetic, validation (``_sum_and_min``), the tilt solver's bound and mean
+(``_tilt_floats``), Chernoff's set-up and d1/d2 (``testing``) and the
+Boltzmann checks, uniform mean and law (``boltzmann``) run on lists of Python
+floats, as the divergence kernel does up to 16 arguments
+(``_divergence_term_floats``, also Sanov's d*). They keep the arrays' bits on
+NumPy premises that ``tests/test_dist.py`` checks: products, differences and
+shifts are the same IEEE operations; np.exp, np.log, np.log1p and np.expm1 of
+a list are the call on the array (NumPy's SIMD exp differs from math.exp in
+the last bit); ``_sum_floats`` is add.reduce's pairwise order at any length;
+and min of the reversed list keeps minimum.reduce's last of equal entries,
+-0.0 or 0.0, through 8 entries. Non-finite sums in validation and d1/d2 at
+masses below about 1e-305 keep the arrays.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
-import operator
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -62,18 +57,31 @@ _TILT_MAX_ITER = 200
 # cap on the secant steps that place the tilt solver's certified bracket
 _SECANT_MAX_ITER = 12
 
-# NumPy's add.reduce sums fewer terms than this left to right, more pairwise
-# (module docstring); below it the float branches keep the arrays' bits
+# the float branches run below this many entries (module docstring): min of
+# a reversed list keeps minimum.reduce's -0.0 or 0.0 through 8, not from 9 on
 _SHORT_SUM = 8
 
-# a left-to-right sum of floats from 0.0; from Python 3.12 on, sum() of
-# floats is compensated and no longer NumPy's short sum
-if sys.version_info < (3, 12):
-    _sum_floats = sum
-else:
 
-    def _sum_floats(v):
-        return functools.reduce(operator.add, v, 0.0)
+def _sum_floats(v) -> float:
+    """np.add.reduce of the float64 vector of ``v``, to the bit: NumPy's
+    pairwise sum (below 8 terms left to right; up to 128, eight accumulators
+    over strides of 8 folded in pairs, then the rest; above, two parts split
+    at half the length rounded down to a multiple of 8). NumPy adds the sum to
+    0.0, and 0.0 + (a + b) = (0.0 + a) + (0.0 + b): each sum here starts at 0.0."""
+    total, n = 0.0, len(v)
+    if n >= 8:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return _sum_floats(v[:half]) + _sum_floats(v[half:])
+        r, m = [0.0] * 8, n - n % 8
+        for i in range(0, m, 8):
+            r = [a + b for a, b in zip(r, v[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        v = v[m:]
+    for x in v:
+        total += x
+    return total
+
 
 # below this |x| psi(x) comes from its series, whose Horner coefficients
 # 2 / (2m + 3), m = 10..0, leave a tail under 2^-55 of psi; up to
@@ -329,9 +337,9 @@ def _weighted_mean(energy, w, z) -> float:
 #    weight is exp(0) = 1, so sum_i p_i |y_i| = H(p) - ln sum_i w_i <= ln k.
 #    The weights thus move the mean by at most
 #    (R / 2) (8u + u (2 beta A + L)) + u R ln k + k R 2^-1021.
-# 4. k products and a sum of k terms in any order are within k u of
-#    sum_i |e_i| w_i <= A sum_i w_i; the sum of weights within (k - 1) u of
-#    itself; the quotient adds u A: at most (2k + 1) u A.
+# 4. k products and a sum of k terms in any order, NumPy's pairwise too, are
+#    within k u of sum_i |e_i| w_i <= A sum_i w_i; the sum of weights within
+#    (k - 1) u of itself; the quotient adds u A: at most (2k + 1) u A.
 # The float branch (_tilt_floats, below _SHORT_SUM = 8 energies) rounds
 # exactly as the arrays do, so the bound covers both.
 # The sum, times 1.1 for the second-order terms, is c0 + c1 * beta.
@@ -421,9 +429,6 @@ def _certified_bracket(mean, target: float, hi: float, scale: float, bound):
     return a, b
 
 
-# one error state per solve: entering it costs a few percent of a solve
-# where each mean evaluation would enter its own
-@np.errstate(over="ignore", invalid="ignore")
 def _solve_tilt(log_base, energy, target: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
@@ -448,8 +453,7 @@ def _solve_tilt(log_base, energy, target: float):
     above 2 E(hi) + (R^2 / 4) (hi - lo) (inf past R ~ 1e154) means the error
     model failed: ConvergenceError. A target at or above the beta = 0 mean gives 0.
     """
-    # a Python float, so that secant arithmetic overflowing to inf raises no
-    # NumPy warning
+    # a Python float: secant arithmetic that overflows to inf raises no warning
     target = float(target)
     log_base, energy = _tilt_floats(log_base, energy)
     c0, c1, least, scale = _tilt_error_bound(log_base, energy)
@@ -462,31 +466,34 @@ def _solve_tilt(log_base, energy, target: float):
             m = memo[beta] = _tilt_mean(log_base, energy, beta)
         return m
 
-    hi = 1.0
-    for _ in range(_TILT_MAX_ITER):
-        if mean(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the target mean energy")
-
-    # no mean falls below the least energy, so a target within 2 E(hi) of it
-    # leaves b uncertifiable, and half a bracket does not pay for the steps
-    if target - 2.0 * (c0 + c1 * hi) > least:
-        a, b = _certified_bracket(mean, target, hi, scale, bound)
-    else:
-        a, b = 0.0, hi
-    lo = 0.0
-    while True:
-        beta = 0.5 * (lo + hi)
-        if beta == lo or beta == hi:
-            break
-        if beta <= a or (beta < b and mean(beta) > target):
-            lo = beta
+    # on arrays one error state per solve, not per mean; lists need none
+    short = isinstance(energy, list)
+    with contextlib.nullcontext() if short else np.errstate(over="ignore", invalid="ignore"):
+        hi = 1.0
+        for _ in range(_TILT_MAX_ITER):
+            if mean(hi) <= target:
+                break
+            hi *= 2.0
         else:
-            hi = beta
-    # the collapsed midpoint is one of the ends, which the memo may hold
-    m = mean(beta)
+            raise ConvergenceError("failed to bracket the target mean energy")
+
+        # no mean falls below the least energy, so a target within 2 E(hi) of it
+        # leaves b uncertifiable, and half a bracket does not pay for the steps
+        if target - 2.0 * (c0 + c1 * hi) > least:
+            a, b = _certified_bracket(mean, target, hi, scale, bound)
+        else:
+            a, b = 0.0, hi
+        lo = 0.0
+        while True:
+            beta = 0.5 * (lo + hi)
+            if beta == lo or beta == hi:
+                break
+            if beta <= a or (beta < b and mean(beta) > target):
+                lo = beta
+            else:
+                hi = beta
+        # the collapsed midpoint is one of the ends, which the memo may hold
+        m = mean(beta)
     residual = abs(m - target)
     certificate = 2.0 * (c0 + c1 * hi) + 0.25 * scale * scale * (hi - lo)
     if residual > certificate and (beta > 0.0 or m > target):

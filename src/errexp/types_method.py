@@ -41,7 +41,6 @@ from typing import Literal
 import numpy as np
 
 from .dist import (
-    _SHORT_SUM,
     LN2,
     DiscreteDistribution,
     _divergence_term_floats,
@@ -478,14 +477,13 @@ def _type_split(q, n: int, c):
 
 def _type_divergence(probs: list, n: int, counts: list) -> float:
     """D(c/n || q) in bits for one type, on Python floats: the sum of its
-    :func:`_type_kl_terms`, to the bit, left to right as NumPy sums fewer
-    than 8 terms and by np.add.reduce from 8 on."""
+    :func:`_type_kl_terms`, to the bit, in NumPy's pairwise order."""
     diff, nq = zip(*[_type_split(q, n, c) for q, c in zip(probs, counts)])
     terms = _divergence_term_floats(diff, nq)
     if terms is None:
         return float(_type_kl_terms(np.array(probs), n, np.array(counts)).sum())
     terms[0] += math.fsum([1.0, *[-q for q in probs]]) / LN2
-    return _sum_floats(terms) if len(terms) < _SHORT_SUM else float(np.add.reduce(terms))
+    return _sum_floats(terms)
 
 
 def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -504,23 +502,19 @@ def _exp2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
+def _log2_sum_exp2(log2_vals: np.ndarray, where=None) -> float:
     """log2 of a sum of 2**x terms, max-shifted so nothing underflows.
 
     The terms are the finite entries of ``log2_vals`` that ``where`` selects
-    (all of them if None), then the finite values in ``tail``, in that
-    order. They are shifted and raised in place in the compacted copy,
-    which is compacted again only where a selected entry is not finite.
-    ``where=...`` selects a view of the whole of a caller's scratch array,
-    which is then overwritten without a copy.
+    (all of them if None). They are shifted and raised in place in the
+    compacted copy, which is compacted again only where a selected entry is
+    not finite. ``where=...`` selects a view of the whole of a caller's
+    scratch array, which is then overwritten without a copy.
     """
     terms = log2_vals if where is None else log2_vals[where]
     finite = np.isfinite(terms)
     if where is None or not finite.all():
         terms = terms[finite]
-    tail = [x for x in tail if math.isfinite(x)]
-    if tail:
-        terms = np.append(terms, tail)
     if terms.size == 0:
         return -math.inf
     m = float(terms.max())
@@ -528,11 +522,11 @@ def _log2_sum_exp2(log2_vals: np.ndarray, where=None, tail=()) -> float:
     return m + math.log2(float(_exp2(terms, out=terms).sum()))
 
 
-def _log2_prob(log2_terms: np.ndarray, where=None, tail=()) -> float:
+def _log2_prob(log2_terms: np.ndarray, where=None) -> float:
     """log2 of a probability from its terms' log2 values, as
     ``_log2_sum_exp2`` selects them, clamped at 0: a float sum of terms whose
     exact total is at most 1 can round above 1."""
-    return min(_log2_sum_exp2(log2_terms, where, tail), 0.0)
+    return min(_log2_sum_exp2(log2_terms, where), 0.0)
 
 
 def _check_delta(delta: float) -> None:

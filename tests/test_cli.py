@@ -1049,16 +1049,27 @@ _ZERO_IS_EXACT = {
 }
 
 
+# argv the seeded sweep does not reach: a level 1.8e308 above the ground,
+# whose log2 prob is -inf although beta times its height is finite
+_SWEEP_FIXED = [
+    [
+        "boltzmann",
+        "--levels=1.7976931348623157e308,-2.2959275027445267,-0.480481337503738,1.212879947840234",
+        "--beta=0.9416318301612558",
+    ],
+]
+
+
 def test_cli_contract_sweep():
-    # seeded argv over all seven subcommands, run in process with warnings
-    # as errors. The exit code is 0, 2, 3, 4 or 5; a failing exit prints
-    # nothing on stdout and one errexp: line on stderr; at exit 0 no cell is
-    # nan, stderr holds only warnings, and a probability that prints 0 in
-    # stein, sanov, boltzmann or detect is exact or named by a warning.
+    # seeded argv over all seven subcommands, and the fixed ones, run in
+    # process with warnings as errors. The exit code is 0, 2, 3, 4 or 5; a
+    # failing exit prints nothing on stdout and one errexp: line on stderr; at
+    # exit 0 no cell is nan, stderr holds only warnings, and a probability
+    # that prints 0 in stein, sanov, boltzmann or detect is exact or named by
+    # a warning.
     rng = np.random.default_rng(20261020)
     statuses = set()
-    for _ in range(1500):
-        argv = _sweep_argv(rng)
+    for argv in [*_SWEEP_FIXED, *(_sweep_argv(rng) for _ in range(1500))]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, out, err = run_cli(argv)
@@ -1074,12 +1085,12 @@ def test_cli_contract_sweep():
         rows = [dict(zip(header, row)) for row in cells]
         columns = _ZERO_IS_EXACT.get(argv[0], {})
         if argv[0] == "boltzmann":
-            # a level's log2 prob is -inf where beta * (level - ground)
-            # passes the double range
+            # a level's log2 prob is -inf where beta * (level - ground) / ln 2,
+            # its height in bits, passes the double range
             ground = min(float(row["energy"]) for row in rows)
             columns = {
                 "prob": lambda row: math.isinf(
-                    float(row["beta"]) * (float(row["energy"]) - ground)
+                    float(row["beta"]) * (float(row["energy"]) - ground) / math.log(2.0)
                 )
             }
         for j, row in enumerate(rows):

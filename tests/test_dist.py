@@ -309,26 +309,42 @@ class TestLogFactorial:
             assert abs(diff - math.log(k)) <= 1e-10 * max(1.0, log_factorial(k))
 
 
+def sum_cases(rng, k, count):
+    # k terms: all -0.0; +-0.0 and ones; +-inf among them; terms near 1e308
+    # whose sum overflows; magnitudes over 600 decades; then ``count`` more
+    # over 16 decades
+    yield np.full(k, -0.0)
+    yield rng.choice([-0.0, 0.0, 1.0], k)
+    yield rng.choice([-0.0, 1.0, -2.5, math.inf, -math.inf], k)
+    yield rng.uniform(0.3, 1.0, k) * 1.7e308 * rng.choice([-1.0, 1.0, 1.0])
+    yield rng.standard_normal(k) * 10.0 ** rng.uniform(-300.0, 300.0, k)
+    for _ in range(count):
+        yield rng.standard_normal(k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
+
+
 def test_numpy_short_sums_and_exp_are_the_float_branch():
     # the float branches of validation, the Chernoff set-up, the tilt solver,
     # d1/d2, the Boltzmann law and Sanov's d* keep the bits of the array code
-    # because of facts about NumPy: add.reduce sums fewer than _SHORT_SUM
-    # terms left to right from 0.0, as _sum_floats does, also along the rows
-    # of a 2-D array; minimum.reduce keeps the last of equal entries, as min
-    # of the reversed list does; and np.exp, np.log, np.log1p and np.expm1 of a list
-    # are the same call on the array. A NumPy or Python that breaks one
-    # fails here, by name
+    # because of facts about NumPy: add.reduce sums in the pairwise order of
+    # _sum_floats at every length, also along the rows of a 2-D array;
+    # minimum.reduce keeps the last of equal entries, as min of the reversed
+    # list does through 8 entries (not from 9 on, which is why _SHORT_SUM is
+    # 8); and np.exp, np.log, np.log1p and np.expm1 of a list are the same
+    # call on the array. A NumPy or Python that breaks one fails here, by name
     rng = np.random.default_rng(33)
-    for k in range(1, _SHORT_SUM):
-        assert _sum_floats([-0.0] * k).hex() == float(np.add.reduce(np.full(k, -0.0))).hex()
+    for k in [*range(1, 300), 511, 512, 1000, 1024, 4097, 8193]:
+        for v in sum_cases(rng, k, 3000 if k < _SHORT_SUM else 20):
+            rows = np.stack([v, rng.permutation(v)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [float(np.add.reduce(v)).hex(), *map(float.hex, rows.sum(axis=1).tolist())]
+            got = [_sum_floats(x).hex() for x in (v.tolist(), *rows.tolist())]
+            assert got == want, v
+    for k in range(1, _SHORT_SUM + 1):
         for _ in range(3000):
-            v = rng.standard_normal(k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
-            assert _sum_floats(v.tolist()).hex() == float(np.add.reduce(v)).hex(), v
-            rows = rng.standard_normal((2, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, k))
-            want = [x.hex() for x in rows.sum(axis=1).tolist()]
-            assert [_sum_floats(row).hex() for row in rows.tolist()] == want, rows
-            zeros = rng.choice([-0.0, 0.0, 1.0], k)
+            zeros = rng.choice([-0.0, 0.0, 1.0, 2.0], k)
             assert min(reversed(zeros.tolist())).hex() == float(np.minimum.reduce(zeros)).hex()
+    for k in range(1, _SHORT_SUM):
+        for _ in range(3000):
             y = rng.uniform(-750.0, 0.0, k)
             assert np.exp(y.tolist()).tobytes() == np.exp(y).tobytes(), y
             x = 10.0 ** rng.uniform(-320.0, 300.0, k)
