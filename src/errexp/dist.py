@@ -33,7 +33,6 @@ masses below about 1e-305 keep the arrays.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -429,6 +428,9 @@ def _certified_bracket(mean, target: float, hi: float, scale: float, bound):
     return a, b
 
 
+# one error state per solve: entering it costs a few percent of a solve
+# where each mean evaluation would enter its own
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_tilt(log_base, energy, target: float):
     """The beta >= 0 at which exp(log_base - beta * energy) has mean ``target``.
 
@@ -453,7 +455,8 @@ def _solve_tilt(log_base, energy, target: float):
     above 2 E(hi) + (R^2 / 4) (hi - lo) (inf past R ~ 1e154) means the error
     model failed: ConvergenceError. A target at or above the beta = 0 mean gives 0.
     """
-    # a Python float: secant arithmetic that overflows to inf raises no warning
+    # a Python float, so that secant arithmetic overflowing to inf raises no
+    # NumPy warning
     target = float(target)
     log_base, energy = _tilt_floats(log_base, energy)
     c0, c1, least, scale = _tilt_error_bound(log_base, energy)
@@ -466,34 +469,31 @@ def _solve_tilt(log_base, energy, target: float):
             m = memo[beta] = _tilt_mean(log_base, energy, beta)
         return m
 
-    # on arrays one error state per solve, not per mean; lists need none
-    short = isinstance(energy, list)
-    with contextlib.nullcontext() if short else np.errstate(over="ignore", invalid="ignore"):
-        hi = 1.0
-        for _ in range(_TILT_MAX_ITER):
-            if mean(hi) <= target:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("failed to bracket the target mean energy")
+    hi = 1.0
+    for _ in range(_TILT_MAX_ITER):
+        if mean(hi) <= target:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError("failed to bracket the target mean energy")
 
-        # no mean falls below the least energy, so a target within 2 E(hi) of it
-        # leaves b uncertifiable, and half a bracket does not pay for the steps
-        if target - 2.0 * (c0 + c1 * hi) > least:
-            a, b = _certified_bracket(mean, target, hi, scale, bound)
+    # no mean falls below the least energy, so a target within 2 E(hi) of it
+    # leaves b uncertifiable, and half a bracket does not pay for the steps
+    if target - 2.0 * (c0 + c1 * hi) > least:
+        a, b = _certified_bracket(mean, target, hi, scale, bound)
+    else:
+        a, b = 0.0, hi
+    lo = 0.0
+    while True:
+        beta = 0.5 * (lo + hi)
+        if beta == lo or beta == hi:
+            break
+        if beta <= a or (beta < b and mean(beta) > target):
+            lo = beta
         else:
-            a, b = 0.0, hi
-        lo = 0.0
-        while True:
-            beta = 0.5 * (lo + hi)
-            if beta == lo or beta == hi:
-                break
-            if beta <= a or (beta < b and mean(beta) > target):
-                lo = beta
-            else:
-                hi = beta
-        # the collapsed midpoint is one of the ends, which the memo may hold
-        m = mean(beta)
+            hi = beta
+    # the collapsed midpoint is one of the ends, which the memo may hold
+    m = mean(beta)
     residual = abs(m - target)
     certificate = 2.0 * (c0 + c1 * hi) + 0.25 * scale * scale * (hi - lo)
     if residual > certificate and (beta > 0.0 or m > target):

@@ -538,6 +538,7 @@ def chernoff_lambda_star(h: BinaryHypothesis) -> ChernoffReport:
     )
 
 
+@np.errstate(over="ignore")
 def _tilt_divergences(lam: float, log_ratio, p1, p2):
     """(D(P_lam||p1), D(P_lam||p2)) in bits, from the relative-entropy kernel.
 
@@ -558,28 +559,28 @@ def _tilt_divergences(lam: float, log_ratio, p1, p2):
         terms = _divergence_term_floats([a * b for a, b in zip(q, np.expm1(y).tolist())], q)
         if terms is not None:
             # D >= 0; the doubles of p_h may sum above 1 by a rounding
-            linear = [math.fsum([1.0, *[-x for x in q[h]]]) / LN2 for h in rows]
-            return tuple(max(0.0, _sum_floats(terms[h]) + c) for h, c in zip(rows, linear))
-    # no NumPy call on the lists above warns; here exp(y) overflows at subnormals
-    with np.errstate(over="ignore"):
-        log_ratio, p1, p2 = np.asarray(log_ratio), np.asarray(p1), np.asarray(p2)
-        k = log_ratio.size
-        q = np.concatenate((p1, p2)).reshape(2, k)
-        y = np.concatenate(((1.0 - lam) * log_ratio, -lam * log_ratio)).reshape(2, k)
-        rows = q.tolist()
-        for q_h, y_h, terms, row in zip(q, y, (q * np.expm1(y)).tolist(), rows):
-            z_less_1 = math.fsum([*terms, *row, -1.0])
-            if math.isinf(z_less_1):
-                # exp(y) overflows only at a subnormal p_h: shift the log weights
-                log_w = np.log(q_h) + y_h
-                y_h -= log_w.max() + math.log(float(np.exp(log_w - log_w.max()).sum()))
-            else:
-                y_h -= math.log1p(z_less_1)
-        diff = q * np.expm1(y)
-        far = np.isinf(diff)  # P_lam / p_h past the double range, at a subnormal p_h
-        if np.count_nonzero(far):
-            diff[far] = np.exp(np.log(q[far]) + y[far]) - q[far]
-        linear = [math.fsum([1.0, *[-x for x in row]]) / LN2 for row in rows]
-        d = _divergence_terms(diff, q).sum(axis=1) + linear
+            return tuple(
+                max(0.0, _sum_floats(terms[h]) + math.fsum([1.0, *[-x for x in q[h]]]) / LN2)
+                for h in rows
+            )
+    log_ratio, p1, p2 = np.asarray(log_ratio), np.asarray(p1), np.asarray(p2)
+    k = log_ratio.size
+    q = np.concatenate((p1, p2)).reshape(2, k)
+    y = np.concatenate(((1.0 - lam) * log_ratio, -lam * log_ratio)).reshape(2, k)
+    rows = q.tolist()
+    for q_h, y_h, terms, row in zip(q, y, (q * np.expm1(y)).tolist(), rows):
+        z_less_1 = math.fsum([*terms, *row, -1.0])
+        if math.isinf(z_less_1):
+            # exp(y) overflows only at a subnormal p_h: shift the log weights
+            log_w = np.log(q_h) + y_h
+            y_h -= log_w.max() + math.log(float(np.exp(log_w - log_w.max()).sum()))
+        else:
+            y_h -= math.log1p(z_less_1)
+    diff = q * np.expm1(y)
+    far = np.isinf(diff)  # P_lam / p_h past the double range, at a subnormal p_h
+    if np.count_nonzero(far):
+        diff[far] = np.exp(np.log(q[far]) + y[far]) - q[far]
+    linear = [math.fsum([1.0, *[-x for x in row]]) / LN2 for row in rows]
+    d = _divergence_terms(diff, q).sum(axis=1) + linear
     # D >= 0; the doubles of p_h may sum above 1 by a rounding
     return max(0.0, float(d[0])), max(0.0, float(d[1]))
