@@ -12,8 +12,8 @@ from .boltzmann import (
 from .detection import (
     DetectionScenario,
     SweepRow,
-    analytic_error,
-    chernoff_error_bound,
+    analytic_log2_error,
+    chernoff_log2_error_bound,
     q_chernoff_bound,
     q_function,
     simulate_detection,
@@ -72,10 +72,10 @@ __all__ = [
     "SteinReport",
     "SweepRow",
     "ValidationError",
-    "analytic_error",
+    "analytic_log2_error",
     "boltzmann_distribution",
-    "chernoff_error_bound",
     "chernoff_lambda_star",
+    "chernoff_log2_error_bound",
     "count_types",
     "deviation_exact_log2_prob",
     "empirical_type",

@@ -22,7 +22,7 @@ import math
 import sys
 
 from .boltzmann import EnergySystem, _law_and_mean, _log2_law, solve_beta
-from .detection import _log2_errors, sweep
+from .detection import analytic_log2_error, chernoff_log2_error_bound, sweep
 from .dist import DiscreteDistribution, entropy, kl_divergence, make_distribution
 from .errors import ConvergenceError, InfeasibleError, ResourceCapError, ValidationError
 from .testing import BinaryHypothesis, chernoff_lambda_star, stein_errors
@@ -96,9 +96,9 @@ def _run_types(args):
 
 
 def _warn_underflow(columns, note: str) -> None:
-    """Name on stderr the probability columns, given as (name, log2 value),
-    that print as 0 although their log2 is finite: below 2^-1074."""
-    names = [name for name, x in columns if 2.0**x == 0.0 and math.isfinite(x)]
+    """Name on stderr the probability columns, given as (name, printed value,
+    log2 value), that print as 0 although their log2 is finite."""
+    names = [name for name, p, x in columns if p == 0.0 and math.isfinite(x)]
     if names:
         print(
             f"errexp: warning: {', '.join(names)} underflowed to 0 (below 2^-1074); {note}",
@@ -111,7 +111,8 @@ def _run_sanov(args):
     pi = ConstraintSet(mode=args.mode, symbol=args.symbol, threshold=args.threshold)
     d_star, minimizer = sanov_exponent(pi, p, args.n, cap=args.cap)
     log2_prob = sanov_exact_log2_prob(pi, p, args.n, cap=args.cap)
-    _warn_underflow([("exact_prob", log2_prob)], "rate_bits holds its -log2 / n")
+    prob = 2.0**log2_prob
+    _warn_underflow([("exact_prob", prob, log2_prob)], "rate_bits holds its -log2 / n")
     header = [
         "n",
         "symbol",
@@ -130,7 +131,7 @@ def _run_sanov(args):
             args.threshold,
             d_star,
             ";".join(str(c) for c in minimizer.counts),
-            2.0**log2_prob,
+            prob,
             # + 0.0 prints a rate of 0 (P = 1) as 0, not -0
             -log2_prob / args.n + 0.0,
         ]
@@ -147,10 +148,10 @@ def _run_stein(args):
     alpha, beta, np_beta = (2.0**x for x in (r.log2_alpha, r.log2_beta, r.np_log2_beta))
     stein_exponent, np_exponent = (-x / args.n + 0.0 for x in (r.log2_beta, r.np_log2_beta))
     _warn_underflow(
-        [("beta_n", r.log2_beta), ("np_min_beta", r.np_log2_beta)],
+        [("beta_n", beta, r.log2_beta), ("np_min_beta", np_beta, r.np_log2_beta)],
         "the exponent columns hold their log2 / n",
     )
-    _warn_underflow([("alpha_n", r.log2_alpha)], f"log2 alpha_n = {r.log2_alpha!r}")
+    _warn_underflow([("alpha_n", alpha, r.log2_alpha)], f"log2 alpha_n = {r.log2_alpha!r}")
     header = [
         "n",
         "delta",
@@ -198,9 +199,9 @@ def _run_boltzmann(args):
     probs, mean = _law_and_mean(sys_)
     if not all(probs):
         # the log2 of the law is formed only where a prob prints as 0
-        log2_probs = _log2_law(sys_).tolist()
+        columns = enumerate(zip(probs, _log2_law(sys_).tolist()))
         _warn_underflow(
-            [(f"prob of level {j} (log2 {x!r})", x) for j, x in enumerate(log2_probs)],
+            [(f"prob of level {j} (log2 {x!r})", p, x) for j, (p, x) in columns],
             "each log2 is the Gibbs log weight less ln Z, in bits",
         )
     header = ["level_index", "energy", "prob", "beta", "mean_energy"]
@@ -214,10 +215,13 @@ def _run_detect(args):
     )
     for r in rows_out:
         if not (r.analytic_pe and r.chernoff_bound):
-            # the log2 of the errors is formed only where one prints as 0
-            columns = zip(("analytic_pe", "chernoff_bound"), _log2_errors(r.dim, r.amplitude))
+            # each column is 2 ** its log2, formed again only where one prints 0
+            columns = [
+                ("analytic_pe", r.analytic_pe, analytic_log2_error(r.dim, r.amplitude)),
+                ("chernoff_bound", r.chernoff_bound, chernoff_log2_error_bound(r.dim, r.amplitude)),
+            ]
             notice = f"at dim {r.dim}, amplitude {r.amplitude!r}"
-            _warn_underflow([(f"{name} (log2 {x!r})", x) for name, x in columns], notice)
+            _warn_underflow([(f"{name} (log2 {x!r})", p, x) for name, p, x in columns], notice)
     header = ["dim", "amplitude", "analytic_pe", "chernoff_bound", "empirical_pe", "trials"]
     rows = [
         [r.dim, r.amplitude, r.analytic_pe, r.chernoff_bound, r.empirical_pe, r.trials]

@@ -3,21 +3,25 @@
 The received vector is r = s_i + n with s_1 = (m,...,m), s_2 = (0,...,0) and
 unit Gaussian noise. The minimum-distance rule thresholds the sufficient
 statistic sum(r) at N*m/2 (equal priors), giving the analytic error
-probability Q(sqrt(N)*m/2) and its Chernoff bound exp(-N*m^2/8).
+probability Q(sqrt(N)*m/2) and its Chernoff bound exp(-N*m^2/8), in log2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2
 from .errors import ValidationError
 from .types_method import _integer
 
 _SQRT2 = math.sqrt(2.0)
+
+# log2(e) over 2^128, 39 digits: an exponent times it is exact until one
+# rounding, so 2 ** log2 near 2^-1022 errs 4e-14, not float products' 1.6e-13
+_LOG2_E = 0x171547652B82FE1777D0FFDA0D23A7D12
 
 # fixed chunk size keeps per-chunk RNG streams (and therefore results)
 # independent of how chunks are scheduled
@@ -63,12 +67,9 @@ class SweepRow:
 
 
 def q_function(x: float) -> float:
-    """Standard normal tail probability Q(x) = 0.5 * erfc(x / sqrt 2).
-
-    The tail-integral definition differs from the erf form sometimes quoted
-    alongside it; the erfc identity is the consistent one and is accurate to
-    better than 1e-12 relative over |x| <= 8.
-    """
+    """Standard normal tail probability Q(x) = 0.5 * erfc(x / sqrt 2), the
+    tail integral (not the erf form sometimes quoted beside it). The rounded
+    erfc argument moves it by up to about x^2 * 2e-16 relative."""
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
     return 0.5 * math.erfc(x / _SQRT2)
@@ -83,9 +84,9 @@ def q_chernoff_bound(x: float) -> float:
     return math.exp(-0.5 * x * x)
 
 
-def _analytic_dim(dim) -> int:
+def _analytic_dim(dim, amplitude) -> int:
     """``dim`` as a positive int within the double range, which the analytic
-    forms convert it to."""
+    forms convert it to, once ``amplitude`` is finite and >= 0."""
     dim = _integer(dim, "dim")
     if dim < 1:
         raise ValidationError("dim must be positive")
@@ -93,41 +94,42 @@ def _analytic_dim(dim) -> int:
         float(dim)
     except OverflowError:
         raise ValidationError("dim must lie within the double range") from None
-    return dim
-
-
-def analytic_error(dim: int, amplitude: float) -> float:
-    """Exact error probability Q(sqrt(N) * m / 2) of the optimal detector."""
-    dim = _analytic_dim(dim)
-    if amplitude < 0:
-        raise ValidationError("amplitude must be >= 0")
-    return q_function(math.sqrt(dim) * amplitude / 2.0)
-
-
-def chernoff_error_bound(dim: int, amplitude: float) -> float:
-    """exp(-N * m^2 / 8), always >= analytic_error."""
-    dim = _analytic_dim(dim)
     if not math.isfinite(amplitude):
         raise ValidationError("amplitude must be finite")
     if amplitude < 0:
         raise ValidationError("amplitude must be >= 0")
-    return math.exp(-dim * amplitude * amplitude / 8.0)
+    return dim
 
 
-def _log2_errors(dim: int, amplitude: float) -> tuple[float, float]:
-    """log2 of ``analytic_error`` and ``chernoff_error_bound``, -inf only where
-    x^2 or N m^2 passes the double range: log2 Q(x) from math.erfc below x =
-    30, above it from Q(x) = phi(x) / x * sum_k (-1)^k (2k - 1)!! / x^(2k)
-    (Abramowitz & Stegun 7.1.23), whose 11 terms leave under 1e-22 there."""
+def _log2_exp_square(scale: int, v: float, den: int) -> float:
+    """log2 exp(-scale * v^2 / den), exact before its one rounding; -inf where
+    scale * v^2 passes the double range."""
+    if scale * v * v == math.inf:
+        return -math.inf
+    num, vden = float(v).as_integer_ratio()
+    return -(scale * num * num * _LOG2_E) / (den * vden * vden << 128)
+
+
+def analytic_log2_error(dim: int, amplitude: float) -> float:
+    """log2 Q(x), x = sqrt(N) * m / 2, of the optimal detector's error
+    probability; -inf only where x^2 passes the double range. It comes from
+    ``q_function`` below x = 16, above it from Q(x) = phi(x) / x *
+    sum_k (-1)^k (2k - 1)!! / x^(2k) (Abramowitz & Stegun 7.1.23), whose 11
+    terms leave under 5e-17 there."""
+    dim = _analytic_dim(dim, amplitude)
     x = math.sqrt(dim) * amplitude / 2.0
-    if x < 30.0:
-        log2_q = math.log2(0.5 * math.erfc(x / _SQRT2))
-    else:
-        u, s = 1.0 / (x * x), 1.0
-        for k in range(10, 0, -1):
-            s = 1.0 - (2 * k - 1) * u * s
-        log2_q = -(x * x) / (2.0 * LN2) - math.log2(x * math.sqrt(2.0 * math.pi) / s)
-    return log2_q, -dim * amplitude * amplitude / 8.0 / LN2
+    if x < 16.0:
+        return math.log2(q_function(x))
+    u, s = 1.0 / (x * x), 1.0
+    for k in range(10, 0, -1):
+        s = 1.0 - (2 * k - 1) * u * s
+    return _log2_exp_square(1, x, 2) - math.log2(x * math.sqrt(2.0 * math.pi) / s)
+
+
+def chernoff_log2_error_bound(dim: int, amplitude: float) -> float:
+    """log2 exp(-N * m^2 / 8) = -N m^2 / (8 ln 2), always >=
+    ``analytic_log2_error``; -inf only where N m^2 passes the double range."""
+    return _log2_exp_square(_analytic_dim(dim, amplitude), amplitude, 8)
 
 
 def _hypothesis_one(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -192,31 +194,23 @@ def _mix_seed(master: int, index: int) -> int:
 
 def sweep(dims, amplitudes, trials: int, seed: int) -> list[SweepRow]:
     """One row per (dim, amplitude) pair, dims outer, amplitudes inner."""
-    dims = list(dims)
-    amplitudes = list(amplitudes)
+    dims, amplitudes = list(dims), list(amplitudes)
     if not dims or not amplitudes:
         raise ValidationError("dims and amplitudes must be nonempty")
+    seed = _integer(seed, "seed")
     if not 0 <= seed <= _MASK64:  # _mix_seed would alias it mod 2**64
         raise ValidationError("seed must fit in 64 unsigned bits")
     rows = []
-    index = 0
-    for dim in dims:
-        for amp in amplitudes:
-            scenario = DetectionScenario(
+    for index, (dim, amp) in enumerate(itertools.product(dims, amplitudes)):
+        scenario = DetectionScenario(dim, amp, trials, _mix_seed(seed, index))
+        rows.append(
+            SweepRow(
                 dim=dim,
                 amplitude=amp,
+                analytic_pe=2.0 ** analytic_log2_error(dim, amp),
+                chernoff_bound=2.0 ** chernoff_log2_error_bound(dim, amp),
+                empirical_pe=simulate_detection(scenario),
                 trials=trials,
-                seed=_mix_seed(seed, index),
             )
-            rows.append(
-                SweepRow(
-                    dim=dim,
-                    amplitude=amp,
-                    analytic_pe=analytic_error(dim, amp),
-                    chernoff_bound=chernoff_error_bound(dim, amp),
-                    empirical_pe=simulate_detection(scenario),
-                    trials=trials,
-                )
-            )
-            index += 1
+        )
     return rows

@@ -362,6 +362,21 @@ class TestExitCodes:
             "(below 2^-1074); each log2 is the Gibbs log weight less ln Z, in bits\n"
         )
 
+    def test_boltzmann_zero_above_its_log2_is_reported(self):
+        # level 2's w / z rounds twice and prints 0, while its log2 -1074.42
+        # would round to 2^-1074: the notice is decided from the printed 0
+        status, out, err = run_cli(["boltzmann", "--levels", "0,0,744.035", "--beta", "1"])
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert [r[2] for r in rows] == ["0.5", "0.5", "0"]
+        (x,) = re.findall(
+            r"^errexp: warning: prob of level 2 \(log2 (\S+)\) underflowed to 0 ", err
+        )
+        assert len(err.splitlines()) == 1
+        with mpmath.workdps(40):
+            want = -(mpmath.mpf(744.035) + mpmath.log(2 + mpmath.exp(-mpmath.mpf(744.035))))
+        assert float(x) == pytest.approx(float(want / mpmath.log(2)), rel=1e-15)
+
     def test_np_beta_underflow_is_reported(self):
         # beta < 2^-1074 at n = 8000 still prints 0 (a known defect), but
         # says so on stderr instead of raising numpy's log2(0) warning
@@ -471,6 +486,16 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert float(q) == pytest.approx(float(log2_q), rel=1e-15)
         assert float(bound) == pytest.approx(float(log2_bound), rel=1e-15)
+
+    def test_detect_subnormal_error_prints_its_log2(self):
+        # log2 Q(38.48) = -1074.70, and 2 ** that is 2^-1074, printed with
+        # nothing on stderr; 0.5 * erfc rounded twice to 0 and said nothing
+        status, out, err = run_cli(
+            ["detect", "--dims", "1", "--amplitudes", "76.96", "--trials", "10"]
+        )
+        assert (status, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][2] == "4.9406564584124654e-324"
 
     def test_zero_alpha_is_not_an_underflow(self):
         # only types with mass on the p1 = 0 symbol are rejected, so alpha is
@@ -1050,13 +1075,17 @@ _ZERO_IS_EXACT = {
 
 
 # argv the seeded sweep does not reach: a level 1.8e308 above the ground,
-# whose log2 prob is -inf although beta times its height is finite
+# whose log2 prob is -inf although beta times its height is finite; a level
+# whose w / z rounds to 0 at log2 -1074.42, which 2 ** log2 would not; and
+# Q at log2 -1074.70, which printed 0 where 2 ** log2 is 2^-1074
 _SWEEP_FIXED = [
     [
         "boltzmann",
         "--levels=1.7976931348623157e308,-2.2959275027445267,-0.480481337503738,1.212879947840234",
         "--beta=0.9416318301612558",
     ],
+    ["boltzmann", "--levels", "0,0,744.035", "--beta", "1"],
+    ["detect", "--dims", "1", "--amplitudes", "76.96", "--trials", "10"],
 ]
 
 

@@ -8,16 +8,20 @@ import pytest
 from errexp import (
     DetectionScenario,
     ValidationError,
-    analytic_error,
-    chernoff_error_bound,
+    analytic_log2_error,
+    chernoff_log2_error_bound,
     q_chernoff_bound,
     q_function,
     simulate_detection,
     sweep,
 )
-from errexp.detection import _CHUNK, _hypothesis_one, _log2_errors
+from errexp.detection import _CHUNK, _LOG2_E, _hypothesis_one
 
 import detection_oracle
+
+# the two log2 functions, with test ids that name their probabilities
+BOTH = [analytic_log2_error, chernoff_log2_error_bound]
+BOTH_IDS = ["analytic_error", "chernoff_error_bound"]
 
 
 def q_oracle(x):
@@ -73,70 +77,115 @@ class TestChernoffBoundOnQ:
 
 class TestAnalyticError:
     def test_zero_amplitude(self):
-        assert analytic_error(3, 0.0) == 0.5
+        assert analytic_log2_error(3, 0.0) == -1.0
 
     def test_n4_m2(self):
-        assert analytic_error(4, 2.0) == pytest.approx(0.0227501319481792, rel=1e-10)
+        assert 2.0 ** analytic_log2_error(4, 2.0) == pytest.approx(0.0227501319481792, rel=1e-10)
 
     def test_n1_m6(self):
-        assert analytic_error(1, 6.0) == pytest.approx(0.0013498980316301, rel=1e-9)
+        assert 2.0 ** analytic_log2_error(1, 6.0) == pytest.approx(0.0013498980316301, rel=1e-9)
 
     def test_monotone_in_amplitude_and_dim(self):
         for dim in (1, 2, 4):
-            vals = [analytic_error(dim, m) for m in range(1, 7)]
+            vals = [analytic_log2_error(dim, m) for m in range(1, 7)]
             assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert analytic_error(4, 2.0) < analytic_error(1, 2.0)
+        assert analytic_log2_error(4, 2.0) < analytic_log2_error(1, 2.0)
 
     def test_nm2_invariance(self):
-        assert analytic_error(4, 2.0) == pytest.approx(analytic_error(16, 1.0), abs=1e-12)
-        assert analytic_error(1, 4.0) == pytest.approx(analytic_error(4, 2.0), abs=1e-12)
+        # the same x = sqrt(N) m / 2 gives the same bits
+        assert analytic_log2_error(4, 2.0) == analytic_log2_error(16, 1.0)
+        assert analytic_log2_error(1, 4.0) == analytic_log2_error(4, 2.0)
 
 
 class TestChernoffErrorBound:
     def test_zero_amplitude(self):
-        assert chernoff_error_bound(5, 0.0) == 1.0
+        assert chernoff_log2_error_bound(5, 0.0) == 0.0
 
     def test_n4_m2(self):
-        assert chernoff_error_bound(4, 2.0) == pytest.approx(math.exp(-2), rel=1e-14)
+        assert chernoff_log2_error_bound(4, 2.0) == pytest.approx(-2 / math.log(2), rel=1e-15)
+        assert 2.0 ** chernoff_log2_error_bound(4, 2.0) == pytest.approx(math.exp(-2), rel=1e-14)
 
     def test_same_exponent_for_equal_nm2(self):
-        assert chernoff_error_bound(1, 4.0) == chernoff_error_bound(4, 2.0)
+        assert chernoff_log2_error_bound(1, 4.0) == chernoff_log2_error_bound(4, 2.0)
 
     def test_dominates_analytic(self):
         for dim in (1, 2, 4, 9):
             for m in np.linspace(0, 6, 25):
-                assert analytic_error(dim, float(m)) <= chernoff_error_bound(
+                assert analytic_log2_error(dim, float(m)) <= chernoff_log2_error_bound(
                     dim, float(m)
                 )
 
-    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
-    def test_non_finite_amplitude_rejected(self, amplitude):
-        # nan < 0 is False: a nan amplitude returned nan
-        with pytest.raises(ValidationError):
-            chernoff_error_bound(4, amplitude)
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", BOTH, ids=BOTH_IDS)
+def test_non_finite_amplitude_rejected(fn, amplitude):
+    # nan < 0 is False: a nan amplitude returned nan from the bound; an
+    # infinite one reached q_function, or the series, which gave -inf
+    with pytest.raises(ValidationError, match="amplitude must be finite"):
+        fn(4, amplitude)
+
+
+@pytest.mark.parametrize("fn", BOTH, ids=BOTH_IDS)
+def test_negative_amplitude_rejected(fn):
+    with pytest.raises(ValidationError, match="amplitude must be >= 0"):
+        fn(4, -0.5)
 
 
 def test_log2_errors_match_mpmath():
-    # log2 Q(x) within 1e-15 relative of 50-digit mpmath from x = 0 to 1e4,
-    # around the erfc form's cut at 30 and where Q underflows (x > 38.6);
-    # at dim 1 and amplitude 2x the argument is x exactly. The bound's log2
-    # is -N m^2 / (8 ln 2)
-    xs = [0.0, 1e-3, 0.5, 1.0, 5.0, 29.999999999999996, 30.0, 38.0, 39.0, 150.0, 1e4]
-    xs += np.geomspace(1e-3, 1e4, 300).tolist()
+    # both log2s within 1e-15 relative of 50-digit mpmath from x = 0 to 1e4,
+    # around the series cut at 16 and where Q underflows (x > 38.6), and
+    # their 2 ** x within 1e-13 relative wherever it is a normal double.
+    # Dims from 1 to 10^6 send x = sqrt(N) m / 2 and N m^2 through their
+    # roundings; the reference takes the double x that the function forms
+    rng = np.random.default_rng(39)
+    xs = [0.0, 1e-3, 0.5, 1.0, 5.0, 15.999999999999998, 16.0, 30.0, 37.6, 38.0, 39.0, 150.0]
+    xs += [1e4, *np.geomspace(1e-3, 1e4, 300), *rng.uniform(14.0, 37.7, 300)]
     for x in xs:
-        log2_q, log2_bound = _log2_errors(1, 2.0 * x)
+        dim = int(rng.choice([1, 3, 64, 1000, 10**6]))
+        amplitude = 2.0 * float(x) / math.sqrt(dim)
+        got = analytic_log2_error(dim, amplitude), chernoff_log2_error_bound(dim, amplitude)
         with mpmath.workdps(50):
-            want = mpmath.log(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2, 2)
-            bound = -((2 * mpmath.mpf(x)) ** 2) / (8 * mpmath.log(2))
-        assert log2_q == pytest.approx(float(want), rel=1e-15, abs=0.0), x
-        assert log2_bound == pytest.approx(float(bound), rel=1e-15, abs=0.0), x
-        if x < 38.0:
-            assert 2.0**log2_q == pytest.approx(analytic_error(1, 2.0 * x), rel=1e-12)
+            q = mpmath.erfc(mpmath.mpf(math.sqrt(dim) * amplitude / 2.0) / mpmath.sqrt(2)) / 2
+            bound = mpmath.exp(-dim * mpmath.mpf(amplitude) ** 2 / 8)
+            for log2_p, p in zip(got, (q, bound)):
+                assert log2_p == pytest.approx(float(mpmath.log(p, 2)), rel=1e-15, abs=0.0), x
+                if 2.0**log2_p >= 2.0**-1022:
+                    assert abs(2.0**log2_p - p) <= 1e-13 * p, x
     # -inf only where x^2 or N m^2 passes the double range
-    assert _log2_errors(1, 2.7e154) == (-math.inf, -math.inf)  # x^2 = 1.8e308
-    log2_q, log2_bound = _log2_errors(1, 2.6e154)  # x^2 = 1.7e308, N m^2 = 6.8e308
-    assert math.isfinite(log2_q) and log2_bound == -math.inf
-    assert all(math.isfinite(v) for v in _log2_errors(1, 1.3e154))
+    assert analytic_log2_error(10**300, 1e300) == -math.inf  # x = inf
+    assert analytic_log2_error(1, 2.7e154) == -math.inf  # x^2 = 1.8e308
+    assert chernoff_log2_error_bound(1, 2.7e154) == -math.inf
+    assert math.isfinite(analytic_log2_error(1, 2.6e154))  # x^2 = 1.7e308
+    assert chernoff_log2_error_bound(1, 2.6e154) == -math.inf  # N m^2 = 6.8e308
+    assert math.isfinite(chernoff_log2_error_bound(1, 1.3e154))
+
+
+def test_log2_e_constant():
+    # the exponents' log2(e), as an integer over 2^128
+    with mpmath.workdps(60):
+        assert _LOG2_E == int(mpmath.nint(mpmath.mpf(2) ** 128 / mpmath.log(2)))
+
+
+def test_gordon_sandwich_and_the_chernoff_bound():
+    # Gordon (1941): x / (1 + x^2) phi(x) < Q(x) < phi(x) / x for x > 0, on a
+    # seeded grid of x from 1e-3 to 1e4 over dims 1 to 10^6. The sides come
+    # from 50-digit mpmath at the double x the function forms, so the only
+    # slack is the log2's own stated accuracy, 1e-15 relative. Q(x) <=
+    # exp(-x^2 / 2) / 2 leaves the Chernoff bound a bit above it, no slack
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
+        dim = int(round(math.exp(rng.uniform(0.0, math.log(1e6)))))
+        amplitude = 2.0 * x / math.sqrt(dim)
+        got = analytic_log2_error(dim, amplitude)
+        with mpmath.workdps(50):
+            xd = mpmath.mpf(math.sqrt(dim) * amplitude / 2.0)
+            log2_phi = -(xd**2) / (2 * mpmath.log(2)) - mpmath.log(2 * mpmath.pi, 2) / 2
+            lower = float(log2_phi + mpmath.log(xd / (1 + xd**2), 2))
+            upper = float(log2_phi - mpmath.log(xd, 2))
+        slack = 1e-15 * abs(lower)
+        assert lower - slack < got < upper + slack, (dim, amplitude)
+        assert got <= chernoff_log2_error_bound(dim, amplitude), (dim, amplitude)
 
 
 class TestScenarioRefusals:
@@ -155,21 +204,22 @@ class TestScenarioRefusals:
         assert (s.dim, s.trials, s.seed) == (4, 10, 3)
         assert all(type(v) is int for v in (s.dim, s.trials, s.seed))
 
-    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    @pytest.mark.parametrize("fn", BOTH, ids=BOTH_IDS)
     def test_analytics_refuse_a_fractional_dim(self, fn):
         with pytest.raises(ValidationError, match="dim must be an integer"):
             fn(2.5, 1.0)
 
     @pytest.mark.parametrize("amplitude", [0.0, 1.0])
-    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    @pytest.mark.parametrize("fn", BOTH, ids=BOTH_IDS)
     def test_analytics_refuse_a_dim_beyond_the_double_range(self, fn, amplitude):
         # math.sqrt and the float product raised a bare OverflowError
         with pytest.raises(ValidationError, match="dim must lie within the double range"):
             fn(10**400, amplitude)
 
-    @pytest.mark.parametrize("fn", [analytic_error, chernoff_error_bound])
+    @pytest.mark.parametrize("fn", BOTH, ids=BOTH_IDS)
     def test_analytics_take_the_largest_dims_in_range(self, fn):
-        assert fn(int(1.7e308), 1.0) == 0.0
+        log2_p = fn(int(1.7e308), 1.0)  # N m^2 = 1.7e308 and x^2 = 4.25e307
+        assert math.isfinite(log2_p) and 2.0**log2_p == 0.0
         assert fn(int(1.7e308), 0.0) == fn(1, 0.0)
 
     @pytest.mark.parametrize(
@@ -189,7 +239,7 @@ class TestSimulation:
 
     def test_matches_analytic_n4_m2(self):
         pe = simulate_detection(DetectionScenario(4, 2.0, 1_000_000, 42))
-        p = analytic_error(4, 2.0)
+        p = 2.0 ** analytic_log2_error(4, 2.0)
         assert abs(pe - p) <= 4 * math.sqrt(p * (1 - p) / 1_000_000)
 
     def test_deterministic(self):
@@ -279,7 +329,7 @@ class TestSimulation:
         # scale would move these cells by many standard errors
         trials = 1_000_000
         for row in sweep([dim], [0.25, 0.5, 1.0], trials=trials, seed=dim):
-            p = analytic_error(dim, row.amplitude)
+            p = 2.0 ** analytic_log2_error(dim, row.amplitude)
             assert abs(row.empirical_pe - p) <= 4 * math.sqrt(p * (1 - p) / trials)
 
 
@@ -303,6 +353,22 @@ class TestSweep:
         # the row seeds are mixed mod 2**64: -1 aliased 2**64 - 1
         with pytest.raises(ValidationError, match="64 unsigned bits"):
             sweep([1], [1], trials=10, seed=seed)
+
+    def test_integral_float_seed_is_read_as_an_int(self):
+        # 2.0 raised a bare TypeError from _mix_seed
+        assert sweep([1], [1.0], 10, 2.0) == sweep([1], [1.0], 10, 2)
+
+    def test_fractional_seed_is_refused(self):
+        # as DetectionScenario refuses it; 1.5 raised a bare TypeError
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            sweep([1], [1.0], 10, 1.5)
+
+    @pytest.mark.parametrize("dim, amplitude", [(1, 76.96), (4, 2.0), (64, 3.0), (10_000, 3.0)])
+    def test_linear_columns_are_2_to_their_log2(self, dim, amplitude):
+        # a printed Pe and its underflow notice come from one number
+        row = sweep([dim], [amplitude], trials=10, seed=0)[0]
+        assert row.analytic_pe == 2.0 ** analytic_log2_error(dim, amplitude)
+        assert row.chernoff_bound == 2.0 ** chernoff_log2_error_bound(dim, amplitude)
 
     def test_n1_m2_analytic(self):
         row = sweep([1], [2], trials=1000, seed=0)[0]

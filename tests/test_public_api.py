@@ -1,10 +1,14 @@
 """The shape of the public API.
 
 ``errexp.__all__`` is pinned to the exact public set, and every exact
-probability in it is one log2 function: each gives a finite log2 at or below
-0 on a case far below the double range (2^-1074), where a linear twin would
-print 0. The CLI uses the public functions only, so no private side door
-into the probability code can grow back unnoticed.
+probability in it but the Q-function pair (``q_function``,
+``q_chernoff_bound``) is one log2 function: each gives a finite log2 at or
+below 0 on a case far below the double range (2^-1074), where a linear twin
+would print 0. The CLI imports no private name, so no private side door into the
+probability code can grow back unnoticed, with one kept exception:
+``boltzmann._law_and_mean`` and ``_log2_law``, because ``errexp boltzmann``
+takes the law and its mean energy from one Gibbs weight vector, which the
+public functions would form once each.
 """
 
 import ast
@@ -21,6 +25,8 @@ from errexp import cli
 from errexp import (
     BinaryHypothesis,
     ConstraintSet,
+    analytic_log2_error,
+    chernoff_log2_error_bound,
     deviation_exact_log2_prob,
     make_distribution,
     sanov_exact_log2_prob,
@@ -42,10 +48,10 @@ PUBLIC = [
     "SteinReport",
     "SweepRow",
     "ValidationError",
-    "analytic_error",
+    "analytic_log2_error",
     "boltzmann_distribution",
-    "chernoff_error_bound",
     "chernoff_lambda_star",
+    "chernoff_log2_error_bound",
     "count_types",
     "deviation_exact_log2_prob",
     "empirical_type",
@@ -79,16 +85,17 @@ def test_all_is_the_public_set():
 
 
 def test_cli_imports_no_private_probability_code():
+    # every private name the CLI imports, from any module: only the kept
+    # boltzmann pair
     tree = ast.parse(Path(cli.__file__).read_text())
     private = [
         (node.module, alias.name)
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
-        and node.module in ("testing", "types_method", "errexp.testing", "errexp.types_method")
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+    assert private == [("boltzmann", "_law_and_mean"), ("boltzmann", "_log2_law")]
 
 
 N = 8000
@@ -146,10 +153,24 @@ def _sanov():
     return sanov_exact_log2_prob(pi, FAIR, 2000), log2_prob_mp(pi, FAIR, 2000)
 
 
+def _analytic_detection():
+    # dim 1 and amplitude 80 put Q's argument at x = 40: log2 Q = -1160.80
+    with mpmath.workdps(50):
+        want = mpmath.log(mpmath.erfc(40 / mpmath.sqrt(2)) / 2, 2)
+    return analytic_log2_error(1, 80.0), float(want)
+
+
+def _chernoff_detection():
+    # exp(-N m^2 / 8) = exp(-800): log2 -1154.17
+    with mpmath.workdps(50):
+        want = -800 / mpmath.log(2)
+    return chernoff_log2_error_bound(1, 80.0), float(want)
+
+
 @pytest.mark.parametrize(
     "case",
-    [_deviation, _stein_beta, _neyman_pearson, _sanov],
-    ids=["deviation", "stein_beta", "neyman_pearson", "sanov"],
+    [_deviation, _stein_beta, _neyman_pearson, _sanov, _analytic_detection, _chernoff_detection],
+    ids=["deviation", "stein_beta", "neyman_pearson", "sanov", "analytic_pe", "chernoff_bound"],
 )
 def test_exact_probabilities_below_the_double_range(case):
     got, want = case()
