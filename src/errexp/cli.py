@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 usage/validation, 3 infeasible constraint,
 4 resource cap exceeded (types enumerated; binomial terms for sanov),
 5 solver failure: a bracket search or the rounding bound certifying an answer
 failed (no tolerance is asked for; chernoff reports bits, boltzmann energy).
+
+A subcommand's ``--flag value`` and ``--flag=value`` tokens are read from its
+parser's own tables; argparse parses any other argv and words every error.
 """
 
 from __future__ import annotations
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in (p_kl, p_types, p_sanov, p_stein, p_chern, p_boltz, p_det):
         _add_common(sub)
 
-    # subcommand name -> its parser, for the one-level parse of main()
+    # subcommand name -> its parser, whose flags main() reads
     parser.subcommands = subs.choices
     return parser
 
@@ -322,24 +325,64 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _flag_table(sub):
+    """Subparser ``sub``'s option strings, each to its action (None unless a
+    one-value store), defaults with ``func``, required actions and groups."""
+    plain = {a for a in sub._actions if type(a) is argparse._StoreAction and a.nargs is None}
+    options = {flag: a if a in plain else None for flag, a in sub._option_string_actions.items()}
+    defaults = {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS}
+    required = {a for a in sub._actions if a.required}
+    groups = [(g.required, set(g._group_actions)) for g in sub._mutually_exclusive_groups]
+    return options, {**sub._defaults, **defaults}, required, groups
+
+
+def _read_flags(sub, argv):
+    """The full parse's namespace of an argv naming ``sub`` whose flags are
+    ``--flag value`` or ``--flag=value`` (a unique prefix names its flag),
+    each value converted and checked in order; else None, as where a value
+    starting with ``-`` is separate, or argparse would word an error."""
+    options, defaults, required, groups = _flag_table(sub)
+    values, seen = dict(defaults, command=argv[0]), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        action = options.get(flag)
+        if flag not in options:  # a unique prefix; "-" or "--" prefixes them all
+            matches = [option for option in options if option.startswith(flag)]
+            action = options[matches[0]] if len(matches) == 1 else None
+        if not eq:
+            text = next(tokens, "-")  # "-" where no value is left
+        if action is None or (not eq and text[:1] == "-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's catch
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    # group flags default to None, so argparse counts each one given
+    for needed, actions in groups:
+        if len(seen & actions) > 1 or (needed and not seen & actions):
+            return None
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def _parse_args(argv):
     """The namespace ``_shared_parser().parse_args(argv)`` gives.
 
     The top-level parser hands every token after the subcommand's name to
-    that subcommand's parser, so parsing them with it directly gives the
-    same namespace, errors and help, without the top-level pass. Anything
-    else (no subcommand first, or tokens the subcommand leaves unparsed,
-    which the top-level parser reports) takes the full parse.
+    that subcommand's parser, so ``_read_flags`` may read them instead.
+    Anything else (no subcommand first, or tokens the reader leaves to
+    argparse) takes the full parse.
     """
     parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = None if sub is None else _read_flags(sub, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def _write_csv(header, rows, output_path):

@@ -68,11 +68,21 @@ class SweepRow:
 
 def q_function(x: float) -> float:
     """Standard normal tail probability Q(x) = 0.5 * erfc(x / sqrt 2), the
-    tail integral (not the erf form sometimes quoted beside it). The rounded
-    erfc argument moves it by up to about x^2 * 2e-16 relative."""
+    tail integral (not the erf form sometimes quoted beside it).
+
+    erfc gets y, x / sqrt 2 rounded, which alone would move Q by up to about
+    x^2 * 2e-16 relative. For x > 0, Q(x) = Q(y sqrt 2) * exp(-e) to first
+    order in the excess e = x^2 / 2 - y^2, formed exactly; it is within 5e-16
+    relative of Q wherever Q is a normal double. For x <= 0 the shift is
+    below 1e-16."""
     if not math.isfinite(x):
         raise ValidationError("x must be finite")
-    return 0.5 * math.erfc(x / _SQRT2)
+    y = x / _SQRT2
+    q = 0.5 * math.erfc(y)
+    if x > 0 and q > 0:  # where q is 0 the excess can pass the double range
+        (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+        q -= q * (((nx * dy) ** 2 - 2 * (ny * dx) ** 2) / (2 * (dx * dy) ** 2))
+    return q
 
 
 def q_chernoff_bound(x: float) -> float:

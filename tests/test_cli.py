@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -465,7 +466,8 @@ class TestExitCodes:
     def test_detect_error_underflow_is_reported(self):
         # Q(150) = 2^-16238.87 and exp(-N m^2 / 8) = 2^-16230.32 print 0, as
         # they did; the notice names both with their log2, from 40-digit
-        # mpmath, and the dim 4 row keeps its bytes and says nothing
+        # mpmath, and the dim 4 row says nothing; its Q(3) is
+        # 0.0013498980316300945 by mpmath, 6e-19 from the printed value
         status, out, err = run_cli(
             ["detect", "--dims", "10000,4", "--amplitudes", "3", "--trials", "1000", "--seed", "1"]
         )
@@ -473,7 +475,7 @@ class TestExitCodes:
         assert out == (
             "dim,amplitude,analytic_pe,chernoff_bound,empirical_pe,trials\r\n"
             "10000,3,0,0,0,1000\r\n"
-            "4,3,0.0013498980316300957,0.011108996538242306,0,1000\r\n"
+            "4,3,0.0013498980316300939,0.011108996538242306,0,1000\r\n"
         )
         with mpmath.workdps(40):
             log2_q = mpmath.log(mpmath.erfc(150 / mpmath.sqrt(2)) / 2, 2)
@@ -736,6 +738,11 @@ class TestSharedParser:
         ["chernoff", "--p1", "1,1", "--p2", "1,3"],
         ["types", "--n", "3", "--alphabet", "2", "--seed", "9"],
         ["boltzmann", "--levels", "0,1,2", "--beta", "1.5"],
+        # an abbreviated flag, --flag=value, a repeated flag, a group conflict
+        ["sanov", "--p", "1,2", "--n", "5", "--sym", "0", "--thr", "0.5"],
+        ["chernoff", "--p1=1,1", "--p2=1,3"],
+        ["types", "--n", "2", "--alphabet", "2", "--n", "3"],
+        ["boltzmann", "--levels", "0,1", "--beta", "1", "--mean", "0.5"],
     ]
 
     @staticmethod
@@ -761,9 +768,12 @@ class TestSharedParser:
 
     def test_reused_parser_matches_fresh_process(self):
         cli._shared_parser.cache_clear()
+        cli._flag_table.cache_clear()
         reused = [self.run_in_process(argv) for argv in self.SEQUENCE]
         assert cli._shared_parser.cache_info().misses == 1
-        assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+        # one flag table per subcommand, reused by every later argv
+        assert cli._flag_table.cache_info().misses == 7
+        assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2]
         for argv, got in zip(self.SEQUENCE, reused):
             assert got == self.run_fresh(argv), argv
 
@@ -789,10 +799,12 @@ def argv_id(argv):
 
 
 class TestParsePaths:
-    """main() parses the tokens after a subcommand's name with that
-    subcommand's parser; every argv must give the exit status, stdout and
-    stderr of the full parse, errors and help included."""
+    """main() reads the flags after a subcommand's name from that subcommand
+    parser's tables, and hands argparse whatever the reader cannot judge;
+    every argv must give the exit status, stdout and stderr of the full
+    parse, errors and help included."""
 
+    # argv whose flags the reader reads
     VALID = [
         ["kl", "--p", "1,1", "--q", "1,3"],
         ["types", "--n", "3", "--alphabet", "2"],
@@ -805,21 +817,54 @@ class TestParsePaths:
         ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0", "--thr", "0.5", "--mode", "upper"],
         ["sanov", "--p=1,2", "--n=5", "--symbol=0", "--threshold=0.5"],
         ["sanov", "--p", "1,2", "--n", "5", "--n", "7", "--symbol", "0", "--threshold", "0.5"],
+        # abbreviations with a separate value: --o is --output, --s --seed
+        ["kl", "--p", "1,1", "--q", "1,3", "--o", os.devnull],
+        ["types", "--n", "3", "--alphabet", "2", "--s", "5"],
+        # an empty explicit value, which validation refuses with exit 2
+        ["kl", "--p=", "--q", "1,3"],
+        # an explicit value starting with -, and a repeated flag
+        ["boltzmann", "--levels=-1,2", "--beta", "0.5"],
+        ["chernoff", "--p1", "1,1", "--p2", "1,2", "--p1", "1,2,3", "--p2", "3,2,1"],
     ]
     INVALID = [
         [],
         ["--help"],
         ["nope", "--p", "1"],
         *([name, "-h"] for name in ("kl", "types", "sanov", "stein", "chernoff", "boltzmann", "detect")),
+        # help followed by a token it could be taken to store
+        ["chernoff", "--p1", "1,1", "--p2", "1,3", "--help", "x"],
         # a missing required flag, a bad choice, a bad int
         ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0"],
         ["sanov", "--p", "1,2", "--n", "5", "--symbol", "0", "--threshold", "0.5", "--mode", "mid"],
         ["types", "--n", "three", "--alphabet", "2"],
+        # a bad first occurrence is not hidden by a good last one
+        ["types", "--n", "x", "--n", "5", "--alphabet", "2"],
+        [
+            "sanov", "--p", "1,2", "--n", "5", "--symbol", "0", "--threshold", "0.5",
+            "--mode", "mid", "--mode", "lower",
+        ],
+        # boltzmann's group: both flags, then neither
+        ["boltzmann", "--levels", "0,1", "--beta", "1", "--mean", "0.5"],
+        ["boltzmann", "--levels", "0,1"],
+        # an ambiguous prefix (--p1 or --p2), a single-dash flag, a missing
+        # value, and a separate value that argparse reads as a flag
+        ["chernoff", "--p", "1,2", "--p2", "2,1"],
+        ["chernoff", "--p=1,2", "--p2", "2,1"],
+        ["kl", "-p", "1,1", "--q", "1,3"],
+        ["kl", "--p", "1,1", "--q"],
+        ["boltzmann", "--levels", "-1,2", "--beta", "1"],
         # an unknown flag and a trailing positional, which the top-level
         # parser reports
         ["kl", "--p", "1,1", "--q", "1,3", "--bogus", "1"],
         ["kl", "--p", "1,1", "--q", "1,3", "extra"],
         ["kl", "--p", "1,1", "--q", "1,3", "--", "extra"],
+    ]
+    # argv argparse accepts but the reader leaves to it: a separate value
+    # token starting with - (argparse tells a negative number from a flag)
+    FULL_PARSE = [
+        ["boltzmann", "--levels", "0,1", "--beta", "-1"],
+        ["boltzmann", "--levels=-2,0", "--mean", "-1"],
+        ["kl", "--p", "-1", "--q", "1,3"],
     ]
 
     @staticmethod
@@ -832,7 +877,7 @@ class TestParsePaths:
                 status = ("SystemExit", exc.code)
         return status, out.getvalue(), err.getvalue()
 
-    @pytest.mark.parametrize("argv", VALID + INVALID, ids=argv_id)
+    @pytest.mark.parametrize("argv", VALID + INVALID + FULL_PARSE, ids=argv_id)
     def test_matches_the_full_parse(self, argv, monkeypatch):
         got = self.outcome(argv)
         monkeypatch.setattr(cli, "_parse_args", full_parse)
@@ -842,6 +887,13 @@ class TestParsePaths:
     def test_same_namespace(self, argv):
         assert vars(cli._parse_args(argv)) == vars(full_parse(argv))
 
+    def test_the_reader_reads_only_valid_argv(self):
+        subcommands = cli._shared_parser().subcommands
+        for argv in self.VALID + self.INVALID + self.FULL_PARSE:
+            if argv and argv[0] in subcommands:
+                args = cli._read_flags(subcommands[argv[0]], argv)
+                assert (args is not None) == (argv in self.VALID), argv
+
     def test_invalid_argv_exit_2_or_print_help(self):
         for argv in self.INVALID:
             status, _, _ = self.outcome(argv)
@@ -849,20 +901,67 @@ class TestParsePaths:
 
     def test_subcommand_argv_skip_the_top_level_parse(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("top-level parse")
+            raise AssertionError("argparse parse")
 
-        # instance entries shadow the class's methods, and undoing removes them
+        # instance entries shadow the class's methods, and undoing removes
+        # them; main() returns 0, or 2 for the value validation refuses
         parser = cli._shared_parser()
-        monkeypatch.setitem(vars(parser), "parse_args", refuse)
-        monkeypatch.setitem(vars(parser), "parse_known_args", refuse)
+        for each in (parser, *parser.subcommands.values()):
+            monkeypatch.setitem(vars(each), "parse_args", refuse)
+            monkeypatch.setitem(vars(each), "parse_known_args", refuse)
         for argv in self.VALID:
-            assert self.outcome(argv)[0] == 0, argv
+            assert self.outcome(argv)[0] == (2 if "--p=" in argv else 0), argv
 
     def test_one_parser_tree(self):
         cli._shared_parser.cache_clear()
-        for argv in self.VALID + self.INVALID:
+        cli._flag_table.cache_clear()
+        for argv in self.VALID + self.INVALID + self.FULL_PARSE:
             self.outcome(argv)
         assert cli._shared_parser.cache_info().misses == 1
+        assert cli._flag_table.cache_info().misses == 7
+
+    def test_every_flag_is_one_the_reader_reads(self):
+        # a flag of another kind would send its subcommand's every argv to
+        # argparse; a str default with a type would be converted by argparse
+        # where the flag is not given, which the reader does not do; and a
+        # group flag whose value could be its default would not count as
+        # given for argparse, where the reader counts it
+        subcommands = cli._shared_parser().subcommands
+        assert len(subcommands) == 7
+        for name, sub in subcommands.items():
+            for group in sub._mutually_exclusive_groups:
+                assert all(action.default is None for action in group._group_actions), name
+            for flag, action in sub._option_string_actions.items():
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert flag.startswith("--"), (name, flag)
+                assert type(action) is argparse._StoreAction, (name, flag)
+                assert action.nargs is None, (name, flag)
+                assert not (isinstance(action.default, str) and action.type), (name, flag)
+
+    def test_the_contract_sweep_argv_parse_alike(self):
+        # the contract sweep's argv, every flag as --flag=value, and again
+        # with each split into --flag value: wherever the reader returns a
+        # namespace, the full parse gives one with the same entries (by repr,
+        # so that nan matches nan and -0.0 only -0.0), and it reads every
+        # --flag=value argv
+        subcommands = cli._shared_parser().subcommands
+        rng = np.random.default_rng(20261020)
+        joined = [_sweep_argv(rng) for _ in range(1500)]
+        split = [[argv[0], *(t for token in argv[1:] for t in token.split("=", 1))] for argv in joined]
+        read = 0
+        for argv in joined + split:
+            args = cli._read_flags(subcommands[argv[0]], argv)
+            if args is not None:
+                read += 1
+                entries = sorted(vars(args).items())
+                assert repr(entries) == repr(sorted(vars(full_parse(argv)).items())), argv
+            else:
+                assert argv in split, argv
+        # the split argv the reader leaves to argparse carry a value with a -
+        assert read == 1500 + sum(
+            not any(t.startswith("-") for t in argv[2::2]) for argv in split
+        )
 
 
 class TestSharedTypePass:
