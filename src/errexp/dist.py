@@ -33,6 +33,7 @@ masses below about 1e-305 keep the arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -544,7 +545,12 @@ def log_factorial_residual(n: int) -> float:
 
 @lru_cache(maxsize=64)
 def log_factorial_table(n: int) -> np.ndarray:
-    """Read-only table of ln k! for k = 0..n, shared by the type kernels."""
-    table = np.array([log_factorial(k) for k in range(n + 1)])
+    """Read-only table of ln k! for k = 0..n, shared by the type kernels: the
+    values of :func:`log_factorial`, without its checks on each k."""
+    size = max(n + 1, 0)
+    head = _small_log_fact_table()[:size]
+    # ln k! = lgamma(k + 1) above the cutoff
+    tail = map(math.lgamma, range(len(head) + 1, n + 2))
+    table = np.fromiter(itertools.chain(head, tail), np.float64, size)
     table.flags.writeable = False
     return table

@@ -13,10 +13,13 @@ for ln c_j! and the D and entropy terms (``_type_kl_terms`` and
 ``dist._xlog2x``), and yields the scores of
 ``_BLOCK`` types at a time; the (T, k) count matrix is never formed.
 ``_walk_scores`` collects them into T-long vectors, and
-:func:`type_classes` streams them with memory flat in T. Given count rows
-(one type, or the binomial rows of a Sanov event) are scored through a
-one-step walk (``_rows_walk``), so one function defines how a type is
-scored; its bit reference is ``tests/row_oracle.py``. Where a sum over the
+:func:`type_classes` streams them with memory flat in T. A given type is
+scored through a one-step walk (``_rows_walk``), so one function defines how
+a type is scored; its bit reference is ``tests/row_oracle.py``. The binomial
+rows (m, n - m) of a Sanov event are the one exception: their terms are
+formed from the ln k! table directly, with the walk's operations in the
+walk's order, so they carry its bits without its set-up, which costs more
+than the arithmetic of two columns. Where a sum over the
 types splits into binomial ranges over one count (the Stein and
 Neyman-Pearson runs of ``testing``), ``_log2_binomial_tables`` gives every
 range of every row r <= n from two cumulative tables.
@@ -670,10 +673,10 @@ def sanov_exact_log2_prob(
 
     The event depends on the count m of the constrained symbol a only, so
     its probability is the Binomial(n, p_a) mass of the kept range of m:
-    the rows [m, n - m], one walk per range, scored under the merged law
-    (p_a, sum of the other p_b). -inf only where that mass is zero, as for
-    an empty event. Above 1/2 it is the total mass less that of the other
-    counts, so log2 P keeps its relative accuracy as P nears 1.
+    the rows [m, n - m] scored under the merged law (p_a, sum of the other
+    p_b), each to the bits the walk would give it. -inf only where that mass
+    is zero, as for an empty event. Above 1/2 it is the total mass less that
+    of the other counts, so log2 P keeps its relative accuracy as P nears 1.
     """
     lo, hi = _sanov_range(pi, p, n, cap)
     probs, a = p.probs.tolist(), pi.symbol
@@ -681,10 +684,17 @@ def sanov_exact_log2_prob(
     # fsum is correctly rounded, so the order of its terms does not matter
     p_rest = math.fsum(probs[:a] + probs[a + 1 :])
     with np.errstate(divide="ignore"):
-        log2q = np.log2([p_a, p_rest])
+        w_a, w_rest = np.log2([p_a, p_rest]).tolist()
+    lf = log_factorial_table(n)
+
+    def times(c, w):
+        # c * w, a -inf weight counting as -inf where c > 0 and as 0 elsewhere
+        return c * w if w > -math.inf else np.where(c > 0, -math.inf, 0.0)
 
     def log2_mass(m):
-        (lp,), _ = _walk_scores(_rows_walk(np.column_stack((m, n - m))), n, [log2q])
+        # the rows (m, n - m) as _score_blocks scores them, in its order
+        lp = times(m, w_a) + times(n - m, w_rest)
+        lp += (lf[n] - (lf[m] + lf[n - m])) / LN2
         return _log2_sum_exp2(lp)
 
     log2_p = log2_mass(np.arange(lo, hi + 1, dtype=np.int64))

@@ -20,6 +20,7 @@ from errexp.dist import (
     _psi_series,
     _sum_floats,
     log_factorial_residual,
+    log_factorial_table,
 )
 
 
@@ -307,6 +308,13 @@ class TestLogFactorial:
             k = int(k)
             diff = log_factorial(k) - log_factorial(k - 1)
             assert abs(diff - math.log(k)) <= 1e-10 * max(1.0, log_factorial(k))
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2000])
+    def test_table_holds_log_factorial(self, n):
+        # the table is built without log_factorial's checks, to its bits
+        table = log_factorial_table(n)
+        assert table.tolist() == [log_factorial(k) for k in range(n + 1)]
+        assert table.dtype == np.float64 and not table.flags.writeable
 
 
 def sum_cases(rng, k, count):

@@ -10,7 +10,7 @@ identical hypotheses (every type tied).
 The Sanov pins were taken from the enumerated path, which ``sanov_oracle``
 keeps; the oracle must still reproduce them bit for bit. The library sums
 the Sanov probability over the merged alphabet {a, not a} instead, and
-three of its log2 values differ from the enumerated sum in the last bits
+five of its log2 values differ from the enumerated sum in the last bits
 (``SANOV_LOG2_MERGED_GOLDEN``); its exponents and minimizers do not. The
 exponent pins were retaken when D came from the relative-entropy kernel of
 ``dist``; the comment above ``SANOV_EXPONENT_GOLDEN`` gives both distances
@@ -95,6 +95,11 @@ SANOV_CASES = {
     "k3_zero": ([1, 1, 0], "lower", 0, 0.6, 50),
     "k4_uniform": ([1, 1, 1, 1], "lower", 3, 0.4, 60),
     "k5_upper": ([1, 2, 3, 4, 5], "upper", 4, 0.2, 30),
+    "k3_a_zero_lower": ([0, 1, 2], "lower", 0, 0.2, 40),
+    "k3_a_zero_upper": ([0, 1, 2], "upper", 0, 0.3, 40),
+    "k3_rest_zero": ([0, 1, 0], "lower", 1, 0.5, 20),
+    "k2_rest_zero_upper": ([0, 1], "upper", 1, 0.5, 20),
+    "k3_complement": ([1, 2, 3], "lower", 2, 0.475, 301),
 }
 
 # (p weights, n, delta)
@@ -194,6 +199,11 @@ SANOV_EXPONENT_GOLDEN = {
     "k3_zero": ("0x1.dbf209b244a30p-6", (30, 20, 0)),
     "k4_uniform": ("0x1.3fc853731f83ap-4", (12, 12, 12, 24)),
     "k5_upper": ("0x1.0c2266514419dp-4", (2, 5, 7, 10, 6)),
+    "k3_a_zero_lower": ("inf", (8, 0, 32)),
+    "k3_a_zero_upper": ("0x1.dabfdd8568be0p-13", (0, 13, 27)),
+    "k3_rest_zero": ("0x0.0p+0", (0, 20, 0)),
+    "k2_rest_zero_upper": ("inf", (10, 10)),
+    "k3_complement": ("0x1.0b27832e644acp-17", (50, 100, 151)),
 }
 
 SANOV_LOG2_GOLDEN = {
@@ -204,17 +214,27 @@ SANOV_LOG2_GOLDEN = {
     "k3_zero": "-0x1.a6c94b41cf5d5p+1",
     "k4_uniform": "-0x1.c3d68a9debc0bp+2",
     "k5_upper": "-0x1.c9c25fea1f194p+1",
+    "k3_a_zero_lower": "-inf",
+    "k3_a_zero_upper": "-0x1.9000000000000p-47",
+    "k3_rest_zero": "0x0.0p+0",
+    "k2_rest_zero_upper": "-inf",
+    "k3_complement": "-0x1.21f6feb98a660p-2",
 }
 
 # the binomial range sum of errexp.types_method; relative errors against a
 # 50-digit sum of the same double inputs (enumerated -> merged):
 # k3_upper 7.8e-16 -> 2.7e-16, k4_uniform 1.85e-15 -> 1.60e-15,
-# k5_upper 2.16e-15 -> 2.66e-15
+# k5_upper 2.16e-15 -> 2.66e-15. Two take the complement branch, P above
+# 1/2: k3_a_zero_upper 2.47 -> 2.0e-17 (its doubles sum below 1, so P is
+# (sum p)^40 < 1) and k3_complement 6.1e-13 -> 1.5e-13. The cases with a zero
+# on a or on the merged rest pin a -inf weight counted as 0 at count 0.
 SANOV_LOG2_MERGED_GOLDEN = {
     **SANOV_LOG2_GOLDEN,
     "k3_upper": "-0x1.afbd2df6c24e8p+4",
     "k4_uniform": "-0x1.c3d68a9debc0dp+2",
     "k5_upper": "-0x1.c9c25fea1f198p+1",
+    "k3_a_zero_upper": "-0x1.cda993e7663bep-49",
+    "k3_complement": "-0x1.21f6feb98974cp-2",
 }
 
 DEVIATION_GOLDEN = {

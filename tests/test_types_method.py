@@ -29,6 +29,7 @@ from errexp import (
     type_class_size,
     type_classes,
 )
+from errexp import types_method
 from errexp.types_method import _type_divergence, _type_kl_terms
 
 
@@ -307,6 +308,18 @@ class TestSanov:
         p = make_distribution([1, 1])
         prob = 2.0 ** sanov_exact_log2_prob(ConstraintSet("lower", 1, 0.75), p, 10)
         assert prob == pytest.approx(56 / 1024, abs=1e-12)
+
+    def test_exact_prob_does_not_walk(self, monkeypatch):
+        # the binomial terms come from the log-factorial table, on the kept
+        # range (P <= 1/2) and on its complement (P above 1/2) alike
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Sanov range sum called _walk_scores")
+
+        monkeypatch.setattr(types_method, "_walk_scores", refuse)
+        p = make_distribution([1, 2, 3])
+        far = sanov_exact_log2_prob(ConstraintSet("lower", 2, 0.75), p, 60)
+        near = sanov_exact_log2_prob(ConstraintSet("lower", 2, 0.475), p, 301)
+        assert far < -1.0 < near < 0.0
 
     def test_rate_converges(self):
         p = make_distribution([1, 1])
